@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify test build race vet bench chaos crash fec fuzz trace net progress serve obs scale
+.PHONY: verify test build race flake vet bench chaos crash fec fuzz trace net progress serve obs scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
@@ -12,10 +12,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The runtime and core packages host the real-goroutine substrate and the
-# event-driven collectives — the only places with cross-goroutine traffic.
+# Every package with cross-goroutine traffic: the shared fail-stop and
+# FEC planes, the three substrates, the serving layer, the progress
+# engine and the event-driven collectives.
+RACE_PKGS = faults fec simmpi runtime nettransport serve progress core
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/core/...
+	$(GO) test -race $(addprefix ./internal/,$(addsuffix /...,$(RACE_PKGS)))
+
+# Flake hunt: every *Deterministic* and soak test, fifty times over.
+flake:
+	$(GO) test -count=50 -run 'Deterministic|Soak' ./...
 
 vet:
 	$(GO) vet ./...

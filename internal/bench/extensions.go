@@ -180,7 +180,7 @@ func (s Scale) ExtChaos() []*Table {
 // makespan plus what the failure detector did to get there.
 type crashCell struct {
 	Makespan  time.Duration
-	Det       simmpi.DetectorStats
+	Det       faults.DetectorStats
 	Survivors int // ranks in the committed survivor mask
 }
 

@@ -50,7 +50,7 @@ type CrashResult struct {
 	// the kernel still terminates cleanly (no deadlock).
 	KernelErr error
 	// Det counts detector activity: suspicions, confirmations, repairs.
-	Det simmpi.DetectorStats
+	Det faults.DetectorStats
 	// Stats counts message-level fault injection (zero for crash-only
 	// plans: crashes kill ranks, they do not touch live traffic).
 	Stats faults.Stats

@@ -14,7 +14,6 @@ import (
 	"adapt/internal/hwloc"
 	"adapt/internal/netmodel"
 	"adapt/internal/perf"
-	"adapt/internal/simmpi"
 	"adapt/internal/trees"
 )
 
@@ -97,7 +96,7 @@ func checkGoldenCrashRun(t *testing.T, golden CrashResult) {
 	if golden.KernelErr != nil {
 		t.Fatalf("golden run failed: %v", golden.KernelErr)
 	}
-	if golden.Det != (simmpi.DetectorStats{}) {
+	if golden.Det != (faults.DetectorStats{}) {
 		t.Fatalf("golden run moved detector counters: %+v", golden.Det)
 	}
 	for r, m := range golden.Masks {

@@ -159,7 +159,7 @@ func TestBcastFTCrashNeverFires(t *testing.T) {
 	w := runCrashSim(t, 8, crashPlan(faults.Crash{Rank: 7, AfterSends: 99}),
 		bcastFTBody(tree, want, results, &mu))
 	checkSurvivorBcast(t, 8, results, want)
-	if det := w.DetectorStats(); det != (simmpi.DetectorStats{}) {
+	if det := w.DetectorStats(); det != (faults.DetectorStats{}) {
 		t.Errorf("detector moved on a crash that never fired: %+v", det)
 	}
 }
@@ -286,7 +286,7 @@ func TestReduceFTCrashLeafAndRoot(t *testing.T) {
 // TestFTDeterministicSchedule: the same seed/plan yields the same end
 // time, detector schedule and masks on every run.
 func TestFTDeterministicSchedule(t *testing.T) {
-	run := func() (time.Duration, simmpi.DetectorStats, map[int]FTResult) {
+	run := func() (time.Duration, faults.DetectorStats, map[int]FTResult) {
 		tree := trees.Binomial(8, 0)
 		want := ftPayload(64_000)
 		results := map[int]FTResult{}

@@ -553,8 +553,12 @@ func (in *Injector) NoteSuppressed() {
 	perf.RecordFaultSuppressed()
 }
 
-// Stats returns the injector's counters.
+// Stats returns the injector's counters (zero for a nil injector: no
+// plan installed).
 func (in *Injector) Stats() Stats {
+	if in == nil {
+		return Stats{}
+	}
 	return Stats{
 		Drops:      in.drops.Load(),
 		Dups:       in.dups.Load(),

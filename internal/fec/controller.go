@@ -41,15 +41,10 @@ func (c Config) Normalized() Config {
 	return c
 }
 
-// DefaultConfig is the standard tuning: groups of 4 data segments,
-// adaptive parity up to 4 shards within a 50% bandwidth budget.
-func DefaultConfig() Config {
-	return Config{K: 4}.Normalized()
-}
-
-// Stats counts what a substrate's FEC layer did. Each substrate keeps
-// its own instance (the process-global perf counters aggregate across
-// worlds and are useless under parallel tests).
+// Stats counts what a substrate's FEC layer did: a snapshot of its
+// Counters. Each world or endpoint keeps its own (the process-global
+// perf counters aggregate across worlds and are useless under parallel
+// tests).
 type Stats struct {
 	// ParityEncoded counts parity shards encoded and sent.
 	ParityEncoded uint64
@@ -144,17 +139,4 @@ func (ct *Controller) ChooseM(src, dst, k int) int {
 	// the per-link loss EWMA and chosen parity while the run is hot.
 	metrics.RecordLink(src, dst, loss, m)
 	return m
-}
-
-// LinkEstimates snapshots every observed link's loss EWMA, keyed by
-// directed (src, dst) — the controller-local view of the health table
-// the telemetry plane aggregates.
-func (ct *Controller) LinkEstimates() map[[2]int]float64 {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	out := make(map[[2]int]float64, len(ct.links))
-	for k, loss := range ct.links {
-		out[[2]int{int(int32(k >> 32)), int(int32(k))}] = loss
-	}
-	return out
 }

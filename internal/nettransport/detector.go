@@ -2,7 +2,6 @@ package nettransport
 
 import (
 	goruntime "runtime"
-	"time"
 
 	"adapt/internal/comm"
 	"adapt/internal/faults"
@@ -25,49 +24,40 @@ var mDetectLatency = metrics.NewHistogram("adapt_detector_confirm_latency_ns",
 // handshake — rather than inferred silence: TCP resets and FINs from a
 // dying process arrive promptly on loopback, and a lease on top of the
 // observation keeps a transient glitch from instantly committing a
-// death. Mirrors the runtime substrate's detector (runtime/crash.go):
-// suspicion is counters-only, confirmation fans a death Notice to the
-// owner's control plane and fails every pending operation that depended
-// on the dead peer.
+// death. The leases are the shared fail-stop plane's (faults.Plane, one
+// per endpoint, wall-clock timers); confirmation fans a death Notice
+// to the owner's control plane and fails every pending operation that
+// depended on the dead peer.
 
 // peerLost records a connection loss without the clean handshake and
-// arms the suspicion/confirmation leases. Callable from any goroutine;
+// hands the peer to the lease detector. Callable from any goroutine;
 // idempotent per peer.
 func (c *Comm) peerLost(rank int, cause error) {
 	c.mu.Lock()
-	if c.closed || c.peerDown[rank] {
+	if c.closed || c.crash.Down(rank) {
 		c.mu.Unlock()
 		return
 	}
-	c.peerDown[rank] = true
 	c.lostAt[rank] = metrics.Clock()
 	c.mu.Unlock()
+	if !c.crash.Lost(rank) {
+		return
+	}
 	perf.RecordNetPeerDown()
 	if tb := c.cfg.traceBuf; tb != nil {
 		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Crash, Peer: rank})
 	}
 	c.sched.markDead(rank, cause)
-	time.AfterFunc(c.cfg.rec.SuspectAfter, func() {
-		if c.isClosed() {
-			return
-		}
-		perf.RecordDetectorSuspect()
-		if tb := c.cfg.traceBuf; tb != nil {
-			tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Suspect, Peer: rank})
-		}
-	})
-	time.AfterFunc(c.cfg.rec.ConfirmAfter, func() { c.confirmDeath(rank) })
 }
 
-// confirmDeath commits a suspected death: mask it, notify the owner, and
+// confirmDeath is the detector's confirm action: notify the owner and
 // fail every pending operation waiting on the dead peer.
 func (c *Comm) confirmDeath(rank int) {
 	c.mu.Lock()
-	if c.closed || c.confirmed[rank] {
+	if c.closed {
 		c.mu.Unlock()
 		return
 	}
-	c.confirmed[rank] = true
 	lostAt := c.lostAt[rank]
 
 	// Rendezvous sends parked on a grant that will never come.
@@ -80,9 +70,9 @@ func (c *Comm) confirmDeath(rank int) {
 			Err: &faults.TimeoutError{Rank: c.rank, Peer: rank, Tag: req.Tag, Attempts: 1}})
 	}
 	// Matched receives parked on a payload that will never stream.
-	for xid, pl := range c.pulls {
-		if pl.src == rank {
-			c.failPullLocked(xid)
+	for key := range c.pulls {
+		if key.src == rank {
+			c.failPullLocked(key)
 		}
 	}
 	c.mu.Unlock()
@@ -95,13 +85,7 @@ func (c *Comm) confirmDeath(rank int) {
 	})
 
 	c.eng.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: rank})
-	perf.RecordDetectorConfirm()
-	perf.RecordTreeRepair()
 	mDetectLatency.ObserveSince(lostAt)
-	if tb := c.cfg.traceBuf; tb != nil {
-		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Confirm, Peer: rank})
-		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Repair, Peer: rank})
-	}
 	if f := c.cfg.onPeerDeath; f != nil {
 		f(rank)
 	}
@@ -119,15 +103,9 @@ func (c *Comm) isClosed() bool {
 // tears the process's connections down abruptly — no Bye — and leaves
 // via the configured exit hook. Owner-goroutine only.
 func (c *Comm) noteSend() {
-	if c.crashAfter < 0 || c.deadSelf {
+	if !c.crash.NoteSend(c.rank) {
 		return
 	}
-	n := c.sendsSeen
-	c.sendsSeen++
-	if n < c.crashAfter {
-		return
-	}
-	c.deadSelf = true
 	if tb := c.cfg.traceBuf; tb != nil {
 		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Crash, Peer: -1})
 	}
@@ -145,32 +123,12 @@ func (c *Comm) noteSend() {
 // leaves behind. The dying endpoint marks itself closed first so its own
 // I/O loop observing the teardown never feeds the (now moot) detector.
 func (c *Comm) die() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	if c.fecTx != nil {
-		c.fecTx.shutdown()
-	}
+	c.markClosed()
 	// Kill every send queue (backlogs dispose, the writer drains and
-	// exits), stop the readiness loop, then cut the sockets. The loop must
-	// stop before the raw fds close.
+	// exits), then cut the sockets.
 	c.sched.markAllDead(errCrashed{})
 	c.sched.closeAll()
-	if c.io != nil {
-		c.io.stop()
-	}
-	for _, cs := range c.conns {
-		if cs == nil {
-			continue
-		}
-		cs.conn.Close()
-		if cs.file != nil {
-			cs.file.Close()
-		}
-	}
-	if c.ln != nil {
-		c.ln.Close()
-	}
+	c.cutSockets()
 }
 
 type errCrashed struct{}
@@ -182,24 +140,40 @@ func (errCrashed) Error() string { return "nettransport: rank crashed (fail-stop
 // closed. After Close the endpoint must not be used. Losses observed
 // during teardown never count as deaths.
 func (c *Comm) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.markClosed() {
 		return
 	}
-	c.closed = true
-	c.mu.Unlock()
-	if c.fecTx != nil {
-		c.fecTx.shutdown()
-	}
 	for r, cs := range c.conns {
-		if cs == nil {
-			continue
+		if cs != nil {
+			c.sched.enqueue(r, outFrame{hdr: encodeBye()})
 		}
-		c.sched.enqueue(r, outFrame{hdr: encodeBye()})
 	}
 	c.sched.closeAll()
 	<-c.sched.done // writer flushed (or gave up); the Byes are on the wire
+	c.cutSockets()
+}
+
+// markClosed begins teardown — losses are expected from here on, the
+// detector and the FEC sender stand down — and reports whether the
+// endpoint was still open.
+func (c *Comm) markClosed() bool {
+	c.mu.Lock()
+	was := c.closed
+	c.closed = true
+	c.mu.Unlock()
+	if was {
+		return false
+	}
+	c.crash.Stop()
+	if c.fecTx != nil {
+		c.fecTx.shutdown()
+	}
+	return true
+}
+
+// cutSockets stops the readiness loop, then closes every connection and
+// the listener. The loop must stop before the raw fds close.
+func (c *Comm) cutSockets() {
 	if c.io != nil {
 		c.io.stop()
 	}
@@ -219,21 +193,12 @@ func (c *Comm) Close() {
 
 // ---- comm.FailStop implementation ----
 
-// pushNotice appends a control-plane notice and wakes the rank.
-func (c *Comm) pushNotice(n comm.Notice) { c.eng.PushNotice(n) }
-
 // CrashesEnabled reports whether crash rules are armed anywhere in this
 // world — every rank must agree so the FT collectives pick one path.
 func (c *Comm) CrashesEnabled() bool { return c.cfg.crashArmed }
 
 // ConfirmedDead returns a fresh detector-confirmed death mask.
-func (c *Comm) ConfirmedDead() []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]bool, c.size)
-	copy(out, c.confirmed)
-	return out
-}
+func (c *Comm) ConfirmedDead() []bool { return c.crash.ConfirmedMask(c.size) }
 
 // TakeNotices drains this rank's pending control-plane notices.
 func (c *Comm) TakeNotices() []comm.Notice { return c.eng.TakeNotices() }
@@ -252,11 +217,8 @@ func (c *Comm) CancelRecv(r comm.Request) bool { return c.eng.CancelRecv(r) }
 func (c *Comm) Commit(seq int, survivors []bool) {
 	c.noteSend()
 	frame := encodeCommit(seq, survivors)
-	c.mu.Lock()
-	down := append([]bool(nil), c.peerDown...)
-	c.mu.Unlock()
 	for r, cs := range c.conns {
-		if cs == nil || down[r] {
+		if cs == nil || c.crash.Down(r) {
 			continue
 		}
 		c.sched.enqueue(r, outFrame{hdr: append([]byte(nil), frame...)})

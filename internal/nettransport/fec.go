@@ -8,7 +8,6 @@ import (
 	"adapt/internal/comm"
 	"adapt/internal/faults"
 	"adapt/internal/fec"
-	"adapt/internal/perf"
 	"adapt/internal/progress"
 )
 
@@ -42,39 +41,25 @@ import (
 // Sender
 // ---------------------------------------------------------------------
 
-// fecSender is one endpoint's group framer. Isend runs on the owner
-// goroutine but flush/retransmit timers and acks (I/O loop) need the
-// mutex.
+// fecSender is one endpoint's sender half: the shared group framer
+// (one open group per destination, wall-clock idle flush) plus the
+// substrate's own parity frames, acks and whole-group resends. Isend
+// runs on the owner goroutine but flush/retransmit timers and acks (I/O
+// loop) need the mutex.
 type fecSender struct {
-	c   *Comm
-	cfg fec.Config
-	ctl *fec.Controller
-	rec faults.Recovery
+	c      *Comm
+	rec    faults.Recovery
+	framer *fec.Framer[fecMeta]
 
 	mu     sync.Mutex
-	open   map[int]*txGroup    // dst -> group being filled
 	sent   map[uint64]*txGroup // gid -> awaiting ack
-	gid    uint64
 	closed bool
-
-	encoded uint64 // parity shards shipped
-	lost    uint64 // groups that needed the resend path
 }
 
-// txMember is one eager segment retained by its group: roster metadata
-// plus the framer-owned true-bytes snapshot (nil for elided payloads).
-type txMember struct {
-	meta    fecMeta
-	payload []byte
-}
-
+// txGroup is a sealed group awaiting the receiver's ack. Its members are
+// the roster; its shards, the framer-owned true-bytes snapshots.
 type txGroup struct {
-	id       uint64
-	dst      int
-	members  []*txMember
-	metas    []fecMeta
-	parity   [][]byte
-	m        int
+	*fec.Group[fecMeta]
 	attempts int  // transmissions spent (initial send is attempt 0)
 	fellBack bool // timer fired at least once: the ARQ path ran
 	timer    *time.Timer
@@ -85,8 +70,10 @@ func newFecSender(c *Comm) *fecSender {
 	if rec.MaxAttempts == 0 {
 		rec = faults.DefaultRecovery()
 	}
-	return &fecSender{c: c, cfg: c.cfg.fecCfg, ctl: fec.NewController(c.cfg.fecCfg),
-		rec: rec, open: make(map[int]*txGroup), sent: make(map[uint64]*txGroup)}
+	f := &fecSender{c: c, rec: rec, sent: make(map[uint64]*txGroup)}
+	f.framer = fec.NewFramer(c.cfg.fecCfg, &c.fecStats, rec.RTO/4,
+		faults.WallClock(c.cfg.start).After, f.seal)
+	return f
 }
 
 // send carries one eager segment under FEC: transmit it now (under this
@@ -94,63 +81,24 @@ func newFecSender(c *Comm) *fecSender {
 // ownership of payload. Owner goroutine.
 func (f *fecSender) send(dst int, meta fecMeta, payload []byte) {
 	f.c.transmitEager(dst, meta, payload, 0)
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if !f.framer.Add(f.c.rank, dst, meta, payload) {
 		comm.PutBuf(payload)
-		return
 	}
-	g := f.open[dst]
-	if g == nil {
-		f.gid++
-		g = &txGroup{id: f.gid, dst: dst}
-		f.open[dst] = g
-		gg := g
-		// Idle flush: a trickling stream must not park its losses past a
-		// fraction of the RTO — unrepaired members wait on the group's
-		// parity before any resend can help them.
-		time.AfterFunc(f.rec.RTO/4, func() { f.flush(dst, gg) })
-	}
-	g.members = append(g.members, &txMember{meta: meta, payload: payload})
-	if len(g.members) >= f.cfg.K {
-		delete(f.open, dst)
-		f.sealLocked(g)
-	}
-	f.mu.Unlock()
 }
 
-// flush seals a group the idle timer caught still open.
-func (f *fecSender) flush(dst int, g *txGroup) {
+// seal ships a closed group's parity, then parks the group awaiting the
+// receiver's ack under the retransmit timer.
+func (f *fecSender) seal(fg *fec.Group[fecMeta]) {
+	g := &txGroup{Group: fg}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed || f.open[dst] != g {
+	if f.closed {
+		g.Release()
 		return
 	}
-	delete(f.open, dst)
-	f.sealLocked(g)
-}
-
-// sealLocked encodes and ships the group's parity, then parks the group
-// awaiting the receiver's ack under the retransmit timer.
-func (f *fecSender) sealLocked(g *txGroup) {
-	k := len(g.members)
-	g.metas = make([]fecMeta, k)
-	data := make([][]byte, k)
-	for i, mem := range g.members {
-		g.metas[i] = mem.meta
-		if mem.payload != nil {
-			data[i] = mem.payload
-		} else {
-			data[i] = []byte{}
-		}
-	}
-	g.m = f.ctl.ChooseM(f.c.rank, g.dst, k)
-	g.parity = fec.EncodeParity(fec.Params{K: k, M: g.m}, data)
-	f.encoded += uint64(g.m)
-	perf.RecordFecEncoded(g.m)
-	f.sent[g.id] = g
+	f.sent[g.ID] = g
 	f.transmitParityLocked(g, 0)
-	g.timer = time.AfterFunc(f.rec.RetryDelay(0, g.id), func() { f.expire(g) })
+	g.timer = time.AfterFunc(f.rec.RetryDelay(0, g.ID), func() { f.expire(g) })
 }
 
 // transmitParityLocked ships each parity shard as one fecpar frame under
@@ -158,16 +106,16 @@ func (f *fecSender) sealLocked(g *txGroup) {
 // simply absent until the next whole-group resend).
 func (f *fecSender) transmitParityLocked(g *txGroup, attempt int) {
 	c := f.c
-	roster := make([]byte, 0, len(g.metas)*fecMetaLen)
-	for _, m := range g.metas {
+	roster := make([]byte, 0, len(g.Members)*fecMetaLen)
+	for _, m := range g.Members {
 		roster = appendFecMeta(roster, m)
 	}
-	for j, shard := range g.parity {
+	for j, shard := range g.Parity {
 		// The verdict needs a message identity; parity has no tag or xid of
 		// its own, so it borrows a KindFec tag and a group-derived id.
-		ptag := comm.MakeTag(comm.KindFec, int(g.id%uint64(comm.SeqWrap)), j)
-		pxid := g.id<<6 | uint64(j)
-		v := c.inj.Message(c.rank, g.dst, ptag, pxid, attempt, c.Now(), len(shard))
+		ptag := comm.MakeTag(comm.KindFec, int(g.ID%uint64(comm.SeqWrap)), j)
+		pxid := g.ID<<6 | uint64(j)
+		v := c.inj.Message(c.rank, g.Dst, ptag, pxid, attempt, c.Now(), len(shard))
 		if v.Drop {
 			continue
 		}
@@ -178,14 +126,18 @@ func (f *fecSender) transmitParityLocked(g *txGroup, attempt int) {
 		if v.Corrupt {
 			body[int(pxid)%len(body)] ^= 0xa5
 		}
-		hdr := encodeFecParityHdr(g.id, len(g.metas), g.m, j, crc, len(body))
-		fr := outFrame{hdr: hdr, payload: body, pooled: true}
-		if v.Extra > 0 {
-			time.AfterFunc(v.Extra, func() { c.sched.enqueue(g.dst, fr) })
-		} else {
-			c.sched.enqueue(g.dst, fr)
-		}
+		hdr := encodeFecParityHdr(g.ID, len(g.Members), g.Params.M, j, crc, len(body))
+		c.enqueueAfter(g.Dst, v.Extra, outFrame{hdr: hdr, payload: body, pooled: true})
 	}
+}
+
+// enqueueAfter queues fr for dst now, or after a verdict's extra delay.
+func (c *Comm) enqueueAfter(dst int, extra time.Duration, fr outFrame) {
+	if extra > 0 {
+		time.AfterFunc(extra, func() { c.sched.enqueue(dst, fr) })
+		return
+	}
+	c.sched.enqueue(dst, fr)
 }
 
 // expire is the group's retransmit timer: resend everything, or give up
@@ -194,7 +146,7 @@ func (f *fecSender) transmitParityLocked(g *txGroup, attempt int) {
 func (f *fecSender) expire(g *txGroup) {
 	c := f.c
 	f.mu.Lock()
-	if f.closed || f.sent[g.id] != g {
+	if f.closed || f.sent[g.ID] != g {
 		f.mu.Unlock()
 		return
 	}
@@ -202,27 +154,25 @@ func (f *fecSender) expire(g *txGroup) {
 		// First fire: this group's losses outran (or lost) its parity and
 		// the ARQ path is now paying round trips for it.
 		g.fellBack = true
-		f.lost++
-		perf.RecordFecGroupLost()
+		c.fecStats.GroupLost()
 	}
 	g.attempts++
 	if g.attempts >= f.rec.MaxAttempts {
-		delete(f.sent, g.id)
-		metas, attempts := g.metas, g.attempts
-		f.releaseLocked(g)
+		delete(f.sent, g.ID)
+		g.Release()
 		f.mu.Unlock()
 		c.inj.NoteTimeout()
 		// The tombstone is the sender's final word — group control
 		// traffic, not subject to injection.
-		c.sched.enqueue(g.dst, outFrame{hdr: encodeFecDead(g.id, attempts, metas)})
+		c.sched.enqueue(g.Dst, outFrame{hdr: encodeFecDead(g.ID, g.attempts, g.Members)})
 		return
 	}
-	for _, mem := range g.members {
+	for i, meta := range g.Members {
 		c.inj.NoteRetry()
-		c.transmitEager(g.dst, mem.meta, mem.payload, g.attempts)
+		c.transmitEager(g.Dst, meta, g.Shards[i], g.attempts)
 	}
 	f.transmitParityLocked(g, g.attempts)
-	g.timer = time.AfterFunc(f.rec.RetryDelay(g.attempts, g.id), func() { f.expire(g) })
+	g.timer = time.AfterFunc(f.rec.RetryDelay(g.attempts, g.ID), func() { f.expire(g) })
 	f.mu.Unlock()
 }
 
@@ -230,28 +180,12 @@ func (f *fecSender) expire(g *txGroup) {
 // goroutine.
 func (f *fecSender) onAck(gid uint64) {
 	f.mu.Lock()
-	g := f.sent[gid]
-	if g != nil {
+	if g := f.sent[gid]; g != nil {
 		delete(f.sent, gid)
-		if g.timer != nil {
-			g.timer.Stop()
-		}
-		f.releaseLocked(g)
+		g.timer.Stop()
+		g.Release()
 	}
 	f.mu.Unlock()
-}
-
-func (f *fecSender) releaseLocked(g *txGroup) {
-	for _, mem := range g.members {
-		if mem.payload != nil {
-			comm.PutBuf(mem.payload)
-			mem.payload = nil
-		}
-	}
-	for _, p := range g.parity {
-		comm.PutBuf(p)
-	}
-	g.parity = nil
 }
 
 // shutdown stops every timer and releases retained buffers (endpoint
@@ -261,16 +195,13 @@ func (f *fecSender) shutdown() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.closed = true
-	for dst, g := range f.open {
-		delete(f.open, dst)
-		f.releaseLocked(g)
+	for _, g := range f.framer.Stop() {
+		g.Release()
 	}
 	for gid, g := range f.sent {
 		delete(f.sent, gid)
-		if g.timer != nil {
-			g.timer.Stop()
-		}
-		f.releaseLocked(g)
+		g.timer.Stop()
+		g.Release()
 	}
 }
 
@@ -303,16 +234,9 @@ func (c *Comm) transmitEager(dst int, meta fecMeta, data []byte, attempt int) {
 			hdr[len(hdr)-4] ^= 0xa5
 		}
 	}
-	enq := func(fr outFrame) {
-		if v.Extra > 0 {
-			time.AfterFunc(v.Extra, func() { c.sched.enqueue(dst, fr) })
-			return
-		}
-		c.sched.enqueue(dst, fr)
-	}
-	enq(outFrame{hdr: hdr, payload: first, pooled: true})
+	c.enqueueAfter(dst, v.Extra, outFrame{hdr: hdr, payload: first, pooled: true})
 	if v.Dup {
-		enq(outFrame{hdr: hdr, payload: wire(), pooled: true})
+		c.enqueueAfter(dst, v.Extra, outFrame{hdr: hdr, payload: wire(), pooled: true})
 	}
 }
 
@@ -330,12 +254,10 @@ type fecTracker struct {
 	retain bool // FEC armed: keep copies for reconstruction
 
 	mu     sync.Mutex
-	seen   []map[uint64]bool      // per src: xids delivered (or failed)
-	recent []map[uint64][]byte    // per src: payload copies awaiting group resolution
-	groups []map[uint64]*rxGroup  // per src: gid -> partially-arrived group
-	done   []map[uint64]bool      // per src: resolved gids (late parity discarded)
-
-	reconstructed uint64
+	seen   []map[uint64]bool     // per src: xids delivered (or failed)
+	recent []map[uint64][]byte   // per src: payload copies awaiting group resolution
+	groups []map[uint64]*rxGroup // per src: gid -> partially-arrived group
+	done   []map[uint64]bool     // per src: resolved gids (late parity discarded)
 }
 
 // rxGroup is a group known from at least one parity arrival.
@@ -343,7 +265,6 @@ type rxGroup struct {
 	metas  []fecMeta
 	parity [][]byte // arrived shards by index, pooled
 	got    int
-	m      int
 }
 
 func newFecTracker(c *Comm, retain bool) *fecTracker {
@@ -395,20 +316,25 @@ func (t *fecTracker) onEager(src int, tag comm.Tag, xid uint64, size int, hasDat
 		}
 	}
 	t.mu.Unlock()
+	t.c.eng.Arrive(&progress.Env{Src: src, Tag: tag, Msg: eagerMsg(size, hasData, payload),
+		HasData: hasData, Xid: xid})
+	t.dispatch(src, acks, envs)
+}
+
+// eagerMsg wraps a delivered eager payload (pooled, owned by the
+// receiver from here): trimmed to the logical size, released when the
+// message elides its bytes.
+func eagerMsg(size int, hasData bool, payload []byte) comm.Msg {
 	msg := comm.Msg{Size: size}
 	if hasData {
 		if payload == nil {
 			payload = []byte{}
 		}
-		msg.Data = payload
-		if len(msg.Data) != size {
-			msg.Data = msg.Data[:size]
-		}
+		msg.Data = payload[:size]
 	} else if payload != nil {
 		comm.PutBuf(payload)
 	}
-	t.c.eng.Arrive(&progress.Env{Src: src, Tag: tag, Msg: msg, HasData: hasData, Xid: xid})
-	t.dispatch(src, acks, envs)
+	return msg
 }
 
 func groupHas(g *rxGroup, xid uint64) bool {
@@ -431,7 +357,7 @@ func (t *fecTracker) onParity(src int, gid uint64, k, m, idx int, body []byte) {
 	}
 	g := t.groups[src][gid]
 	if g == nil {
-		g = &rxGroup{metas: make([]fecMeta, k), parity: make([][]byte, m), m: m}
+		g = &rxGroup{metas: make([]fecMeta, k), parity: make([][]byte, m)}
 		for i := 0; i < k; i++ {
 			g.metas[i] = parseFecMeta(body[i*fecMetaLen:])
 		}
@@ -463,51 +389,30 @@ func (t *fecTracker) evaluateLocked(src int, gid uint64, g *rxGroup, acks []uint
 			missing = append(missing, i)
 		}
 	}
-	if len(missing) > len(g.parity) {
-		return acks, envs
-	}
 	if len(missing) > 0 {
-		if g.got < len(missing) {
+		if !fec.Recoverable(len(missing), g.got) {
 			return acks, envs // not enough parity yet; more may arrive, or the resend will
 		}
 		k := len(g.metas)
-		data := make([][]byte, k)
+		shards := make([][]byte, k)
 		sizes := make([]int, k)
 		for i, mt := range g.metas {
 			sizes[i] = mt.plen
-			if b, ok := t.recent[src][mt.xid]; ok {
-				data[i] = b
-			}
+			shards[i] = t.recent[src][mt.xid]
 		}
-		if err := fec.Reconstruct(fec.Params{K: k, M: g.m}, data, g.parity, sizes); err != nil {
+		data := t.c.fecStats.Decode(fec.Params{K: k, M: len(g.parity)}, shards, missing, g.parity, sizes)
+		if data == nil {
 			return acks, envs
 		}
 		for _, i := range missing {
 			mt := g.metas[i]
 			if t.seen[src][mt.xid] {
-				if data[i] != nil {
-					comm.PutBuf(data[i])
-				}
+				comm.PutBuf(data[i])
 				continue
 			}
 			t.seen[src][mt.xid] = true
-			msg := comm.Msg{Size: mt.size}
-			if mt.hasData {
-				d := data[i]
-				if d == nil {
-					d = []byte{}
-				}
-				msg.Data = d
-				if len(msg.Data) != mt.size {
-					msg.Data = msg.Data[:mt.size]
-				}
-			} else if data[i] != nil {
-				comm.PutBuf(data[i])
-			}
-			envs = append(envs, &progress.Env{Src: src, Tag: mt.tag, Msg: msg,
-				HasData: mt.hasData, Xid: mt.xid})
-			t.reconstructed++
-			perf.RecordFecReconstructed()
+			envs = append(envs, &progress.Env{Src: src, Tag: mt.tag,
+				Msg: eagerMsg(mt.size, mt.hasData, data[i]), HasData: mt.hasData, Xid: mt.xid})
 		}
 	}
 	t.finishLocked(src, gid, g)
@@ -557,17 +462,11 @@ func (t *fecTracker) onDead(src int, gid uint64, attempts int, roster []byte) {
 			Err: &faults.TimeoutError{Rank: src, Peer: t.c.rank, Tag: mt.tag,
 				Attempts: attempts}})
 	}
-	if g := t.groups[src][gid]; g != nil {
-		t.finishLocked(src, gid, g)
-	} else {
-		t.done[src][gid] = true
-		for _, mt := range metas {
-			if b, ok := t.recent[src][mt.xid]; ok {
-				comm.PutBuf(b)
-				delete(t.recent[src], mt.xid)
-			}
-		}
+	g := t.groups[src][gid]
+	if g == nil {
+		g = &rxGroup{metas: metas} // no parity ever arrived
 	}
+	t.finishLocked(src, gid, g)
 	t.mu.Unlock()
 	for _, env := range envs {
 		t.c.eng.Arrive(env)
@@ -596,27 +495,8 @@ func (t *fecTracker) dispatch(src int, acks []uint64, envs []*progress.Env) {
 
 // FaultStats returns this endpoint's injector counters (zero without
 // WithChaos).
-func (c *Comm) FaultStats() faults.Stats {
-	if c.inj == nil {
-		return faults.Stats{}
-	}
-	return c.inj.Stats()
-}
+func (c *Comm) FaultStats() faults.Stats { return c.inj.Stats() }
 
 // FECStats returns this endpoint's FEC counters: parity and lost groups
 // from its sender half, reconstructions from its receiver half.
-func (c *Comm) FECStats() fec.Stats {
-	var s fec.Stats
-	if c.fecTx != nil {
-		c.fecTx.mu.Lock()
-		s.ParityEncoded = c.fecTx.encoded
-		s.GroupsLost = c.fecTx.lost
-		c.fecTx.mu.Unlock()
-	}
-	if c.fecRx != nil {
-		c.fecRx.mu.Lock()
-		s.Reconstructed = c.fecRx.reconstructed
-		c.fecRx.mu.Unlock()
-	}
-	return s
-}
+func (c *Comm) FECStats() fec.Stats { return c.fecStats.Stats() }

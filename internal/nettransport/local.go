@@ -3,14 +3,13 @@ package nettransport
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"adapt/internal/faults"
 	"adapt/internal/fec"
+	"adapt/internal/progress"
 )
 
 // LocalWorld is an n-rank communicator whose endpoints live in one
@@ -20,10 +19,9 @@ import (
 // exercises the full socket path without paying a process spawn per
 // case, while cmd/adaptrun runs the same endpoints as true OS processes.
 type LocalWorld struct {
-	comms         []*Comm
-	runTimeout    time.Duration
-	watchdogFired atomic.Bool
-	closed        bool
+	comms  []*Comm
+	guard  progress.RunGuard // Run's rank goroutines and watchdog
+	closed bool
 }
 
 // NewLocalWorld creates n endpoints on loopback listeners and wires the
@@ -37,6 +35,7 @@ func NewLocalWorld(n int, opts ...Option) (*LocalWorld, error) {
 		o(&cfg)
 	}
 	w := &LocalWorld{}
+	w.guard = progress.RunGuard{Prefix: "nettransport", Dump: w.pendingDump}
 	addrs := make([]string, n)
 	for r := 0; r < n; r++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -71,7 +70,7 @@ func NewLocalWorld(n int, opts ...Option) (*LocalWorld, error) {
 // returned within d, Run panics with a per-rank dump of pending
 // operations instead of hanging the caller.
 func (w *LocalWorld) WithRunTimeout(d time.Duration) *LocalWorld {
-	w.runTimeout = d
+	w.guard.Timeout = d
 	return w
 }
 
@@ -86,53 +85,13 @@ func (w *LocalWorld) Rank(r int) *Comm { return w.comms[r] }
 // a rank that hits its crash point exits silently (fail-stop) and is
 // skipped by every later Run — a dead process does not come back.
 func (w *LocalWorld) Run(body func(c *Comm)) {
-	var wg sync.WaitGroup
-	panics := make(chan string, len(w.comms))
+	var live []int
 	for _, c := range w.comms {
-		c := c
-		if c.deadSelf {
-			continue
+		if !c.crash.Dead(c.rank) {
+			live = append(live, c.rank)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics <- fmt.Sprintf("rank %d: %v", c.rank, p)
-				}
-			}()
-			body(c)
-		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	if w.runTimeout > 0 {
-		t := time.NewTimer(w.runTimeout)
-		defer t.Stop()
-		select {
-		case <-done:
-		case <-t.C:
-			if w.watchdogFired.CompareAndSwap(false, true) {
-				panic(fmt.Sprintf("nettransport: Run still incomplete after %v\n%s", w.runTimeout, w.pendingDump()))
-			}
-			panic(fmt.Sprintf("nettransport: Run still incomplete after %v (pending-op dump already emitted)", w.runTimeout))
-		}
-	} else {
-		<-done
-	}
-	close(panics)
-	var msgs []string
-	for p := range panics {
-		msgs = append(msgs, p)
-	}
-	switch len(msgs) {
-	case 0:
-	case 1:
-		panic(msgs[0])
-	default:
-		sort.Strings(msgs)
-		panic(fmt.Sprintf("nettransport: %d ranks panicked:\n%s", len(msgs), strings.Join(msgs, "\n")))
-	}
+	w.guard.Run(live, func(r int) { body(w.comms[r]) })
 }
 
 // pendingDump renders each rank's unfinished operations for the watchdog.
@@ -189,7 +148,7 @@ func (w *LocalWorld) FECStats() fec.Stats {
 func (w *LocalWorld) Crashed() []bool {
 	out := make([]bool, len(w.comms))
 	for r, c := range w.comms {
-		out[r] = c.deadSelf
+		out[r] = c.crash.Dead(c.rank)
 	}
 	return out
 }
@@ -202,7 +161,7 @@ func (w *LocalWorld) Close() {
 	}
 	w.closed = true
 	for _, c := range w.comms {
-		if c != nil && !c.deadSelf {
+		if c != nil && !c.crash.Dead(c.rank) {
 			c.Close()
 		}
 	}

@@ -166,10 +166,16 @@ func WithFEC(cfg fec.Config) Option {
 // arrives (or the sender's death fails it).
 type rdvPull struct {
 	req     *progress.Req
-	src     int
 	tag     comm.Tag
 	size    int
 	hasData bool
+}
+
+// pullKey names a parked pull: xids are numbered per sender, so only
+// the pair is unique at the receiver.
+type pullKey struct {
+	src int
+	xid uint64
 }
 
 // Comm is one rank's endpoint. Its blocking methods must be called from
@@ -188,25 +194,23 @@ type Comm struct {
 	// mu guards the wire-protocol state below. Lock order: c.mu may be
 	// held around engine calls (substrate lock → engine lock), never the
 	// reverse.
-	mu        sync.Mutex
-	sendPend  map[uint64]*progress.Req // xid → rendezvous send awaiting CTS
-	pulls     map[uint64]*rdvPull      // xid → matched recv awaiting DATA
-	peerDown  []bool                   // connection lost (death suspected)
-	confirmed []bool                   // detector-confirmed deaths
-	lostAt    []int64                  // metrics.Clock() at loss observation (telemetry)
-	closed    bool                     // clean shutdown begun; losses are expected
+	mu       sync.Mutex
+	sendPend map[uint64]*progress.Req // own xid → rendezvous send awaiting CTS
+	pulls    map[pullKey]*rdvPull     // matched recv awaiting DATA
+	lostAt   []int64                  // metrics.Clock() at loss observation (telemetry)
+	closed   bool                     // clean shutdown begun; losses are expected
 
 	xidNext uint64 // owner-goroutine only
 
 	// Chaos + FEC (nil without WithChaos/WithFEC; see fec.go).
-	inj   *faults.Injector
-	fecTx *fecSender
-	fecRx *fecTracker
+	inj      *faults.Injector
+	fecTx    *fecSender
+	fecRx    *fecTracker
+	fecStats fec.Counters
 
-	// Fail-stop self-crash schedule (owner-goroutine only).
-	crashAfter int // send initiations before this rank dies; -1 = never
-	sendsSeen  int
-	deadSelf   bool
+	// Fail-stop plane: this endpoint's crash schedule and the lease
+	// detector over its peers (see detector.go).
+	crash *faults.Plane
 
 	wake chan struct{}
 }
@@ -221,15 +225,14 @@ var (
 func newComm(rank, size int, ln net.Listener, cfg config) *Comm {
 	c := &Comm{
 		rank: rank, size: size, cfg: cfg, ln: ln,
-		conns:      make([]*connState, size),
-		sendPend:   make(map[uint64]*progress.Req),
-		pulls:      make(map[uint64]*rdvPull),
-		peerDown:   make([]bool, size),
-		confirmed:  make([]bool, size),
-		lostAt:     make([]int64, size),
-		crashAfter: -1,
-		wake:       make(chan struct{}, 1),
+		conns:    make([]*connState, size),
+		sendPend: make(map[uint64]*progress.Req),
+		pulls:    make(map[pullKey]*rdvPull),
+		lostAt:   make([]int64, size),
+		wake:     make(chan struct{}, 1),
 	}
+	c.crash = faults.NewPlane(size, rank, cfg.crashPlan, cfg.rec, faults.WallClock(cfg.start),
+		func() *trace.Buffer { return c.cfg.traceBuf }, c.confirmDeath)
 	c.eng = progress.New(progress.Backend{
 		Prefix:  "nettransport",
 		Rank:    rank,
@@ -239,14 +242,6 @@ func newComm(rank, size int, ln net.Listener, cfg config) *Comm {
 		Block:   func() { <-c.wake },
 		OnMatch: c.onMatch,
 	})
-	for _, cr := range cfg.crashPlan {
-		if cr.Rank == rank {
-			c.crashAfter = cr.AfterSends
-		}
-		if cr.Rank >= size {
-			panic(fmt.Sprintf("nettransport: crash rule for rank %d in a %d-rank world", cr.Rank, size))
-		}
-	}
 	if cfg.chaosOn {
 		// Every endpoint builds its own injector from the shared plan:
 		// verdicts are keyed by message identity, so the streams agree
@@ -351,7 +346,7 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	req.Xid = xid
 	req.Tag = tag
 	c.mu.Lock()
-	if c.confirmed[dst] {
+	if c.crash.Confirmed(dst) {
 		// The detector already declared the peer dead: fail fast with the
 		// same structured error an exhausted retry chain produces.
 		c.mu.Unlock()
@@ -386,13 +381,13 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 		req.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Msg: env.Msg})
 		return
 	}
+	key := pullKey{src: env.Src, xid: env.Xid}
 	c.mu.Lock()
-	c.pulls[env.Xid] = &rdvPull{req: req, src: env.Src, tag: env.Tag,
-		size: env.Msg.Size, hasData: env.HasData}
-	if c.confirmed[env.Src] || c.peerDown[env.Src] {
+	c.pulls[key] = &rdvPull{req: req, tag: env.Tag, size: env.Msg.Size, hasData: env.HasData}
+	if c.crash.Down(env.Src) {
 		// The sender is already gone; the grant would go nowhere. Fail the
 		// receive through the same path its death notice would take.
-		c.failPullLocked(env.Xid)
+		c.failPullLocked(key)
 		c.mu.Unlock()
 		return
 	}
@@ -405,14 +400,14 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 
 // failPullLocked fails a parked rendezvous receive whose sender died;
 // c.mu is held (completion takes the engine lock underneath it).
-func (c *Comm) failPullLocked(xid uint64) {
-	pl := c.pulls[xid]
+func (c *Comm) failPullLocked(key pullKey) {
+	pl := c.pulls[key]
 	if pl == nil {
 		return
 	}
-	delete(c.pulls, xid)
-	pl.req.Complete(comm.Status{Source: pl.src, Tag: pl.tag,
-		Err: &faults.TimeoutError{Rank: c.rank, Peer: pl.src, Tag: pl.tag, Attempts: 1}})
+	delete(c.pulls, key)
+	pl.req.Complete(comm.Status{Source: key.src, Tag: pl.tag,
+		Err: &faults.TimeoutError{Rank: c.rank, Peer: key.src, Tag: pl.tag, Attempts: 1}})
 }
 
 // onCTS resolves a clear-to-send grant: stream the payload. Runs on the
@@ -445,8 +440,9 @@ func (c *Comm) onCTS(src int, xid uint64) {
 // goroutine; the payload buffer is pooled and owned by the receiver from
 // here on.
 func (c *Comm) onData(src int, xid uint64, payload []byte) {
+	key := pullKey{src: src, xid: xid}
 	c.mu.Lock()
-	pl := c.pulls[xid]
+	pl := c.pulls[key]
 	if pl == nil {
 		c.mu.Unlock()
 		if payload != nil {
@@ -454,7 +450,7 @@ func (c *Comm) onData(src int, xid uint64, payload []byte) {
 		}
 		return
 	}
-	delete(c.pulls, xid)
+	delete(c.pulls, key)
 	c.mu.Unlock()
 	msg := comm.Msg{Size: pl.size}
 	if pl.hasData {
@@ -465,7 +461,7 @@ func (c *Comm) onData(src int, xid uint64, payload []byte) {
 	} else if payload != nil {
 		comm.PutBuf(payload)
 	}
-	pl.req.Complete(comm.Status{Source: pl.src, Tag: pl.tag, Msg: msg})
+	pl.req.Complete(comm.Status{Source: src, Tag: pl.tag, Msg: msg})
 }
 
 // Send performs a blocking send: for rendezvous-size messages it returns

@@ -106,6 +106,36 @@ func TestRendezvousSendRecv(t *testing.T) {
 	})
 }
 
+// TestConcurrentRendezvousEqualXids: every endpoint numbers its
+// transmissions from the same start, so two senders' first rendezvous
+// sends carry equal xids. With both announcements matched before either
+// payload streams, the receiver holds two parked pulls at once and must
+// tell them apart by sender.
+func TestConcurrentRendezvousEqualXids(t *testing.T) {
+	w := newTestWorld(t, 3).WithRunTimeout(10 * time.Second)
+	tag := comm.MakeTag(comm.KindP2P, 2, 0)
+	payload := func(src int) []byte { return fill(DefaultEagerLimit*4, byte(src)) }
+	w.Run(func(c *Comm) {
+		if c.Rank() != 0 {
+			c.Send(0, tag, comm.Bytes(payload(c.Rank())))
+			return
+		}
+		// Both announcements park unexpected first, so the two receives
+		// match back to back and both pulls are outstanding together.
+		c.Probe(1, tag)
+		c.Probe(2, tag)
+		reqs := []comm.Request{c.Irecv(1, tag), c.Irecv(2, tag)}
+		for i, r := range reqs {
+			src := i + 1
+			st := c.Wait(r)
+			if st.Err != nil || st.Source != src || !bytes.Equal(st.Msg.Data, payload(src)) {
+				t.Errorf("recv from %d: source %d err %v, payload intact %v",
+					src, st.Source, st.Err, bytes.Equal(st.Msg.Data, payload(src)))
+			}
+		}
+	})
+}
+
 // TestEagerBoundary sends exactly DefaultEagerLimit bytes (the largest
 // eager message) and one byte more (the smallest rendezvous message):
 // both must arrive intact, whichever protocol carries them.

@@ -385,7 +385,7 @@ func (c *Comm) finishFrame(cs *connState) error {
 		for i, v := range payload {
 			survivors[i] = v != 0
 		}
-		c.pushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: cs.seq, Survivors: survivors})
+		c.eng.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: cs.seq, Survivors: survivors})
 	case frameFecParity:
 		if c.fecRx == nil || crc32.ChecksumIEEE(payload) != cs.crc {
 			// No FEC armed here, or the parity itself arrived damaged: a

@@ -12,9 +12,9 @@ import (
 	"adapt/internal/trace"
 )
 
-// Fault injection in the live runtime. The delivery path mirrors the
-// simulator's chaos transport (internal/simmpi/chaos.go) with the
-// simplifications a shared-address-space executor affords:
+// Fault injection in the live runtime. The delivery path is the
+// reliable-transmission model of the simulator's chaos transport with
+// the simplifications a shared-address-space executor affords:
 //
 //   - Retries are resolved at send time: the sender walks the attempt
 //     sequence (each drawing its own deterministic verdict), accumulates
@@ -32,10 +32,11 @@ import (
 //     surfaces at the stuck receiver — bound Run with WithRunTimeout to
 //     turn that hang into a per-rank pending-operation dump.
 //
-// The injector's verdicts depend only on message identity, so a fixed
-// plan seed yields the same drops/dups/losses regardless of goroutine
-// interleaving; wall-clock arrival order of near-simultaneous copies is
-// the only nondeterminism, and dedup makes it invisible to receivers.
+// The injector's verdicts depend only on message identity — (sender,
+// receiver, tag, per-link sequence number) — so a fixed plan seed yields
+// the same drops/dups/losses regardless of goroutine interleaving;
+// wall-clock arrival order of near-simultaneous copies is the only
+// nondeterminism, and dedup makes it invisible to receivers.
 
 // WithFaults installs a fault plan and the ack/retry tuning used to
 // recover from it (zero Recovery fields take defaults).
@@ -43,19 +44,13 @@ func WithFaults(p faults.Plan, rec faults.Recovery) Option {
 	return func(w *World) {
 		w.inj = faults.NewInjector(p)
 		w.rec = rec.Normalized()
-		// Crash rules are armed once the rank slice exists (NewWorld runs
-		// options before building ranks).
-		w.crashPlan = p.Crashes
+		// Crash rules are armed from the injector's plan once the rank
+		// slice exists (NewWorld runs options before building ranks).
 	}
 }
 
 // FaultStats returns what the injector did; zero when no plan installed.
-func (w *World) FaultStats() faults.Stats {
-	if w.inj == nil {
-		return faults.Stats{}
-	}
-	return w.inj.Stats()
-}
+func (w *World) FaultStats() faults.Stats { return w.inj.Stats() }
 
 // Failures lists operations that exhausted their attempt budget.
 func (w *World) Failures() []*faults.TimeoutError {
@@ -64,16 +59,24 @@ func (w *World) Failures() []*faults.TimeoutError {
 	return append([]*faults.TimeoutError(nil), w.failures...)
 }
 
+// nextXid draws the id of c's next transmission to dst: a per-link
+// sequence in the low half, the sender in the high half, so ids are
+// unique at every receiver (the engine deduplicates by id) and — drawn
+// in the sender's own program order — the injector's verdicts do not
+// depend on how rank goroutines interleave.
+func (c *Comm) nextXid(dst int) uint64 {
+	return uint64(c.rank)<<32 | c.xids[dst].Add(1)
+}
+
 // chaosDeliver carries env from c to d under the fault plan. Runs on the
 // sender's goroutine; delayed copies hop to timer goroutines.
 func (c *Comm) chaosDeliver(d *Comm, env *progress.Env, size int) {
-	w := c.w
-	env.Xid = w.xmitSeq.Add(1)
-	if w.fec != nil && env.Rts == nil {
+	env.Xid = c.nextXid(d.rank)
+	if c.w.fec != nil && env.Rts == nil {
 		// Eager segments route through the FEC framer (fec.go): a lost
 		// first attempt waits for its group's parity before falling back
 		// to the retry walk below.
-		w.fec.send(c, d, env, size)
+		c.fecSend(d, env, size)
 		return
 	}
 	c.chaosWalk(d, env, size, 0, 0)

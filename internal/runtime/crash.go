@@ -1,144 +1,74 @@
 package runtime
 
 import (
-	"fmt"
 	goruntime "runtime"
-	"time"
 
 	"adapt/internal/comm"
 	"adapt/internal/faults"
-	"adapt/internal/perf"
 	"adapt/internal/progress"
 	"adapt/internal/trace"
 )
 
-// Fail-stop crash model on the live substrate. Mirrors the simulator's
-// (internal/simmpi/crash.go) with wall-clock detector leases:
+// Fail-stop crash model on the live substrate. The crash schedule and
+// the world-level lease detector are the shared fail-stop plane
+// (faults.Plane), timed by wall-clock timers; this file keeps the kill
+// mechanics:
 //
-//   - The crash point is the same pure function of the rank's program
-//     order — the (AfterSends+1)-th send initiation — so a plan kills
-//     the rank at the same protocol step as in the simulator.
-//   - The dying rank marks itself halted, sweeps its unexpected queue
-//     (live rendezvous senders parked there fail with a TimeoutError
-//     instead of hanging), and exits its goroutine via runtime.Goexit —
-//     its deferred Run bookkeeping still runs, so Run returns normally
-//     when the survivors finish.
+//   - The dying rank sweeps its unexpected queue (live rendezvous
+//     senders parked there fail with a TimeoutError instead of hanging)
+//     and exits its goroutine via runtime.Goexit — its deferred Run
+//     bookkeeping still runs, so Run returns normally when the survivors
+//     finish.
 //   - deliver() refuses traffic addressed to a halted rank (rendezvous
 //     announcements fail the sender, eager payloads are swallowed) and
 //     annihilates in-flight copies from a dead sender.
-//   - Detector leases are time.AfterFunc timers; confirmation fans death
-//     notices out to every surviving rank's control-plane queue.
-type crashCtl struct {
-	// All fields are guarded by the owning World's crashMu, except the
-	// schedule (after), which is immutable once armed.
-	after     map[int]int
-	sends     []int
-	dead      []bool
-	confirmed []bool
-	suspects  uint64
-	confirms  uint64
-	repairs   uint64
-}
+//   - Confirmation fans death notices out to every surviving rank's
+//     control-plane queue.
 
-// armCrashes builds the crash controller once the ranks exist (called at
-// the end of NewWorld; options run before the rank slice is built).
+// armCrashes builds the crash schedule and detector from the installed
+// plan (called at the end of NewWorld; options run before the rank
+// slice is built).
 func (w *World) armCrashes() {
-	if len(w.crashPlan) == 0 {
-		return
+	if w.inj != nil && len(w.inj.Plan().Crashes) > 0 {
+		w.crash = faults.NewPlane(w.Size(), -1, w.inj.Plan().Crashes, w.rec, faults.WallClock(w.start),
+			func() *trace.Buffer { return w.Trace }, w.noticeDeath)
 	}
-	n := w.Size()
-	ct := &crashCtl{
-		after:     make(map[int]int, len(w.crashPlan)),
-		sends:     make([]int, n),
-		dead:      make([]bool, n),
-		confirmed: make([]bool, n),
-	}
-	for _, cr := range w.crashPlan {
-		if cr.Rank >= n {
-			panic(fmt.Sprintf("runtime: crash rule for rank %d in a %d-rank world", cr.Rank, n))
-		}
-		ct.after[cr.Rank] = cr.AfterSends
-	}
-	w.crash = ct
-}
-
-// DetectorStats mirrors simmpi.DetectorStats for the live substrate.
-type DetectorStats struct {
-	Suspects uint64
-	Confirms uint64
-	Repairs  uint64
 }
 
 // DetectorStats returns the detector counters; zero when no crash rules
 // are armed.
-func (w *World) DetectorStats() DetectorStats {
-	ct := w.crash
-	if ct == nil {
-		return DetectorStats{}
-	}
-	w.crashMu.Lock()
-	defer w.crashMu.Unlock()
-	return DetectorStats{Suspects: ct.suspects, Confirms: ct.confirms, Repairs: ct.repairs}
-}
+func (w *World) DetectorStats() faults.DetectorStats { return w.crash.Stats() }
 
 // Crashed returns the per-rank death mask.
-func (w *World) Crashed() []bool {
-	out := make([]bool, w.Size())
-	if ct := w.crash; ct != nil {
-		w.crashMu.Lock()
-		copy(out, ct.dead)
-		w.crashMu.Unlock()
-	}
-	return out
-}
-
-// rankDead reports whether r has halted.
-func (w *World) rankDead(r int) bool {
-	ct := w.crash
-	if ct == nil {
-		return false
-	}
-	w.crashMu.Lock()
-	defer w.crashMu.Unlock()
-	return ct.dead[r]
-}
+func (w *World) Crashed() []bool { return w.crash.DeadMask(w.Size()) }
 
 // noteSend counts one send initiation by c; at the rank's crash point it
 // halts the rank and exits the calling goroutine (Goexit runs the Run
 // deferrals, so the world keeps going without it).
 func (w *World) noteSend(c *Comm) {
-	ct := w.crash
-	if ct == nil {
+	if !w.crash.NoteSend(c.rank) {
 		return
 	}
-	w.crashMu.Lock()
-	k, scheduled := ct.after[c.rank]
-	if !scheduled || ct.dead[c.rank] {
-		w.crashMu.Unlock()
-		return
-	}
-	n := ct.sends[c.rank]
-	ct.sends[c.rank]++
-	if n < k {
-		w.crashMu.Unlock()
-		return
-	}
-	ct.dead[c.rank] = true
-	w.crashMu.Unlock()
 	if tb := w.Trace; tb != nil {
 		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Crash, Peer: -1})
 	}
-	c.halt()
-	w.armDetector(c.rank)
+	// Tear down the matching engine and release live senders parked in
+	// the unexpected queue.
+	_, unexpected := c.eng.Halt()
+	for _, env := range unexpected {
+		c.refuse(env)
+	}
+	w.crash.Lost(c.rank)
 	goruntime.Goexit()
 }
 
-// halt tears down the dying rank's matching engine and releases live
-// senders parked in its unexpected queue.
-func (c *Comm) halt() {
-	_, une := c.eng.Halt()
-	for _, env := range une {
-		c.refuse(env)
+// noticeDeath is the detector's confirm action: every surviving rank
+// gets a NoticeDeath on its control-plane queue.
+func (w *World) noticeDeath(r int) {
+	for _, d := range w.ranks {
+		if !w.crash.Dead(d.rank) {
+			d.eng.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
+		}
 	}
 }
 
@@ -162,67 +92,15 @@ func (c *Comm) refuse(env *progress.Env) {
 	}
 }
 
-// annihilate swallows an in-flight copy from a crashed sender.
-func (c *Comm) annihilate(env *progress.Env) {
-	if env.Rts == nil && env.Msg.Data != nil {
-		comm.PutBuf(env.Msg.Data)
-	}
-	// A rendezvous announcement from a dead sender simply vanishes: its
-	// request will never be waited on again.
-}
-
-// armDetector starts the suspicion and confirmation leases for r.
-func (w *World) armDetector(r int) {
-	ct := w.crash
-	time.AfterFunc(w.rec.SuspectAfter, func() {
-		w.crashMu.Lock()
-		ct.suspects++
-		w.crashMu.Unlock()
-		perf.RecordDetectorSuspect()
-		if tb := w.Trace; tb != nil {
-			tb.Add(trace.Record{At: time.Since(w.start), Rank: -1, Kind: trace.Suspect, Peer: r})
-		}
-	})
-	time.AfterFunc(w.rec.ConfirmAfter, func() {
-		w.crashMu.Lock()
-		ct.confirmed[r] = true
-		ct.confirms++
-		ct.repairs++
-		w.crashMu.Unlock()
-		perf.RecordDetectorConfirm()
-		perf.RecordTreeRepair()
-		if tb := w.Trace; tb != nil {
-			tb.Add(trace.Record{At: time.Since(w.start), Rank: -1, Kind: trace.Confirm, Peer: r})
-			tb.Add(trace.Record{At: time.Since(w.start), Rank: -1, Kind: trace.Repair, Peer: r})
-		}
-		for _, d := range w.ranks {
-			if d.rank != r && !w.rankDead(d.rank) {
-				d.pushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
-			}
-		}
-	})
-}
-
 // ---- comm.FailStop implementation ----
 
 var _ comm.FailStop = (*Comm)(nil)
-
-// pushNotice appends a control-plane notice and wakes the rank.
-func (c *Comm) pushNotice(n comm.Notice) { c.eng.PushNotice(n) }
 
 // CrashesEnabled reports whether crash rules are armed in this world.
 func (c *Comm) CrashesEnabled() bool { return c.w.crash != nil }
 
 // ConfirmedDead returns a fresh detector-confirmed death mask.
-func (c *Comm) ConfirmedDead() []bool {
-	out := make([]bool, c.Size())
-	if ct := c.w.crash; ct != nil {
-		c.w.crashMu.Lock()
-		copy(out, ct.confirmed)
-		c.w.crashMu.Unlock()
-	}
-	return out
-}
+func (c *Comm) ConfirmedDead() []bool { return c.w.crash.ConfirmedMask(c.Size()) }
 
 // TakeNotices drains this rank's pending control-plane notices.
 func (c *Comm) TakeNotices() []comm.Notice { return c.eng.TakeNotices() }
@@ -242,8 +120,8 @@ func (c *Comm) Commit(seq int, survivors []bool) {
 	w.noteSend(c)
 	mask := append([]bool(nil), survivors...)
 	for _, d := range w.ranks {
-		if d != c && !w.rankDead(d.rank) {
-			d.pushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
+		if d != c && !w.crash.Dead(d.rank) {
+			d.eng.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
 		}
 	}
 }

@@ -19,8 +19,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +38,7 @@ type World struct {
 	ranks      []*Comm
 	start      time.Time
 	eagerLimit int
-	runTimeout time.Duration
+	guard      progress.RunGuard // Run's rank goroutines and watchdog
 
 	// Trace, when non-nil, receives every point-to-point event with causal
 	// edges. Timestamps are wall-clock offsets from the world's creation,
@@ -48,22 +46,20 @@ type World struct {
 	Trace *trace.Buffer
 
 	// Fault injection (nil inj = fault-free fast paths; see chaos.go).
-	inj     *faults.Injector
-	rec     faults.Recovery
-	xmitSeq atomic.Uint64
+	inj *faults.Injector
+	rec faults.Recovery
 
 	// Erasure coding over the eager segment stream (nil = off; see fec.go).
-	fec    *fecCtl
-	fecCfg fec.Config
+	fec      *fec.Framer[*fecMember]
+	fecCfg   fec.Config
+	fecStats fec.Counters
 
 	failMu   sync.Mutex
 	failures []*faults.TimeoutError
 
-	// Fail-stop crash model (nil crash = no rules armed; see crash.go).
-	crashPlan     []faults.Crash
-	crashMu       sync.Mutex
-	crash         *crashCtl
-	watchdogFired atomic.Bool
+	// Fail-stop crash schedule and detector (nil = no crash rules armed;
+	// see crash.go).
+	crash *faults.Plane
 }
 
 // Option configures a World.
@@ -78,7 +74,7 @@ func WithEagerLimit(n int) Option {
 // within d, Run panics with a per-rank dump of pending operations instead
 // of hanging the caller (and, under `go test`, the whole test binary).
 func WithRunTimeout(d time.Duration) Option {
-	return func(w *World) { w.runTimeout = d }
+	return func(w *World) { w.guard.Timeout = d }
 }
 
 // WithTrace attaches a causal trace buffer to the world.
@@ -92,14 +88,19 @@ func NewWorld(n int, opts ...Option) *World {
 		panic(fmt.Sprintf("runtime: world size %d", n))
 	}
 	w := &World{start: time.Now(), eagerLimit: DefaultEagerLimit}
+	w.guard = progress.RunGuard{Prefix: "runtime", Dump: w.pendingDump}
 	for _, o := range opts {
 		o(w)
 	}
 	if w.fecCfg.Enabled() && w.inj != nil {
-		w.fec = newFecCtl(w)
+		w.fec = fec.NewFramer(w.fecCfg, &w.fecStats, w.rec.RTO/4,
+			faults.WallClock(w.start).After, w.sealFEC)
 	}
 	for r := 0; r < n; r++ {
 		c := &Comm{w: w, rank: r, wake: make(chan struct{}, 1)}
+		if w.inj != nil {
+			c.xids = make([]atomic.Uint64, n)
+		}
 		c.eng = progress.New(progress.Backend{
 			Prefix:  "runtime",
 			Rank:    r,
@@ -129,54 +130,11 @@ func (w *World) Rank(r int) *Comm { return w.ranks[r] }
 // failure (not just the first drained one) so a collective bug that kills
 // several ranks at once is diagnosable from a single message.
 func (w *World) Run(body func(c *Comm)) {
-	var wg sync.WaitGroup
-	panics := make(chan string, len(w.ranks))
-	for _, c := range w.ranks {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics <- fmt.Sprintf("rank %d: %v", c.rank, p)
-				}
-			}()
-			body(c)
-		}()
+	ranks := make([]int, len(w.ranks))
+	for r := range ranks {
+		ranks[r] = r
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	if w.runTimeout > 0 {
-		t := time.NewTimer(w.runTimeout)
-		defer t.Stop()
-		select {
-		case <-done:
-		case <-t.C:
-			// Deliberately leak the stuck rank goroutines: the dump names the
-			// culprits, and a clean panic beats a hung test binary. The dump
-			// is emitted at most once per World — concurrent Run calls that
-			// time out together must not interleave two dumps.
-			if w.watchdogFired.CompareAndSwap(false, true) {
-				panic(fmt.Sprintf("runtime: Run still incomplete after %v\n%s", w.runTimeout, w.pendingDump()))
-			}
-			panic(fmt.Sprintf("runtime: Run still incomplete after %v (pending-op dump already emitted by an earlier watchdog)", w.runTimeout))
-		}
-	} else {
-		<-done
-	}
-	close(panics)
-	var msgs []string
-	for p := range panics {
-		msgs = append(msgs, p)
-	}
-	switch len(msgs) {
-	case 0:
-	case 1:
-		panic(msgs[0])
-	default:
-		sort.Strings(msgs) // goroutine finish order is nondeterministic
-		panic(fmt.Sprintf("runtime: %d ranks panicked:\n%s", len(msgs), strings.Join(msgs, "\n")))
-	}
+	w.guard.Run(ranks, func(r int) { body(w.ranks[r]) })
 }
 
 // Comm is one rank's endpoint. Its blocking methods must be called from
@@ -186,6 +144,10 @@ type Comm struct {
 	rank int
 	eng  *progress.Engine
 	wake chan struct{}
+
+	// xids[dst] numbers this rank's fault-injected transmissions to dst
+	// (nil without a fault plan; see chaos.go).
+	xids []atomic.Uint64
 }
 
 var _ comm.Comm = (*Comm)(nil)
@@ -271,10 +233,13 @@ func (c *Comm) Irecv(src int, tag comm.Tag) comm.Request {
 // deliver hands an incoming envelope to the matching engine. Runs on the
 // sender's goroutine (or a timer goroutine for fault-delayed copies).
 func (c *Comm) deliver(env *progress.Env) {
-	if c.w.crash != nil && c.w.rankDead(env.Src) {
+	if c.w.crash.Dead(env.Src) {
 		// Annihilation: a copy in flight from a crashed rank vanishes at
-		// arrival (timer-delayed chaos copies can outlive their sender).
-		c.annihilate(env)
+		// arrival (timer-delayed chaos copies can outlive their sender). A
+		// rendezvous announcement's request will never be waited on again.
+		if env.Rts == nil && env.Msg.Data != nil {
+			comm.PutBuf(env.Msg.Data)
+		}
 		return
 	}
 	switch c.eng.Arrive(env) {

@@ -181,7 +181,9 @@ func (s *Server) releaseBackend(b *backend) {
 }
 
 // Close drains and stops the server: stop accepting, give live sessions
-// DrainTimeout to finish (then cut them), stop every backend world.
+// DrainTimeout to finish (then cut them), stop every backend world. It
+// returns only once every accepted session's teardown has run, so
+// Stats().SessionsClosed is final by then.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

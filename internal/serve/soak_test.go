@@ -117,16 +117,16 @@ func TestSoakSessions(t *testing.T) {
 	if st.Sessions != uint64(nSess) {
 		t.Errorf("accepted %d sessions, want %d", st.Sessions, nSess)
 	}
-	if st.SessionsClosed != uint64(nSess) {
-		t.Errorf("%d sessions fully drained, want %d (stuck sessions at close)",
-			st.SessionsClosed, nSess)
-	}
 	if want := uint64(nSess * nReq); st.Requests != want {
 		t.Errorf("admitted %d requests, want %d", st.Requests, want)
 	}
 
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	// Close returns after every session's teardown, so the count is final.
+	if got := srv.Stats().SessionsClosed; got != uint64(nSess) {
+		t.Errorf("%d sessions fully drained, want %d (stuck sessions at close)", got, nSess)
 	}
 	// Everything the daemon started — executors, session readers and
 	// writers, fuse timers, accept loop — must be gone.

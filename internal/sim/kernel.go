@@ -53,18 +53,8 @@ type Kernel struct {
 	onDispatch func(seq uint64, at time.Duration)
 }
 
-// New creates an empty kernel at virtual time zero with the default
-// (ladder) event queue.
-func New() *Kernel { return NewWithQueue(QueueLadder) }
-
-// NewWithQueue creates an empty kernel using the given event-queue
-// implementation. Both kinds dispatch in the identical (at, seq) order;
-// QueueHeap is the flat-heap reference for differential testing.
-func NewWithQueue(kind QueueKind) *Kernel {
-	k := &Kernel{yield: make(chan struct{})}
-	k.queue.heapOnly = kind == QueueHeap
-	return k
-}
+// New creates an empty kernel at virtual time zero.
+func New() *Kernel { return &Kernel{yield: make(chan struct{})} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }

@@ -22,8 +22,9 @@ import "time"
 // time span and its events are redistributed. Because Schedule refuses
 // events in the past, nothing can land inside a window the front tier has
 // already passed, so the dispatch order is byte-identical to running the
-// plain heap — TestQueueKindsIdenticalOrder pins that, and the full
-// conformance registry + replay goldens exercise it end to end.
+// plain heap — TestQueueKindsIdenticalOrder pins that against a
+// test-only heap reference, and the full conformance registry + replay
+// goldens exercise it end to end.
 //
 // Amortized cost: O(1) schedule, O(1) dispatch when width tracks density
 // (each event is appended once, swept into the heap once, and heap
@@ -133,24 +134,10 @@ func (q *eventHeap) siftDown(e event) {
 	a[i] = e
 }
 
-// QueueKind selects the kernel's event-queue implementation.
-type QueueKind uint8
-
-const (
-	// QueueLadder is the default two-tier bucketed calendar queue:
-	// O(1) amortized schedule/dispatch, same dispatch order as the heap.
-	QueueLadder QueueKind = iota
-	// QueueHeap is the flat 4-ary min-heap, kept as the reference
-	// implementation for differential tests and as an escape hatch.
-	QueueHeap
-)
-
-// eventQueue is the kernel's pending-event set. With heapOnly set it
-// degenerates to the plain front heap (QueueHeap); otherwise it is the
-// full ladder described above (QueueLadder).
+// eventQueue is the kernel's pending-event set: the ladder described
+// above.
 type eventQueue struct {
-	heapOnly bool
-	front    eventHeap
+	front eventHeap
 
 	// The near-tier geometry (width, horizon) is FIXED for a whole epoch:
 	// it is set only by reseed, which runs when the front heap and every
@@ -177,10 +164,6 @@ func (q *eventQueue) len() int { return q.total }
 
 func (q *eventQueue) push(e event) {
 	q.total++
-	if q.heapOnly {
-		q.front.push(e)
-		return
-	}
 	q.place(e)
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,6 +10,29 @@ import (
 
 	"adapt/internal/perf"
 )
+
+// QueueKind selects a test kernel's event-queue implementation.
+type QueueKind uint8
+
+const (
+	// QueueLadder is the production two-tier bucketed calendar queue.
+	QueueLadder QueueKind = iota
+	// QueueHeap is the flat 4-ary min-heap, the reference implementation
+	// for differential tests.
+	QueueHeap
+)
+
+// NewWithQueue creates an empty kernel using the given event-queue
+// implementation. Both kinds dispatch in the identical (at, seq) order.
+// The heap reference is the ladder with an unbounded front window: every
+// event lands in the front heap and the ladder tiers never engage.
+func NewWithQueue(kind QueueKind) *Kernel {
+	k := New()
+	if kind == QueueHeap {
+		k.queue.frontEnd = math.MaxInt64
+	}
+	return k
+}
 
 // dispatchRecord captures one dispatched event as the observer saw it.
 type dispatchRecord struct {
@@ -178,8 +202,8 @@ func TestKernelRunStatsAreDeltas(t *testing.T) {
 // order).
 func TestHeapShrinkOnDrain(t *testing.T) {
 	var q eventQueue
-	q.heapOnly = true
-	const n = 1 << 17 // 131072, well above shrinkFloor
+	q.frontEnd = math.MaxInt64 // heap reference: every event lands in the front heap
+	const n = 1 << 17          // 131072, well above shrinkFloor
 	for i := 0; i < n; i++ {
 		q.push(event{at: time.Duration(i % 977), seq: uint64(i)})
 	}

@@ -61,15 +61,27 @@ type xmit struct {
 // is group control traffic and is not subject to per-message ack-loss
 // verdicts; the per-attempt ack path keeps its own loss draws.
 func (x *xmit) repair(deliver func()) {
-	if x.st.failed || x.w.deadRank(x.src) || x.w.deadRank(x.dst) {
+	if x.st.failed || x.w.crash.Dead(x.src) || x.w.crash.Dead(x.dst) {
 		return
 	}
+	x.land(deliver)
+	x.ackBack()
+}
+
+// land records one copy reaching the receiver: the first delivers, later
+// ones are duplicates the receiver's dedup absorbs.
+func (x *xmit) land(deliver func()) {
 	if x.st.delivered {
 		x.w.inj.NoteSuppressed()
-	} else {
-		x.st.delivered = true
-		deliver()
+		return
 	}
+	x.st.delivered = true
+	deliver()
+}
+
+// ackBack flies an acknowledgement back to the sender; the first to
+// arrive stops the retransmit chain.
+func (x *xmit) ackBack() {
 	x.w.K.Schedule(x.w.Net.ControlLatency(x.dst, x.src), func() {
 		if x.st.acked || x.st.failed {
 			return
@@ -105,7 +117,7 @@ func (c *Comm) chaosSend(dst int, tag comm.Tag, size int,
 
 	var try func()
 	try = func() {
-		if w.deadRank(c.rank) {
+		if w.crash.Dead(c.rank) {
 			// The sender crashed: its retry chain is abandoned silently
 			// (fail-stop teardown, nobody is waiting on this request).
 			return
@@ -121,7 +133,7 @@ func (c *Comm) chaosSend(dst int, tag comm.Tag, size int,
 		}
 		send := func(extra time.Duration, corrupt bool) {
 			transmit(extra, func() {
-				if w.deadRank(c.rank) || w.deadRank(dst) {
+				if w.crash.Dead(c.rank) || w.crash.Dead(dst) {
 					// Annihilation: a copy in flight from or to a crashed
 					// rank vanishes at arrival — no delivery, no ack. The
 					// sender (if alive) keeps retrying into its timeout
@@ -134,26 +146,12 @@ func (c *Comm) chaosSend(dst int, tag comm.Tag, size int,
 					// sender stays in its retransmit cycle (or FEC repairs).
 					return
 				}
-				if st.delivered {
-					w.inj.NoteSuppressed()
-				} else {
-					st.delivered = true
-					deliver()
-				}
+				x.land(deliver)
 				// Acknowledge this arrival back toward the sender. A lost
 				// ack leaves the sender retransmitting; dedup absorbs it.
-				if w.inj.AckDrop(dst, c.rank, tag, id, attempt, w.K.Now()) {
-					return
+				if !w.inj.AckDrop(dst, c.rank, tag, id, attempt, w.K.Now()) {
+					x.ackBack()
 				}
-				w.K.Schedule(w.Net.ControlLatency(dst, c.rank), func() {
-					if st.acked || st.failed {
-						return
-					}
-					st.acked = true
-					if onAck != nil {
-						onAck()
-					}
-				})
 			})
 		}
 		if !v.Drop {
@@ -167,27 +165,13 @@ func (c *Comm) chaosSend(dst int, tag comm.Tag, size int,
 			if st.acked || st.failed {
 				return
 			}
-			if w.deadRank(c.rank) {
+			if w.crash.Dead(c.rank) {
 				return // dead sender: abandoned, not failed
 			}
-			if w.confirmedDead(dst) {
-				// Fast-fail: the detector confirmed the peer dead, so
-				// further retries cannot succeed — fail the operation now
-				// with the attempts spent so far.
-				st.failed = true
-				err := &faults.TimeoutError{
-					Rank: c.rank, Peer: dst, Tag: tag,
-					Attempts: st.attempts, Elapsed: w.K.Now() - start,
-				}
-				w.inj.NoteTimeout()
-				w.traceFault(trace.FaultTimeout, c.rank, dst, tag, size, id)
-				w.failures = append(w.failures, err)
-				if onFail != nil {
-					onFail(err)
-				}
-				return
-			}
-			if st.attempts >= w.rec.MaxAttempts {
+			// Out of attempts — or fast-fail: the detector confirmed the
+			// peer dead, so further retries cannot succeed. Fail the
+			// operation now with the attempts spent so far.
+			if st.attempts >= w.rec.MaxAttempts || w.crash.Confirmed(dst) {
 				st.failed = true
 				err := &faults.TimeoutError{
 					Rank: c.rank, Peer: dst, Tag: tag,
@@ -243,8 +227,15 @@ func (c *Comm) chaosEager(d *Comm, req *progress.Req, tag comm.Tag, msg comm.Msg
 	// own shard copy and, if the wire copy is lost but the group's parity
 	// survives, re-delivers the reconstructed payload through mem.repair.
 	var mem *fecMember
+	var shard []byte
 	if c.w.fec != nil && tag.Kind() != comm.KindFec {
-		mem = c.w.fec.newMember(c, d, tag, msg, req.PostID, retained)
+		mem = &fecMember{tag: tag, msg: msg, d: d, post: req.PostID}
+		if retained != nil {
+			// The framer's own copy: retained is released the moment the
+			// transmission acks.
+			shard = comm.GetBuf(len(retained))
+			copy(shard, retained)
+		}
 	}
 	x := c.chaosSend(d.rank, tag, msg.Size,
 		func(extra time.Duration, arrive func()) {
@@ -277,7 +268,8 @@ func (c *Comm) chaosEager(d *Comm, req *progress.Req, tag comm.Tag, msg comm.Msg
 			req.CompleteIfLive(fst)
 		})
 	if mem != nil {
-		c.w.fec.enroll(mem, x)
+		mem.x = x
+		c.w.fec.Add(c.rank, d.rank, mem, shard)
 	}
 }
 

@@ -1,11 +1,9 @@
 package simmpi
 
 import (
-	"fmt"
-
 	"adapt/internal/comm"
 	"adapt/internal/faults"
-	"adapt/internal/perf"
+	"adapt/internal/progress"
 	"adapt/internal/sim"
 	"adapt/internal/trace"
 )
@@ -22,106 +20,44 @@ import (
 // chains run into the timeout budget or, once the death is confirmed,
 // fail fast.
 //
-// Failure detection is a world-level lease: the detector suspects the
-// rank SuspectAfter past the crash (counter only) and confirms it at
-// ConfirmAfter, at which point one tree-repair is counted and every
-// surviving rank gets a NoticeDeath on its control-plane queue. Both
-// events ride the deterministic kernel, so the same seed reproduces the
-// same detection schedule at any -j.
-
-// crashCtl is the world's crash schedule and detector state. The kernel
-// is single-threaded, so plain fields suffice.
-type crashCtl struct {
-	after     map[int]int // rank → send initiations allowed before dying
-	sends     []int       // per-rank send initiations so far
-	dead      []bool      // rank has halted
-	confirmed []bool      // detector has confirmed the death
-	suspects  uint64
-	confirms  uint64
-	repairs   uint64
-}
-
-// DetectorStats is the world's failure-detection activity.
-type DetectorStats struct {
-	Suspects uint64 // suspicion leases expired
-	Confirms uint64 // deaths confirmed
-	Repairs  uint64 // tree repairs triggered by confirmations
-}
+// The schedule and the world-level lease detector are the shared
+// fail-stop plane (faults.Plane); the detector's leases ride the
+// deterministic kernel, so the same seed reproduces the same detection
+// schedule at any -j. Confirmation fans a NoticeDeath out to every
+// surviving rank's control-plane queue.
 
 // DetectorStats returns the detector counters; zero when no crash rules
 // are armed (clean runs must keep them zero).
-func (w *World) DetectorStats() DetectorStats {
-	if w.crash == nil {
-		return DetectorStats{}
-	}
-	return DetectorStats{Suspects: w.crash.suspects, Confirms: w.crash.confirms, Repairs: w.crash.repairs}
-}
+func (w *World) DetectorStats() faults.DetectorStats { return w.crash.Stats() }
 
 // Crashed returns the per-rank death mask (all false when no crash rules
 // are armed or nothing has died yet).
-func (w *World) Crashed() []bool {
-	out := make([]bool, w.Size())
-	if w.crash != nil {
-		copy(out, w.crash.dead)
-	}
-	return out
-}
+func (w *World) Crashed() []bool { return w.crash.DeadMask(w.Size()) }
 
-// armCrashes installs the plan's crash schedule (InstallFaults).
+// armCrashes installs the plan's crash schedule and the world-level
+// detector, whose leases are kernel events (InstallFaults).
 func (w *World) armCrashes(p faults.Plan) {
-	if len(p.Crashes) == 0 {
-		return
+	if len(p.Crashes) > 0 {
+		w.crash = faults.NewPlane(w.Size(), -1, p.Crashes, w.rec, faults.Clock{After: w.K.Schedule, Now: w.K.Now},
+			func() *trace.Buffer { return w.Trace }, w.noticeDeath)
 	}
-	n := w.Size()
-	ct := &crashCtl{
-		after:     make(map[int]int, len(p.Crashes)),
-		sends:     make([]int, n),
-		dead:      make([]bool, n),
-		confirmed: make([]bool, n),
-	}
-	for _, cr := range p.Crashes {
-		if cr.Rank >= n {
-			panic(fmt.Sprintf("simmpi: crash rule for rank %d in a %d-rank world", cr.Rank, n))
-		}
-		ct.after[cr.Rank] = cr.AfterSends
-	}
-	w.crash = ct
 }
-
-// deadRank reports whether r has halted.
-func (w *World) deadRank(r int) bool { return w.crash != nil && w.crash.dead[r] }
-
-// confirmedDead reports whether the detector has confirmed r's death.
-func (w *World) confirmedDead(r int) bool { return w.crash != nil && w.crash.confirmed[r] }
 
 // noteSend counts one send initiation by c and, when the rank's crash
 // point is reached, kills it: the rank's state is torn down and the
 // calling goroutine unwinds with sim.ErrKilled (recovered by the proc
 // wrapper). Must be the first action of every send path.
 func (w *World) noteSend(c *Comm) {
-	ct := w.crash
-	if ct == nil {
-		return
+	if w.crash.NoteSend(c.rank) {
+		w.crashRank(c.rank)
+		panic(sim.ErrKilled)
 	}
-	k, scheduled := ct.after[c.rank]
-	if !scheduled || ct.dead[c.rank] {
-		return
-	}
-	n := ct.sends[c.rank]
-	ct.sends[c.rank]++
-	if n < k {
-		return
-	}
-	w.crashRank(c.rank)
-	panic(sim.ErrKilled)
 }
 
 // crashRank halts rank r now: annihilation begins, parked rendezvous
 // senders are released with a structured failure, and the detector
 // leases are armed.
 func (w *World) crashRank(r int) {
-	ct := w.crash
-	ct.dead[r] = true
 	c := w.ranks[r]
 	if tb := w.Trace; tb != nil {
 		tb.Add(trace.Record{At: w.K.Now(), Rank: r, Kind: trace.Crash, Peer: -1})
@@ -129,67 +65,49 @@ func (w *World) crashRank(r int) {
 	// Halt the matching engine (posted receives die with the rank, queued
 	// callbacks never fire, later arrivals are refused) and sweep the
 	// unexpected queue: an RTS parked there belongs to a LIVE sender that
-	// would otherwise wait forever for a grant. Fail it with the same
-	// structured error an exhausted retry chain produces. Eager payloads
-	// parked there are simply swallowed.
+	// would otherwise wait forever for a grant.
 	_, unexpected := c.eng.Halt()
 	for _, env := range unexpected {
-		if env.Rts != nil {
-			err := &faults.TimeoutError{Rank: env.Src, Peer: r, Tag: env.Tag, Attempts: 1}
-			w.inj.NoteTimeout()
-			w.failures = append(w.failures, err)
-			env.Rts.CompleteIfLive(comm.Status{Source: env.Src, Tag: env.Tag, Err: err})
-		} else if env.Msg.Data != nil {
-			comm.PutBuf(env.Msg.Data)
+		c.refuse(env)
+	}
+	w.crash.Lost(r)
+}
+
+// refuse handles traffic addressed to a halted rank: a rendezvous
+// announcement fails its live sender with the same structured error an
+// exhausted retry chain produces; an eager payload is swallowed.
+func (c *Comm) refuse(env *progress.Env) {
+	if env.Rts != nil {
+		err := &faults.TimeoutError{Rank: env.Src, Peer: c.rank, Tag: env.Tag, Attempts: 1}
+		if c.w.inj != nil {
+			c.w.inj.NoteTimeout()
+		}
+		c.w.failures = append(c.w.failures, err)
+		env.Rts.CompleteIfLive(comm.Status{Source: env.Src, Tag: env.Tag, Err: err})
+	} else if env.Msg.Data != nil {
+		comm.PutBuf(env.Msg.Data)
+	}
+}
+
+// noticeDeath is the detector's confirm action: every surviving rank
+// gets a NoticeDeath on its control-plane queue.
+func (w *World) noticeDeath(r int) {
+	for _, d := range w.ranks {
+		if !w.crash.Dead(d.rank) {
+			d.eng.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
 		}
 	}
-	// Detector leases, on the deterministic kernel. Detector events are
-	// world-level, not rank-level: they trace on pseudo-rank -1 ("the
-	// detector") with Peer = the dead rank.
-	w.K.Schedule(w.rec.SuspectAfter, func() {
-		ct.suspects++
-		perf.RecordDetectorSuspect()
-		if tb := w.Trace; tb != nil {
-			tb.Add(trace.Record{At: w.K.Now(), Rank: -1, Kind: trace.Suspect, Peer: r})
-		}
-	})
-	w.K.Schedule(w.rec.ConfirmAfter, func() {
-		ct.confirmed[r] = true
-		ct.confirms++
-		perf.RecordDetectorConfirm()
-		// One repaired tree takes effect per confirmed death.
-		ct.repairs++
-		perf.RecordTreeRepair()
-		if tb := w.Trace; tb != nil {
-			tb.Add(trace.Record{At: w.K.Now(), Rank: -1, Kind: trace.Confirm, Peer: r})
-			tb.Add(trace.Record{At: w.K.Now(), Rank: -1, Kind: trace.Repair, Peer: r})
-		}
-		for _, d := range w.ranks {
-			if !ct.dead[d.rank] {
-				d.pushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
-			}
-		}
-	})
 }
 
 // ---- comm.FailStop implementation ----
 
 var _ comm.FailStop = (*Comm)(nil)
 
-// pushNotice appends a control-plane notice and wakes the rank.
-func (c *Comm) pushNotice(n comm.Notice) { c.eng.PushNotice(n) }
-
 // CrashesEnabled reports whether crash rules are armed in this world.
 func (c *Comm) CrashesEnabled() bool { return c.w.crash != nil }
 
 // ConfirmedDead returns a fresh detector-confirmed death mask.
-func (c *Comm) ConfirmedDead() []bool {
-	out := make([]bool, c.Size())
-	if ct := c.w.crash; ct != nil {
-		copy(out, ct.confirmed)
-	}
-	return out
-}
+func (c *Comm) ConfirmedDead() []bool { return c.w.crash.ConfirmedMask(c.Size()) }
 
 // TakeNotices drains this rank's pending control-plane notices.
 func (c *Comm) TakeNotices() []comm.Notice { return c.eng.TakeNotices() }
@@ -210,13 +128,13 @@ func (c *Comm) Commit(seq int, survivors []bool) {
 	w.noteSend(c)
 	mask := append([]bool(nil), survivors...)
 	for _, d := range w.ranks {
-		if d == c || w.deadRank(d.rank) {
+		if d == c || w.crash.Dead(d.rank) {
 			continue
 		}
 		d := d
 		w.K.Schedule(w.Net.ControlLatency(c.rank, d.rank), func() {
-			if !w.deadRank(d.rank) {
-				d.pushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
+			if !w.crash.Dead(d.rank) {
+				d.eng.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
 			}
 		})
 	}

@@ -1,11 +1,8 @@
 package simmpi
 
 import (
-	"fmt"
-
 	"adapt/internal/comm"
 	"adapt/internal/fec"
-	"adapt/internal/perf"
 	"adapt/internal/trace"
 )
 
@@ -29,21 +26,11 @@ import (
 // timers stay armed throughout, so a group whose erasures outrun its
 // parity (or whose parity is itself lost) falls back to per-message
 // retransmission and, past the attempt budget, the structured
-// TimeoutError path. The simulator is one address space, so sender
-// framer and receiver reconstructor share one group object; the parity
-// still crosses the simulated fabric and draws real fault verdicts.
-
-// fecCtl is the world's FEC layer: per-link open groups, the adaptive
-// redundancy controller, and world-local counters. Kernel-serialized
-// like everything else in the simulator — no locks.
-type fecCtl struct {
-	w     *World
-	cfg   fec.Config
-	ctl   *fec.Controller
-	open  map[uint64]*fecGroup // directed link -> group being filled
-	gid   uint64
-	stats fec.Stats
-}
+// TimeoutError path. The framer and decoder are the shared ones in
+// internal/fec, timed by kernel events. The simulator is one address
+// space, so sender framer and receiver reconstructor share one group
+// object; the parity still crosses the simulated fabric and draws real
+// fault verdicts.
 
 // EnableFEC arms erasure coding over the eager segment stream. Must be
 // called after InstallFaults (FEC shadows the chaos transport) and
@@ -56,146 +43,62 @@ func (w *World) EnableFEC(cfg fec.Config) {
 	if !cfg.Enabled() {
 		return
 	}
-	w.fec = &fecCtl{w: w, cfg: cfg, ctl: fec.NewController(cfg),
-		open: make(map[uint64]*fecGroup)}
+	w.fec = fec.NewFramer(cfg, &w.fecStats, w.rec.RTO/4, w.K.Schedule, w.sealFEC)
 }
 
 // FECStats returns what the FEC layer did; zero when not enabled.
-func (w *World) FECStats() fec.Stats {
-	if w.fec == nil {
-		return fec.Stats{}
-	}
-	return w.fec.stats
-}
-
-// fecGroup is one erasure-coding group on a directed link. One object
-// serves both ends: the sender side fills members and launches parity,
-// the receiver side resolves arrivals and reconstructs.
-type fecGroup struct {
-	f        *fecCtl
-	src, dst int
-	id       uint64
-	members  []*fecMember
-	params   fec.Params
-	closed   bool
-	resolved bool
-	// parity[j] is parity shard j's bytes once its copy arrived, nil
-	// while in flight or lost; decided marks settled shards and
-	// parityLeft counts the rest.
-	parity     [][]byte
-	decided    []bool
-	parityLeft int
-}
+func (w *World) FECStats() fec.Stats { return w.fecStats.Stats() }
 
 // fecMember is one eager transmission enrolled in a group.
 type fecMember struct {
-	g     *fecGroup
-	x     *xmit
-	tag   comm.Tag
-	msg   comm.Msg // original metadata (logical size, memory space)
-	shard []byte   // framer-owned payload copy; nil for elided payloads
-	d     *Comm
-	post  uint64 // sender's PostID, for the causal trace edge
+	g    *fecGroup // set at seal
+	x    *xmit
+	tag  comm.Tag
+	msg  comm.Msg // original metadata (logical size, memory space)
+	d    *Comm
+	post uint64 // sender's PostID, for the causal trace edge
 }
 
-// newMember snapshots one eager transmission for its link's open group.
-// retained is the chaos transport's transmission buffer (nil for elided
-// payloads); the framer takes its own copy, since retained is released
-// the moment the transmission acks.
-func (f *fecCtl) newMember(c *Comm, d *Comm, tag comm.Tag, msg comm.Msg, postID uint64, retained []byte) *fecMember {
-	mem := &fecMember{tag: tag, msg: msg, d: d, post: postID}
-	if retained != nil {
-		mem.shard = comm.GetBuf(len(retained))
-		copy(mem.shard, retained)
-	}
-	return mem
+// fecGroup is a sealed group. One object serves both ends: the sender
+// side launched its parity, the receiver side resolves arrivals and
+// reconstructs.
+type fecGroup struct {
+	*fec.Group[*fecMember]
+	w        *World
+	resolved bool
 }
 
-// enroll adds the member (now carrying its transmission handle) to the
-// link's open group, opening one if needed and closing it at K members.
-func (f *fecCtl) enroll(mem *fecMember, x *xmit) {
-	mem.x = x
-	key := uint64(uint32(x.src))<<32 | uint64(uint32(x.dst))
-	g := f.open[key]
-	if g == nil {
-		f.gid++
-		g = &fecGroup{f: f, src: x.src, dst: x.dst, id: f.gid}
-		f.open[key] = g
-		// Idle flush: a trickling stream must not hold a group open past a
-		// fraction of the RTO, or the parity could lose the race against
-		// the first member's retransmit timer.
-		f.w.K.Schedule(f.w.rec.RTO/4, func() {
-			if f.open[key] == g {
-				delete(f.open, key)
-				f.close(g)
-			}
-		})
+// sealFEC flies each parity shard of a sealed group as one
+// unacknowledged attempt under a KindFec tag.
+func (w *World) sealFEC(fg *fec.Group[*fecMember]) {
+	g := &fecGroup{Group: fg, w: w}
+	for _, mem := range g.Members {
+		mem.g = g
 	}
-	mem.g = g
-	g.members = append(g.members, mem)
-	if len(g.members) >= f.cfg.K {
-		delete(f.open, key)
-		f.close(g)
-	}
-}
-
-// close seals a group: encode parity over the member shards and fly each
-// shard as one unacknowledged attempt under a KindFec tag.
-func (f *fecCtl) close(g *fecGroup) {
-	w := f.w
-	k := len(g.members)
-	m := f.ctl.ChooseM(g.src, g.dst, k)
-	g.params = fec.Params{K: k, M: m}
-	data := make([][]byte, k)
-	for i, mem := range g.members {
-		if mem.shard != nil {
-			data[i] = mem.shard
-		} else {
-			data[i] = []byte{}
-		}
-	}
-	parity := fec.EncodeParity(g.params, data)
-	f.stats.ParityEncoded += uint64(m)
-	perf.RecordFecEncoded(m)
-	g.closed = true
-	g.parity = make([][]byte, m)
-	g.decided = make([]bool, m)
-	g.parityLeft = m
-	for j := range parity {
-		j, buf := j, parity[j]
-		ptag := comm.MakeTag(comm.KindFec, int(g.id%comm.SeqWrap), j)
+	for j, buf := range g.Parity {
+		j, buf := j, buf
+		ptag := comm.MakeTag(comm.KindFec, int(g.ID%comm.SeqWrap), j)
 		w.xmitSeq++
 		pid := w.xmitSeq
-		v := w.inj.Message(g.src, g.dst, ptag, pid, 0, w.K.Now(), len(buf))
+		v := w.inj.Message(g.Src, g.Dst, ptag, pid, 0, w.K.Now(), len(buf))
 		if v.Drop {
-			w.traceFault(trace.FaultDrop, g.src, g.dst, ptag, len(buf), pid)
-			comm.PutBuf(buf)
-			g.parityFate(j, nil)
+			w.traceFault(trace.FaultDrop, g.Src, g.Dst, ptag, len(buf), pid)
+			g.parityFate(j, false)
 			continue
 		}
 		w.K.Schedule(v.Extra, func() {
-			w.Net.StartTransfer(g.src, g.dst, len(buf), comm.MemDefault, nil, func() {
-				if v.Corrupt || w.deadRank(g.src) || w.deadRank(g.dst) {
-					// Damaged (checksum-caught) or annihilated: a lost shard.
-					comm.PutBuf(buf)
-					g.parityFate(j, nil)
-					return
-				}
-				g.parityFate(j, buf)
+			w.Net.StartTransfer(g.Src, g.Dst, len(buf), comm.MemDefault, nil, func() {
+				// Damaged (checksum-caught) or annihilated: a lost shard.
+				g.parityFate(j, !v.Corrupt && !w.crash.Dead(g.Src) && !w.crash.Dead(g.Dst))
 			})
 		})
 	}
 	g.tryResolve()
 }
 
-// parityFate records parity shard j's outcome (bytes, or nil = lost).
-func (g *fecGroup) parityFate(j int, bytes []byte) {
-	if g.decided[j] {
-		panic(fmt.Sprintf("simmpi: fec group %d parity %d resolved twice", g.id, j))
-	}
-	g.decided[j] = true
-	g.parity[j] = bytes
-	g.parityLeft--
+// parityFate records parity shard j's outcome.
+func (g *fecGroup) parityFate(j int, arrived bool) {
+	g.ParityFate(j, arrived)
 	g.tryResolve()
 }
 
@@ -217,19 +120,20 @@ func (mem *fecMember) settled() bool {
 // erasures reconstruct and repair; beyond it the group is lost to the
 // ARQ backstop (whose timers have been running all along).
 func (g *fecGroup) tryResolve() {
-	if g.resolved || !g.closed || g.parityLeft > 0 {
+	if g.resolved || !g.ParitySettled() {
 		return
 	}
-	for _, mem := range g.members {
+	for _, mem := range g.Members {
 		if !mem.settled() {
 			return
 		}
 	}
 	g.resolved = true
-	f := g.f
+	w := g.w
+	defer g.Release()
 	var missing []int
 	lost := 0
-	for i, mem := range g.members {
+	for i, mem := range g.Members {
 		if mem.x.firstLost {
 			lost++
 		}
@@ -237,73 +141,24 @@ func (g *fecGroup) tryResolve() {
 			missing = append(missing, i)
 		}
 	}
-	have := 0
-	for _, p := range g.parity {
-		if p != nil {
-			have++
-		}
-	}
-	f.ctl.Observe(g.src, g.dst, len(g.members)+g.params.M, lost+g.params.M-have)
-	defer g.release()
+	w.fec.Observe(g.Group, lost)
 	if len(missing) == 0 {
 		return
 	}
-	if !fec.Recoverable(len(missing), have) {
-		f.stats.GroupsLost++
-		perf.RecordFecGroupLost()
-		return
-	}
-	data := make([][]byte, len(g.members))
-	sizes := make([]int, len(g.members))
-	miss := make(map[int]bool, len(missing))
-	for _, i := range missing {
-		miss[i] = true
-	}
-	for i, mem := range g.members {
-		sizes[i] = len(mem.shard)
-		if !miss[i] {
-			if mem.shard != nil {
-				data[i] = mem.shard
-			} else {
-				data[i] = []byte{}
-			}
-		}
-	}
-	if err := fec.Reconstruct(g.params, data, g.parity, sizes); err != nil {
-		// Unreachable (Recoverable held); treat as a lost group.
-		f.stats.GroupsLost++
-		perf.RecordFecGroupLost()
+	data := w.fec.Decode(g.Group, missing)
+	if data == nil {
 		return
 	}
 	for _, i := range missing {
-		mem, decoded := g.members[i], data[i]
+		mem, decoded := g.Members[i], data[i]
 		mem.x.repair(func() {
 			del := mem.msg
 			if mem.msg.Data != nil {
 				del.Data = decoded // pooled; owned by the receiver from here
 			}
-			env := mem.d.eng.NewEnv(g.src, mem.tag, del, nil)
+			env := mem.d.eng.NewEnv(g.Src, mem.tag, del, nil)
 			env.PostID = mem.post
 			mem.d.arrive(env)
 		})
-		f.stats.Reconstructed++
-		perf.RecordFecReconstructed()
 	}
-}
-
-// release returns the group's framer-owned buffers to the pool. Repaired
-// payloads are separate decode buffers already handed to receivers.
-func (g *fecGroup) release() {
-	for _, mem := range g.members {
-		if mem.shard != nil {
-			comm.PutBuf(mem.shard)
-			mem.shard = nil
-		}
-	}
-	for _, p := range g.parity {
-		if p != nil {
-			comm.PutBuf(p)
-		}
-	}
-	g.parity = nil
 }

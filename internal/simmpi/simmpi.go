@@ -28,6 +28,7 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/faults"
+	"adapt/internal/fec"
 	"adapt/internal/netmodel"
 	"adapt/internal/noise"
 	"adapt/internal/progress"
@@ -51,10 +52,11 @@ type World struct {
 	xmitSeq  uint64 // world-unique reliable-transmission ids
 	failures []*faults.TimeoutError
 	// Erasure coding over the eager segment stream (nil = off; see fec.go).
-	fec *fecCtl
+	fec      *fec.Framer[*fecMember]
+	fecStats fec.Counters
 	// Fail-stop crash schedule and detector (nil = no crash rules armed;
 	// see crash.go).
-	crash *crashCtl
+	crash *faults.Plane
 }
 
 // NewWorld builds the per-rank endpoints for platform p with the given
@@ -124,12 +126,7 @@ func (w *World) InstallFaults(p faults.Plan, rec faults.Recovery) {
 }
 
 // FaultStats returns what the injector did; zero when no plan installed.
-func (w *World) FaultStats() faults.Stats {
-	if w.inj == nil {
-		return faults.Stats{}
-	}
-	return w.inj.Stats()
-}
+func (w *World) FaultStats() faults.Stats { return w.inj.Stats() }
 
 // Failures lists the operations that exhausted their attempt budget, in
 // virtual-time order. Empty when every message was recovered.
@@ -273,24 +270,12 @@ func (c *Comm) IrecvIn(src int, tag comm.Tag, space comm.MemSpace) comm.Request 
 // arrive processes a payload or RTS reaching this rank's host boundary.
 // Runs in kernel event context.
 func (c *Comm) arrive(env *progress.Env) {
-	switch c.eng.Arrive(env) {
-	case progress.ArriveHalted:
+	if c.eng.Arrive(env) == progress.ArriveHalted {
 		// The rank crashed after this copy left its sender (the chaos
 		// transport normally annihilates such copies before arrival, so
-		// this is a defensive path): fail a live rendezvous sender, swallow
-		// an eager payload.
-		if env.Rts != nil {
-			err := &faults.TimeoutError{Rank: env.Src, Peer: c.rank, Tag: env.Tag, Attempts: 1}
-			if c.w.inj != nil {
-				c.w.inj.NoteTimeout()
-			}
-			c.w.failures = append(c.w.failures, err)
-			env.Rts.CompleteIfLive(comm.Status{Source: env.Src, Tag: env.Tag, Err: err})
-		} else if env.Msg.Data != nil {
-			comm.PutBuf(env.Msg.Data)
-		}
-	default:
-		// Matched (consumed via onMatch) or parked unexpected.
+		// this is a defensive path). Otherwise the envelope matched
+		// (consumed via onMatch) or parked unexpected.
+		c.refuse(env)
 	}
 }
 
