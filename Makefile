@@ -1,10 +1,14 @@
 GO ?= go
 
-.PHONY: verify test build race flake vet bench chaos crash fec fuzz trace net progress serve obs scale
+.PHONY: verify check test build race flake vet bench chaos crash fec fuzz trace net progress serve obs scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
 	$(GO) build ./... && $(GO) test ./...
+
+# Pre-merge gate: static checks (vet + gofmt), the race battery and the
+# flake hunt.
+check: vet race flake
 
 build:
 	$(GO) build ./...
@@ -19,16 +23,27 @@ RACE_PKGS = faults fec simmpi runtime nettransport serve progress core
 race:
 	$(GO) test -race $(addprefix ./internal/,$(addsuffix /...,$(RACE_PKGS)))
 
-# Flake hunt: every *Deterministic* and soak test, fifty times over.
+# Flake hunt: every *Deterministic* and soak test, fifty times over, and
+# the conformance grids that run on live goroutines and sockets (daemon,
+# TCP, live and TCP FEC) plus the daemon-backed proxy adapter.
 flake:
 	$(GO) test -count=50 -run 'Deterministic|Soak' ./...
+	$(GO) test -count=50 -run 'TestConformanceGrid(Daemon|TCP)$$|TestConformanceFECGrid(Live|TCP)$$' ./internal/conform
+	$(GO) test -count=50 -run 'TestProxy' ./internal/serve
 
+# Static checks: go vet, and gofmt must have nothing to reformat.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l internal cmd examples)"; if [ -n "$$out" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
-# Microbenchmarks for the simulation kernel and segment-buffer pool plus
-# the multi-collective concurrency benchmark; writes BENCH_kernel.json
-# and BENCH_progress.json for the perf trajectory.
+# The one target that runs the bench harness: microbenchmarks for the
+# simulation kernel and segment-buffer pool, the multi-collective
+# concurrency benchmark with its clean-run counters gate, the serving
+# layer (BENCH_serve.json + the adaptd clean-counters check) and the
+# obs section (adaptd -admin under adaptbench -serve load, scraped
+# mid-run by adaptctl -check -> BENCH_obs.json); writes BENCH_kernel.json,
+# BENCH_progress.json, BENCH_serve.json and BENCH_obs.json.
 bench:
 	./scripts/bench.sh
 
@@ -42,13 +57,12 @@ scale:
 # Shared progress-engine gate: the unified matching core and scheduler
 # under the race detector (fairness/starvation, mid-flight enrollment,
 # fuzz corpus regression), the zero-alloc segment-pool assertion, the
-# goroutine-footprint gate on the readiness-loop transport, and the full
-# bench gate (clean-run counters + BENCH_progress.json).
+# goroutine-footprint gate on the readiness-loop transport. The bench
+# gate (clean-run counters + BENCH_progress.json) runs from `bench`.
 progress:
 	$(GO) test -race ./internal/progress/...
 	$(GO) test -run 'TestSegmentPoolZeroAlloc' ./internal/comm
 	$(GO) test -race -run 'TestGoroutineFootprint' ./internal/nettransport
-	./scripts/bench.sh
 
 # Full-width conformance grid: every collective × world sizes × payload
 # units × segment counts × fault plans, byte-compared against golden
@@ -85,25 +99,23 @@ net:
 
 # Serving-layer gate: the daemon package under the race detector (the
 # full soak battery with chaos, membership churn, fusing byte-identity,
-# proxy sessions), the daemon-substrate conformance grid, and the full
-# bench gate (BENCH_serve.json + the adaptd clean-counters check).
+# proxy sessions) and the daemon-substrate conformance grid. The bench
+# gate (BENCH_serve.json + the adaptd clean-counters check) runs from
+# `bench`.
 serve:
 	$(GO) test -race ./internal/serve/...
 	$(GO) test -race -run 'TestConformanceGridDaemon' ./internal/conform
-	./scripts/bench.sh
 
 # Live telemetry gate: the metrics core under the race detector
 # (concurrent writers, merge algebra, quantile error bounds, the golden
 # Prometheus exposition, the zero-alloc contract), the perf snapshot
-# export-coverage tests, the admin e2e against a live daemon, the
-# gate-cost benchmarks, and the bench.sh obs section (adaptd -admin
-# under adaptbench -serve load, scraped mid-run by adaptctl -check ->
-# BENCH_obs.json).
+# export-coverage tests, the admin e2e against a live daemon and the
+# gate-cost benchmarks. The bench.sh obs section (BENCH_obs.json) runs
+# from `bench`.
 obs:
 	$(GO) test -race ./internal/metrics/... ./internal/perf/...
 	$(GO) test -race -run 'TestAdminAgainstLiveServer' ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkCounterDisabled|BenchmarkLatencyBracketDisabled' -benchmem ./internal/metrics
-	./scripts/bench.sh
 
 # Erasure-coding gate: the codec and controller under the race detector,
 # the FEC paths of all three substrates (simulator, live runtime, TCP

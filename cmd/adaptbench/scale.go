@@ -160,8 +160,8 @@ func measureCell(mode, coll string, ranks int) (scaleRow, error) {
 		return scaleRow{}, err
 	}
 	row := scaleRow{
-		Name:       fmt.Sprintf("Scale%s%s/%d", title(mode), title(coll), ranks),
-		Mode:       mode, Collective: coll, Ranks: ranks,
+		Name: fmt.Sprintf("Scale%s%s/%d", title(mode), title(coll), ranks),
+		Mode: mode, Collective: coll, Ranks: ranks,
 		Events: snap.EventsDispatched, WallNS: wall.Nanoseconds(),
 		MakespanNS: makespan.Nanoseconds(), RSSKB: rss,
 	}

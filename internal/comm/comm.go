@@ -67,12 +67,14 @@ type Comm interface {
 
 	// Wait blocks until r completes, firing any ready callbacks meanwhile.
 	Wait(r Request) Status
-	// WaitAll blocks until every request completes.
+	// WaitAll blocks until every request completes. nil entries are
+	// inactive handles (MPI_REQUEST_NULL) and are skipped.
 	WaitAll(rs []Request)
 	// WaitAny blocks until at least one request completes and returns its
-	// index. Completed requests must be removed by the caller before the
-	// next WaitAny (as with MPI_Waitany's inactive handles, a completed
-	// request passed again returns immediately).
+	// index. nil entries are inactive handles and are skipped; at least
+	// one entry must be non-nil. Completed requests must be removed (or
+	// set to nil) by the caller before the next WaitAny: a completed
+	// request passed again returns immediately.
 	WaitAny(rs []Request) (int, Status)
 
 	// OnComplete attaches a completion callback to a request. If r has

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -404,9 +405,12 @@ func (s Stats) String() string {
 
 // Injector evaluates a Plan. Safe for concurrent use (the live runtime
 // calls it from many rank goroutines); verdicts are pure functions, only
-// the stats counters are shared state.
+// the stats counters and the failure ledger are shared state.
 type Injector struct {
 	plan Plan
+
+	failMu   sync.Mutex
+	failures []*TimeoutError
 
 	drops      atomic.Uint64
 	dups       atomic.Uint64
@@ -545,6 +549,27 @@ func (in *Injector) NoteRetry() {
 func (in *Injector) NoteTimeout() {
 	in.timeouts.Add(1)
 	perf.RecordFaultTimeout()
+}
+
+// Fail records one operation that exhausted its attempt budget: the
+// timeout is counted and err appended to the failure ledger, in call
+// order (virtual-time order on the single-threaded simulator).
+func (in *Injector) Fail(err *TimeoutError) {
+	in.NoteTimeout()
+	in.failMu.Lock()
+	in.failures = append(in.failures, err)
+	in.failMu.Unlock()
+}
+
+// Failures returns a copy of the failure ledger (nil for a nil
+// injector: no plan installed).
+func (in *Injector) Failures() []*TimeoutError {
+	if in == nil {
+		return nil
+	}
+	in.failMu.Lock()
+	defer in.failMu.Unlock()
+	return append([]*TimeoutError(nil), in.failures...)
 }
 
 // NoteSuppressed records one duplicate arrival discarded by dedup.

@@ -3,6 +3,7 @@ package faults
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -299,9 +300,9 @@ func TestCrashParseAndValidateErrors(t *testing.T) {
 		"crash@x",
 		"crash@2:later5",
 		"crash@2:afterK",
-		"crash@-1",            // negative rank
-		"crash@2:after-3",     // negative send count
-		"crash@2; crash@2",    // duplicate target rank
+		"crash@-1",         // negative rank
+		"crash@2:after-3",  // negative send count
+		"crash@2; crash@2", // duplicate target rank
 		"crash@5; crash@5:after3",
 	}
 	for _, s := range bad {
@@ -430,5 +431,50 @@ func TestFullJitterDesynchronizesSenders(t *testing.T) {
 		if plain.RetryDelay(attempt, 7) != plain.Timeout(attempt) {
 			t.Fatalf("FullJitter off: RetryDelay differs from Timeout at attempt %d", attempt)
 		}
+	}
+}
+
+// TestFailuresLedgerConcurrent: Fail is safe from many goroutines (run
+// under -race), every call lands in the ledger and the timeout counter
+// exactly once, Failures hands back a copy, and a nil injector (no plan
+// installed) reports no failures.
+func TestFailuresLedgerConcurrent(t *testing.T) {
+	var none *Injector
+	if got := none.Failures(); got != nil {
+		t.Fatalf("nil injector: Failures = %v, want nil", got)
+	}
+	in := NewInjector(Plan{})
+	const writers, each = 8, 100
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				in.Fail(&TimeoutError{Rank: g, Peer: i, Attempts: 1})
+				_ = in.Failures()
+			}
+		}()
+	}
+	wg.Wait()
+	got := in.Failures()
+	if len(got) != writers*each {
+		t.Fatalf("ledger holds %d failures, want %d", len(got), writers*each)
+	}
+	if ts := in.Stats().Timeouts; ts != writers*each {
+		t.Fatalf("timeouts counted %d, want %d", ts, writers*each)
+	}
+	// Per writer, the ledger keeps call order.
+	next := make([]int, writers)
+	for _, e := range got {
+		if e.Peer != next[e.Rank] {
+			t.Fatalf("writer %d: failure %d recorded out of order (want %d)", e.Rank, e.Peer, next[e.Rank])
+		}
+		next[e.Rank]++
+	}
+	got[0] = nil
+	if in.Failures()[0] == nil {
+		t.Fatal("Failures returned the ledger itself, not a copy")
 	}
 }

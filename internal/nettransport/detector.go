@@ -80,16 +80,15 @@ func (c *Comm) confirmDeath(rank int) {
 	// Rendezvous announcements from the dead peer still sitting unexpected
 	// can never be granted; drop them so a later Irecv does not park
 	// forever on a dead sender.
-	c.eng.DropUnexpected(func(env *progress.Env) bool {
+	c.DropUnexpected(func(env *progress.Env) bool {
 		return env.Src == rank && env.Rdv
 	})
 
-	c.eng.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: rank})
+	c.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: rank})
 	mDetectLatency.ObserveSince(lostAt)
 	if f := c.cfg.onPeerDeath; f != nil {
 		f(rank)
 	}
-	c.signal()
 }
 
 // isClosed reports whether clean shutdown has begun.
@@ -199,18 +198,6 @@ func (c *Comm) CrashesEnabled() bool { return c.cfg.crashArmed }
 
 // ConfirmedDead returns a fresh detector-confirmed death mask.
 func (c *Comm) ConfirmedDead() []bool { return c.crash.ConfirmedMask(c.size) }
-
-// TakeNotices drains this rank's pending control-plane notices.
-func (c *Comm) TakeNotices() []comm.Notice { return c.eng.TakeNotices() }
-
-// WaitEvent blocks until a completion callback fires or a new notice
-// arrives. Legal with no operation in flight.
-func (c *Comm) WaitEvent() { c.eng.WaitEvent() }
-
-// CancelRecv retracts a posted, unmatched receive. Returns false when
-// the receive already matched (its callback still fires — with the
-// payload, or with the structured error its sender's death produces).
-func (c *Comm) CancelRecv(r comm.Request) bool { return c.eng.CancelRecv(r) }
 
 // Commit fans a NoticeCommit out to every live rank. Counts as a send
 // initiation, so a crash scheduled at the root's commit point fires here.

@@ -316,7 +316,7 @@ func (t *fecTracker) onEager(src int, tag comm.Tag, xid uint64, size int, hasDat
 		}
 	}
 	t.mu.Unlock()
-	t.c.eng.Arrive(&progress.Env{Src: src, Tag: tag, Msg: eagerMsg(size, hasData, payload),
+	t.c.Arrive(&progress.Env{Src: src, Tag: tag, Msg: eagerMsg(size, hasData, payload),
 		HasData: hasData, Xid: xid})
 	t.dispatch(src, acks, envs)
 }
@@ -469,7 +469,7 @@ func (t *fecTracker) onDead(src int, gid uint64, attempts int, roster []byte) {
 	t.finishLocked(src, gid, g)
 	t.mu.Unlock()
 	for _, env := range envs {
-		t.c.eng.Arrive(env)
+		t.c.Arrive(env)
 	}
 }
 
@@ -478,7 +478,7 @@ func (t *fecTracker) onDead(src int, gid uint64, attempts int, roster []byte) {
 // and enqueues on the scheduler).
 func (t *fecTracker) dispatch(src int, acks []uint64, envs []*progress.Env) {
 	for _, env := range envs {
-		t.c.eng.Arrive(env)
+		t.c.Arrive(env)
 	}
 	for _, gid := range acks {
 		if t.c.inj != nil &&

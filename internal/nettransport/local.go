@@ -98,7 +98,7 @@ func (w *LocalWorld) Run(body func(c *Comm)) {
 func (w *LocalWorld) pendingDump() string {
 	var b strings.Builder
 	for _, c := range w.comms {
-		pending, posted, unexpected := c.eng.Snapshot()
+		pending, posted, unexpected := c.Snapshot()
 		c.mu.Lock()
 		sendPend, pulls := len(c.sendPend), len(c.pulls)
 		c.mu.Unlock()

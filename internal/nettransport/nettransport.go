@@ -182,14 +182,16 @@ type pullKey struct {
 // the rank's own goroutine; frame delivery runs on the endpoint's single
 // I/O loop goroutine.
 type Comm struct {
+	// The embedded engine supplies matching, the wait loops, notices and
+	// tracing; this type supplies the socket transport around it.
+	*progress.Engine
+
 	rank, size int
 	cfg        config
 	ln         net.Listener
 	conns      []*connState // conns[rank] == nil
 	sched      *sendSched
 	io         ioLoop // platform readiness loop (see ioloop_*.go)
-
-	eng *progress.Engine
 
 	// mu guards the wire-protocol state below. Lock order: c.mu may be
 	// held around engine calls (substrate lock → engine lock), never the
@@ -211,8 +213,6 @@ type Comm struct {
 	// Fail-stop plane: this endpoint's crash schedule and the lease
 	// detector over its peers (see detector.go).
 	crash *faults.Plane
-
-	wake chan struct{}
 }
 
 var (
@@ -229,17 +229,15 @@ func newComm(rank, size int, ln net.Listener, cfg config) *Comm {
 		sendPend: make(map[uint64]*progress.Req),
 		pulls:    make(map[pullKey]*rdvPull),
 		lostAt:   make([]int64, size),
-		wake:     make(chan struct{}, 1),
 	}
 	c.crash = faults.NewPlane(size, rank, cfg.crashPlan, cfg.rec, faults.WallClock(cfg.start),
 		func() *trace.Buffer { return c.cfg.traceBuf }, c.confirmDeath)
-	c.eng = progress.New(progress.Backend{
+	c.Engine = progress.New(progress.Backend{
 		Prefix:  "nettransport",
 		Rank:    rank,
+		Size:    size,
 		Now:     c.Now,
 		Trace:   func() *trace.Buffer { return c.cfg.traceBuf },
-		Wake:    c.signal,
-		Block:   func() { <-c.wake },
 		OnMatch: c.onMatch,
 	})
 	if cfg.chaosOn {
@@ -258,12 +256,6 @@ func newComm(rank, size int, ln net.Listener, cfg config) *Comm {
 	return c
 }
 
-// Rank returns this endpoint's rank.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the communicator size.
-func (c *Comm) Size() int { return c.size }
-
 // Addr returns the endpoint's data-plane listen address.
 func (c *Comm) Addr() string { return c.ln.Addr().String() }
 
@@ -274,26 +266,6 @@ func (c *Comm) Now() time.Duration { return time.Since(c.cfg.start) }
 // real by the caller.
 func (c *Comm) Compute(n int, kind comm.ComputeKind) {}
 
-// AttachProgressNotifier wires a scheduler notifier to this endpoint's
-// engine (see progress.Scheduler).
-func (c *Comm) AttachProgressNotifier(n *progress.Notifier) { c.eng.AttachNotifier(n) }
-
-// TraceEmit implements trace.Emitter: wall-clock offsets, rank identity,
-// Parent defaulted to the causal context. Returns 0 when tracing is off.
-func (c *Comm) TraceEmit(r trace.Record) uint64 { return c.eng.TraceEmit(r) }
-
-// TraceSetCause installs id as the rank's causal context and returns the
-// previous one. Owner-goroutine only.
-func (c *Comm) TraceSetCause(id uint64) uint64 { return c.eng.TraceSetCause(id) }
-
-// signal wakes the owner if it is blocked in a wait loop.
-func (c *Comm) signal() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
 // Isend starts a non-blocking send. Messages at or below the eager limit
 // ship their payload with the announcement and complete immediately;
 // larger ones announce (RTS) and complete only after the receiver's grant
@@ -303,7 +275,7 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 		panic(fmt.Sprintf("nettransport: send to rank %d of %d", dst, c.size))
 	}
 	c.noteSend() // crash point: the rank may die initiating this send
-	req := c.eng.StartSend(dst, tag, msg.Size)
+	req := c.StartSend(dst, tag, msg.Size)
 	st := comm.Status{Source: c.rank, Tag: tag, Msg: msg}
 	if dst == c.rank {
 		panic("nettransport: self-send (collectives never send to self)")
@@ -359,11 +331,6 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	hdr := encodeEagerHdr(frameRTS, tag, xid, msg.Size, 0, msg.Data != nil, 0)
 	c.sched.enqueue(dst, outFrame{hdr: hdr})
 	return req
-}
-
-// Irecv posts a non-blocking receive.
-func (c *Comm) Irecv(src int, tag comm.Tag) comm.Request {
-	return c.eng.PostRecv(src, tag, comm.MemDefault)
 }
 
 // onMatch pairs a receive with a matched envelope. Eager envelopes
@@ -469,41 +436,3 @@ func (c *Comm) onData(src int, xid uint64, payload []byte) {
 func (c *Comm) Send(dst int, tag comm.Tag, msg comm.Msg) {
 	c.Wait(c.Isend(dst, tag, msg))
 }
-
-// Iprobe reports whether a message matching (src, tag) has arrived
-// without consuming it. src may be AnySource, tag AnyTag.
-func (c *Comm) Iprobe(src int, tag comm.Tag) (comm.Status, bool) {
-	return c.eng.Iprobe(src, tag)
-}
-
-// Probe blocks until a matching message is available, leaving it in the
-// unexpected queue for a later Recv.
-func (c *Comm) Probe(src int, tag comm.Tag) comm.Status {
-	return c.eng.Probe(src, tag)
-}
-
-// Recv performs a blocking receive.
-func (c *Comm) Recv(src int, tag comm.Tag) comm.Status {
-	return c.Wait(c.Irecv(src, tag))
-}
-
-// Wait blocks until r completes, firing ready callbacks meanwhile.
-func (c *Comm) Wait(r comm.Request) comm.Status { return c.eng.Wait(r) }
-
-// WaitAll blocks until every request completes; nil entries are skipped.
-func (c *Comm) WaitAll(rs []comm.Request) { c.eng.WaitAll(rs) }
-
-// WaitAny blocks until some live request completes and returns its index;
-// nil entries are skipped.
-func (c *Comm) WaitAny(rs []comm.Request) (int, comm.Status) { return c.eng.WaitAny(rs) }
-
-// OnComplete attaches fn to r; it fires on this rank's goroutine from
-// inside Progress or a Wait variant.
-func (c *Comm) OnComplete(r comm.Request, fn func(comm.Status)) { c.eng.OnComplete(r, fn) }
-
-// TryProgress fires ready callbacks without blocking.
-func (c *Comm) TryProgress() bool { return c.eng.TryProgress() }
-
-// Progress blocks until at least one completion is processed, fires the
-// ready callbacks, and returns.
-func (c *Comm) Progress() { c.eng.Progress() }

@@ -371,10 +371,10 @@ func (c *Comm) finishFrame(cs *connState) error {
 		} else if payload != nil {
 			comm.PutBuf(payload)
 		}
-		c.eng.Arrive(&progress.Env{Src: cs.rank, Tag: cs.tag, Msg: msg,
+		c.Arrive(&progress.Env{Src: cs.rank, Tag: cs.tag, Msg: msg,
 			HasData: cs.hasData, Xid: cs.xid})
 	case frameRTS:
-		c.eng.Arrive(&progress.Env{Src: cs.rank, Tag: cs.tag,
+		c.Arrive(&progress.Env{Src: cs.rank, Tag: cs.tag,
 			Msg: comm.Msg{Size: cs.msize}, Rdv: true, HasData: cs.hasData, Xid: cs.xid})
 	case frameCTS:
 		c.onCTS(cs.rank, cs.xid)
@@ -385,7 +385,7 @@ func (c *Comm) finishFrame(cs *connState) error {
 		for i, v := range payload {
 			survivors[i] = v != 0
 		}
-		c.eng.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: cs.seq, Survivors: survivors})
+		c.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: cs.seq, Survivors: survivors})
 	case frameFecParity:
 		if c.fecRx == nil || crc32.ChecksumIEEE(payload) != cs.crc {
 			// No FEC armed here, or the parity itself arrived damaged: a

@@ -3,11 +3,15 @@
 // xid-based duplicate suppression, completion-callback delivery, and the
 // blocking wait loops behind comm.Comm. The simulator (internal/simmpi),
 // the live goroutine runtime (internal/runtime), and the TCP transport
-// (internal/nettransport) each wrap one Engine per endpoint and supply a
-// Backend describing how that substrate parks, wakes, and consumes a
-// matched pair — eager payload hand-off, rendezvous grant, or simulated
-// transfer scheduling. The MPI matching semantics live here, exactly
-// once.
+// (internal/nettransport) each embed one Engine per endpoint — which
+// supplies the engine-backed half of comm.Comm and comm.FailStop (Rank,
+// Size, Irecv, Recv, the Wait family, OnComplete, Progress, probes,
+// notices, CancelRecv, tracing) — and supply a Backend describing how
+// that substrate parks, wakes, and consumes a matched pair: eager
+// payload hand-off, rendezvous grant, or simulated transfer scheduling.
+// The daemon-backed serve.RemoteComm drives its remote operations as
+// anonymous engine requests. The MPI matching semantics live here,
+// exactly once.
 //
 // Lock discipline: the Engine owns one mutex. Backend hooks divide into
 // two classes. Wake may be invoked from any goroutine after the lock is
@@ -121,20 +125,6 @@ func (r *Req) Test() (comm.Status, bool) {
 // IsSend reports whether this is a send-side request.
 func (r *Req) IsSend() bool { return r.isSend }
 
-// Done reports completion (lock-taking; used by substrate teardown).
-func (r *Req) Done() bool {
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
-	return r.done
-}
-
-// Status returns the completion status; only meaningful once done.
-func (r *Req) Status() comm.Status {
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
-	return r.status
-}
-
 // ArriveResult tells the substrate what Arrive did with an envelope, so
 // crash/chaos wrappers can dispose of refused or duplicate copies.
 type ArriveResult int
@@ -159,6 +149,8 @@ type Backend struct {
 	Prefix string
 	// Rank is this endpoint's rank, stamped on trace records.
 	Rank int
+	// Size is the communicator size the endpoint belongs to.
+	Size int
 	// Now supplies the substrate clock (virtual or wall).
 	Now func() time.Duration
 	// Trace returns the causal trace buffer, or nil when tracing is off.
@@ -166,6 +158,8 @@ type Backend struct {
 	Trace func() *trace.Buffer
 	// Wake unblocks the owner if it is parked in a wait loop. May run on
 	// any goroutine, with or without the engine lock held; must not block.
+	// Wake and Block come as a pair; leave both nil for the default, a
+	// one-token wake channel the owner goroutine parks on.
 	Wake func()
 	// Block parks the owner until Wake. Called on the owner goroutine
 	// without the engine lock held.
@@ -229,8 +223,24 @@ func New(b Backend) *Engine {
 	if b.Trace == nil {
 		b.Trace = func() *trace.Buffer { return nil }
 	}
+	if b.Wake == nil && b.Block == nil {
+		wake := make(chan struct{}, 1)
+		b.Wake = func() {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		}
+		b.Block = func() { <-wake }
+	}
 	return &Engine{b: b}
 }
+
+// Rank returns this endpoint's rank.
+func (e *Engine) Rank() int { return e.b.Rank }
+
+// Size returns the communicator size.
+func (e *Engine) Size() int { return e.b.Size }
 
 // wake unparks the owner and pokes an attached scheduler notifier.
 // Called after the engine lock is released.
@@ -241,11 +251,12 @@ func (e *Engine) wake() {
 	}
 }
 
-// AttachNotifier registers n to be signalled on every wake-worthy event
-// (completion, parked arrival, notice). Safe against concurrent wakes;
-// the newly attached notifier is signalled once so a scheduler that
-// attaches mid-flight never misses an event that just fired.
-func (e *Engine) AttachNotifier(n *Notifier) {
+// AttachProgressNotifier registers n to be signalled on every
+// wake-worthy event (completion, parked arrival, notice), so a Scheduler
+// can multiplex wait loops across engines. Safe against concurrent
+// wakes; the newly attached notifier is signalled once so a scheduler
+// that attaches mid-flight never misses an event that just fired.
+func (e *Engine) AttachProgressNotifier(n *Notifier) {
 	e.notifier.Store(n)
 	n.Signal()
 }
@@ -287,10 +298,11 @@ func (e *Engine) FreeEnv(env *Env) {
 	e.envFree = append(e.envFree, env)
 }
 
-// StartOp registers an anonymous send-side operation (device reductions,
-// async copies): one operation in flight, no trace record.
-func (e *Engine) StartOp() *Req {
-	req := &Req{eng: e, isSend: true}
+// StartOp registers an anonymous operation completed from outside the
+// matching queues (device reductions, async copies, a daemon's remote
+// sends and receives): one operation in flight, no trace record.
+func (e *Engine) StartOp(isSend bool) *Req {
+	req := &Req{eng: e, isSend: isSend}
 	e.mu.Lock()
 	e.pendingOps++
 	e.mu.Unlock()
@@ -336,6 +348,17 @@ func (e *Engine) PostRecv(src int, tag comm.Tag, space comm.MemSpace) *Req {
 	e.posted = append(e.posted, req)
 	e.mu.Unlock()
 	return req
+}
+
+// Irecv posts a receive matching (src, tag) into the default memory
+// space.
+func (e *Engine) Irecv(src int, tag comm.Tag) comm.Request {
+	return e.PostRecv(src, tag, comm.MemDefault)
+}
+
+// Recv performs a blocking receive.
+func (e *Engine) Recv(src int, tag comm.Tag) comm.Status {
+	return e.Wait(e.Irecv(src, tag))
 }
 
 func (r *Req) matches(env *Env) bool {

@@ -53,11 +53,7 @@ func WithFaults(p faults.Plan, rec faults.Recovery) Option {
 func (w *World) FaultStats() faults.Stats { return w.inj.Stats() }
 
 // Failures lists operations that exhausted their attempt budget.
-func (w *World) Failures() []*faults.TimeoutError {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return append([]*faults.TimeoutError(nil), w.failures...)
-}
+func (w *World) Failures() []*faults.TimeoutError { return w.inj.Failures() }
 
 // nextXid draws the id of c's next transmission to dst: a per-link
 // sequence in the low half, the sender in the high half, so ids are
@@ -114,15 +110,12 @@ func (c *Comm) chaosWalk(d *Comm, env *progress.Env, size int, startAttempt int,
 		return
 	}
 	// Every attempt dropped: the message is lost for good.
-	w.inj.NoteTimeout()
 	c.traceFault(trace.FaultTimeout, d.rank, env.Tag, size, env.Xid)
 	err := &faults.TimeoutError{
 		Rank: c.rank, Peer: d.rank, Tag: env.Tag,
 		Attempts: w.rec.MaxAttempts, Elapsed: wait,
 	}
-	w.failMu.Lock()
-	w.failures = append(w.failures, err)
-	w.failMu.Unlock()
+	w.inj.Fail(err)
 	if env.Rts != nil {
 		env.Rts.Complete(comm.Status{Source: c.rank, Tag: env.Tag, Err: err})
 		return
@@ -163,7 +156,7 @@ func (c *Comm) suppress(env *progress.Env) {
 func (w *World) pendingDump() string {
 	var sb strings.Builder
 	for _, c := range w.ranks {
-		pending, posted, unexpected := c.eng.Snapshot()
+		pending, posted, unexpected := c.Snapshot()
 		fmt.Fprintf(&sb, "  rank %d: %d ops in flight", c.rank, pending)
 		for _, req := range posted {
 			src := "any"

@@ -54,7 +54,7 @@ func (w *World) noteSend(c *Comm) {
 	}
 	// Tear down the matching engine and release live senders parked in
 	// the unexpected queue.
-	_, unexpected := c.eng.Halt()
+	_, unexpected := c.Halt()
 	for _, env := range unexpected {
 		c.refuse(env)
 	}
@@ -67,7 +67,7 @@ func (w *World) noteSend(c *Comm) {
 func (w *World) noticeDeath(r int) {
 	for _, d := range w.ranks {
 		if !w.crash.Dead(d.rank) {
-			d.eng.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
+			d.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
 		}
 	}
 }
@@ -78,12 +78,7 @@ func (w *World) noticeDeath(r int) {
 func (c *Comm) refuse(env *progress.Env) {
 	if env.Rts != nil {
 		err := &faults.TimeoutError{Rank: env.Src, Peer: c.rank, Tag: env.Tag, Attempts: 1}
-		if c.w.inj != nil {
-			c.w.inj.NoteTimeout()
-		}
-		c.w.failMu.Lock()
-		c.w.failures = append(c.w.failures, err)
-		c.w.failMu.Unlock()
+		c.w.inj.Fail(err) // crash rules arm only with a fault plan
 		env.Rts.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Err: err})
 		return
 	}
@@ -102,17 +97,6 @@ func (c *Comm) CrashesEnabled() bool { return c.w.crash != nil }
 // ConfirmedDead returns a fresh detector-confirmed death mask.
 func (c *Comm) ConfirmedDead() []bool { return c.w.crash.ConfirmedMask(c.Size()) }
 
-// TakeNotices drains this rank's pending control-plane notices.
-func (c *Comm) TakeNotices() []comm.Notice { return c.eng.TakeNotices() }
-
-// WaitEvent blocks until a completion callback fires or a new notice
-// arrives. Legal with no operation in flight.
-func (c *Comm) WaitEvent() { c.eng.WaitEvent() }
-
-// CancelRecv retracts a posted, unmatched receive. Returns false when
-// the receive already matched (its callback still fires).
-func (c *Comm) CancelRecv(r comm.Request) bool { return c.eng.CancelRecv(r) }
-
 // Commit fans a NoticeCommit out to every live rank. Counts as a send
 // initiation, so a crash scheduled at the root's commit point fires here.
 func (c *Comm) Commit(seq int, survivors []bool) {
@@ -121,7 +105,7 @@ func (c *Comm) Commit(seq int, survivors []bool) {
 	mask := append([]bool(nil), survivors...)
 	for _, d := range w.ranks {
 		if d != c && !w.crash.Dead(d.rank) {
-			d.eng.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
+			d.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
 		}
 	}
 }

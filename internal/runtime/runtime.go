@@ -19,7 +19,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,9 +52,6 @@ type World struct {
 	fec      *fec.Framer[*fecMember]
 	fecCfg   fec.Config
 	fecStats fec.Counters
-
-	failMu   sync.Mutex
-	failures []*faults.TimeoutError
 
 	// Fail-stop crash schedule and detector (nil = no crash rules armed;
 	// see crash.go).
@@ -97,17 +93,16 @@ func NewWorld(n int, opts ...Option) *World {
 			faults.WallClock(w.start).After, w.sealFEC)
 	}
 	for r := 0; r < n; r++ {
-		c := &Comm{w: w, rank: r, wake: make(chan struct{}, 1)}
+		c := &Comm{w: w, rank: r}
 		if w.inj != nil {
 			c.xids = make([]atomic.Uint64, n)
 		}
-		c.eng = progress.New(progress.Backend{
+		c.Engine = progress.New(progress.Backend{
 			Prefix:  "runtime",
 			Rank:    r,
+			Size:    n,
 			Now:     c.Now,
 			Trace:   func() *trace.Buffer { return w.Trace },
-			Wake:    c.signal,
-			Block:   func() { <-c.wake },
 			OnMatch: c.onMatch,
 			// Chaos duplicates are real second copies racing through
 			// deliver; the engine suppresses them by transmission id.
@@ -139,11 +134,12 @@ func (w *World) Run(body func(c *Comm)) {
 
 // Comm is one rank's endpoint. Its blocking methods must be called from
 // the rank's own goroutine; internal delivery may run on peer goroutines.
+// The embedded engine supplies matching, the wait loops, notices and
+// tracing; this type supplies the goroutine-to-goroutine transport.
 type Comm struct {
+	*progress.Engine
 	w    *World
 	rank int
-	eng  *progress.Engine
-	wake chan struct{}
 
 	// xids[dst] numbers this rank's fault-injected transmissions to dst
 	// (nil without a fault plan; see chaos.go).
@@ -152,12 +148,6 @@ type Comm struct {
 
 var _ comm.Comm = (*Comm)(nil)
 
-// Rank returns this endpoint's rank.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the communicator size.
-func (c *Comm) Size() int { return len(c.w.ranks) }
-
 // Now returns wall time since the world was created.
 func (c *Comm) Now() time.Duration { return time.Since(c.w.start) }
 
@@ -165,34 +155,13 @@ func (c *Comm) Now() time.Duration { return time.Since(c.w.start) }
 // is performed for real by the caller; there is nothing to charge.
 func (c *Comm) Compute(n int, kind comm.ComputeKind) {}
 
-// AttachProgressNotifier wires a scheduler notifier to this endpoint's
-// engine (see progress.Scheduler).
-func (c *Comm) AttachProgressNotifier(n *progress.Notifier) { c.eng.AttachNotifier(n) }
-
-// TraceEmit implements trace.Emitter: it stamps the record with this
-// rank's identity and wall clock, defaults its Parent to the current
-// causal context, and appends it. Returns 0 when tracing is off.
-func (c *Comm) TraceEmit(r trace.Record) uint64 { return c.eng.TraceEmit(r) }
-
-// TraceSetCause installs id as the rank's causal context and returns the
-// previous one. Owner-goroutine only, like every blocking Comm method.
-func (c *Comm) TraceSetCause(id uint64) uint64 { return c.eng.TraceSetCause(id) }
-
-// signal wakes the owner if it is blocked in a wait loop.
-func (c *Comm) signal() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
 // Isend starts a non-blocking send.
 func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("runtime: send to rank %d of %d", dst, c.Size()))
 	}
 	c.w.noteSend(c) // crash point: the rank may die initiating this send
-	req := c.eng.StartSend(dst, tag, msg.Size)
+	req := c.StartSend(dst, tag, msg.Size)
 	d := c.w.ranks[dst]
 	st := comm.Status{Source: c.rank, Tag: tag, Msg: msg}
 	if msg.Size <= c.w.eagerLimit {
@@ -225,11 +194,6 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	return req
 }
 
-// Irecv posts a non-blocking receive.
-func (c *Comm) Irecv(src int, tag comm.Tag) comm.Request {
-	return c.eng.PostRecv(src, tag, comm.MemDefault)
-}
-
 // deliver hands an incoming envelope to the matching engine. Runs on the
 // sender's goroutine (or a timer goroutine for fault-delayed copies).
 func (c *Comm) deliver(env *progress.Env) {
@@ -242,7 +206,7 @@ func (c *Comm) deliver(env *progress.Env) {
 		}
 		return
 	}
-	switch c.eng.Arrive(env) {
+	switch c.Arrive(env) {
 	case progress.ArriveHalted:
 		// Traffic addressed to a crashed rank: refuse it so a live
 		// rendezvous sender fails instead of waiting forever for a grant.
@@ -284,7 +248,7 @@ func (c *Comm) Ssend(dst int, tag comm.Tag, msg comm.Msg) {
 		panic(fmt.Sprintf("runtime: ssend to rank %d of %d", dst, c.Size()))
 	}
 	c.w.noteSend(c) // crash point: the rank may die initiating this send
-	req := c.eng.StartSend(dst, tag, msg.Size)
+	req := c.StartSend(dst, tag, msg.Size)
 	d := c.w.ranks[dst]
 	env := &progress.Env{Src: c.rank, Tag: tag, Msg: msg, Rts: req, PostID: req.PostID}
 	if c.w.inj != nil {
@@ -294,41 +258,3 @@ func (c *Comm) Ssend(dst int, tag comm.Tag, msg comm.Msg) {
 	}
 	c.Wait(req)
 }
-
-// Iprobe reports whether a message matching (src, tag) has arrived
-// without consuming it (MPI_Iprobe). src may be AnySource, tag AnyTag.
-func (c *Comm) Iprobe(src int, tag comm.Tag) (comm.Status, bool) {
-	return c.eng.Iprobe(src, tag)
-}
-
-// Probe blocks until a matching message is available (MPI_Probe), leaving
-// it in the unexpected queue for a later Recv.
-func (c *Comm) Probe(src int, tag comm.Tag) comm.Status {
-	return c.eng.Probe(src, tag)
-}
-
-// Recv performs a blocking receive.
-func (c *Comm) Recv(src int, tag comm.Tag) comm.Status {
-	return c.Wait(c.Irecv(src, tag))
-}
-
-// Wait blocks until r completes, firing ready callbacks meanwhile.
-func (c *Comm) Wait(r comm.Request) comm.Status { return c.eng.Wait(r) }
-
-// WaitAll blocks until every request completes; nil entries are skipped.
-func (c *Comm) WaitAll(rs []comm.Request) { c.eng.WaitAll(rs) }
-
-// WaitAny blocks until some live request completes and returns its index;
-// nil entries are skipped.
-func (c *Comm) WaitAny(rs []comm.Request) (int, comm.Status) { return c.eng.WaitAny(rs) }
-
-// OnComplete attaches fn to r; it fires on this rank's goroutine from
-// inside Progress or a Wait variant.
-func (c *Comm) OnComplete(r comm.Request, fn func(comm.Status)) { c.eng.OnComplete(r, fn) }
-
-// TryProgress fires ready callbacks without blocking.
-func (c *Comm) TryProgress() bool { return c.eng.TryProgress() }
-
-// Progress blocks until at least one completion is processed, fires the
-// ready callbacks, and returns.
-func (c *Comm) Progress() { c.eng.Progress() }

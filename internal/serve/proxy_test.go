@@ -149,3 +149,39 @@ func TestProxyRankExclusivity(t *testing.T) {
 	}
 	s2.Close()
 }
+
+// TestProxyNilRequests: WaitAll and WaitAny skip nil entries (inactive
+// handles, as with MPI_REQUEST_NULL) on the daemon-backed adapter, the
+// same rule every substrate's engine applies.
+func TestProxyNilRequests(t *testing.T) {
+	srv := newTestServer(t, Config{DrainTimeout: 2 * time.Second})
+	const world = 2
+	sessions := make([]*Session, world)
+	for r := 0; r < world; r++ {
+		s, err := Dial(srv.Addr(), SessionOpts{World: world, Group: "nil", ProxyRank: r})
+		if err != nil {
+			t.Fatalf("Dial rank %d: %v", r, err)
+		}
+		defer s.Close()
+		sessions[r] = s
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c1 := sessions[1].Comm()
+		c1.Send(0, comm.Tag(1), comm.Bytes([]byte{1}))
+		c1.Send(0, comm.Tag(2), comm.Bytes([]byte{2}))
+	}()
+	c0 := sessions[0].Comm()
+	all := []comm.Request{nil, c0.Irecv(1, comm.Tag(1)), nil}
+	c0.WaitAll(all)
+	if st, ok := all[1].Test(); !ok || st.Err != nil || st.Msg.Data[0] != 1 {
+		t.Fatalf("WaitAll: live entry status %+v done %v", st, ok)
+	}
+	i, st := c0.WaitAny([]comm.Request{nil, c0.Irecv(1, comm.Tag(2))})
+	if i != 1 || st.Err != nil || st.Msg.Data[0] != 2 {
+		t.Fatalf("WaitAny: index %d status %+v, want index 1 with payload 2", i, st)
+	}
+	wg.Wait()
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"adapt/internal/comm"
+	"adapt/internal/progress"
 )
 
 // RemoteComm is the daemon-backed comm.Comm adapter: a rank-bound proxy
@@ -14,72 +15,49 @@ import (
 // comm.Comm primitives — the whole conformance grid — therefore run
 // through the daemon unchanged.
 //
+// Matching happens in the daemon, so the local progress engine never
+// sees an envelope: each remote operation is an anonymous engine
+// request that the session reader completes, and the Wait family,
+// OnComplete and Progress are the engine's. The engine is held in a
+// named field rather than embedded so RemoteComm does not offer
+// Probe/Iprobe/CancelRecv, which would act on a local queue that never
+// matches anything.
+//
 // The usual single-goroutine owner discipline applies: all methods must
 // be called from one goroutine; callbacks fire on it from inside
-// Progress/Wait. The session reader goroutine only deposits completions
-// into a mailbox the owner drains.
+// Progress/Wait.
 type RemoteComm struct {
 	sess  *Session
-	rank  int
-	size  int
 	start time.Time
+	eng   *progress.Engine
 
-	mu       sync.Mutex
-	ops      map[uint64]*rreq
-	readyQ   []*rreq // completed, callback/processing not yet credited
-	nextID   uint64
-	dead     error
-	wake     chan struct{} // one-token completion notifier
-	inflight int
+	mu     sync.Mutex
+	ops    map[uint64]*progress.Req // in flight, by remote op id
+	nextID uint64
+	dead   error
 }
-
-// rreq is one in-flight remote operation.
-type rreq struct {
-	c      *RemoteComm
-	id     uint64
-	isSend bool
-	done   bool
-	st     comm.Status
-	cb     func(comm.Status)
-}
-
-// Test synchronizes against the session reader depositing completions.
-func (r *rreq) Test() (comm.Status, bool) {
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	return r.st, r.done
-}
-
-func (r *rreq) IsSend() bool { return r.isSend }
 
 func newRemoteComm(s *Session, rank, size int) *RemoteComm {
-	return &RemoteComm{
-		sess: s, rank: rank, size: size, start: time.Now(),
-		ops: map[uint64]*rreq{}, wake: make(chan struct{}, 1),
-	}
+	c := &RemoteComm{sess: s, start: time.Now(), ops: map[uint64]*progress.Req{}}
+	c.eng = progress.New(progress.Backend{Prefix: "serve", Rank: rank, Size: size, Now: c.Now})
+	return c
 }
 
 // Rank returns the bound backend rank.
-func (c *RemoteComm) Rank() int { return c.rank }
+func (c *RemoteComm) Rank() int { return c.eng.Rank() }
 
 // Size returns the backend world size.
-func (c *RemoteComm) Size() int { return c.size }
+func (c *RemoteComm) Size() int { return c.eng.Size() }
 
 // complete lands one sfOpDone from the session reader goroutine.
 func (c *RemoteComm) complete(id uint64, st comm.Status) {
 	c.mu.Lock()
 	r := c.ops[id]
-	if r == nil || r.done {
-		c.mu.Unlock()
-		return
-	}
 	delete(c.ops, id)
-	r.done = true
-	r.st = st
-	c.inflight--
-	c.readyQ = append(c.readyQ, r)
 	c.mu.Unlock()
-	c.signal()
+	if r != nil {
+		r.CompleteIfLive(st)
+	}
 }
 
 // fail lands the sticky session error on every current op; later ops
@@ -89,41 +67,29 @@ func (c *RemoteComm) fail(err error) {
 	if c.dead == nil {
 		c.dead = err
 	}
-	for id, r := range c.ops {
-		delete(c.ops, id)
-		r.done = true
-		r.st = comm.Status{Source: comm.AnySource, Err: c.dead}
-		c.inflight--
-		c.readyQ = append(c.readyQ, r)
-	}
+	st := comm.Status{Source: comm.AnySource, Err: c.dead}
+	ops := c.ops
+	c.ops = map[uint64]*progress.Req{}
 	c.mu.Unlock()
-	c.signal()
-}
-
-func (c *RemoteComm) signal() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
+	for _, r := range ops {
+		r.CompleteIfLive(st)
 	}
 }
 
 // startOp registers a new remote op and ships its frame.
-func (c *RemoteComm) startOp(isSend bool, frame func(id uint64) []byte) *rreq {
+func (c *RemoteComm) startOp(isSend bool, frame func(id uint64) []byte) comm.Request {
+	r := c.eng.StartOp(isSend)
 	c.mu.Lock()
-	c.nextID++
-	r := &rreq{c: c, id: c.nextID, isSend: isSend}
-	if c.dead != nil {
-		r.done = true
-		r.st = comm.Status{Source: comm.AnySource, Err: c.dead}
-		c.readyQ = append(c.readyQ, r)
+	if dead := c.dead; dead != nil {
 		c.mu.Unlock()
-		c.signal()
+		r.Complete(comm.Status{Source: comm.AnySource, Err: dead})
 		return r
 	}
-	c.ops[r.id] = r
-	c.inflight++
+	c.nextID++
+	id := c.nextID
+	c.ops[id] = r
 	c.mu.Unlock()
-	if err := c.sess.writeFrame(frame(r.id)); err != nil {
+	if err := c.sess.writeFrame(frame(id)); err != nil {
 		c.fail(err)
 	}
 	return r
@@ -156,93 +122,28 @@ func (c *RemoteComm) Recv(src int, tag comm.Tag) comm.Status {
 	return c.Wait(c.Irecv(src, tag))
 }
 
-// drain fires ready callbacks on the owner goroutine and reports how
-// many completions it processed.
-func (c *RemoteComm) drain() int {
-	c.mu.Lock()
-	q := c.readyQ
-	c.readyQ = nil
-	c.mu.Unlock()
-	for _, r := range q {
-		if r.cb != nil {
-			cb := r.cb
-			r.cb = nil
-			cb(r.st)
-		}
-	}
-	return len(q)
-}
-
 // Wait blocks until r completes, firing ready callbacks meanwhile.
-func (c *RemoteComm) Wait(r comm.Request) comm.Status {
-	for {
-		c.drain()
-		if st, ok := r.Test(); ok {
-			return st
-		}
-		<-c.wake
-	}
-}
+func (c *RemoteComm) Wait(r comm.Request) comm.Status { return c.eng.Wait(r) }
 
-// WaitAll blocks until every request completes.
-func (c *RemoteComm) WaitAll(rs []comm.Request) {
-	for _, r := range rs {
-		c.Wait(r)
-	}
-}
+// WaitAll blocks until every request completes; nil entries are skipped.
+func (c *RemoteComm) WaitAll(rs []comm.Request) { c.eng.WaitAll(rs) }
 
-// WaitAny blocks until at least one request completes and returns its
-// index and status. As with MPI_Waitany's inactive handles, an
-// already-completed request (ours or not) returns immediately.
-func (c *RemoteComm) WaitAny(rs []comm.Request) (int, comm.Status) {
-	for {
-		c.drain()
-		for i, r := range rs {
-			if st, ok := r.Test(); ok {
-				return i, st
-			}
-		}
-		<-c.wake
-	}
-}
+// WaitAny blocks until some live request completes and returns its
+// index; nil entries are skipped.
+func (c *RemoteComm) WaitAny(rs []comm.Request) (int, comm.Status) { return c.eng.WaitAny(rs) }
 
 // OnComplete attaches a completion callback; it fires on the owner
-// goroutine during the next Progress/Wait if r already completed.
-func (c *RemoteComm) OnComplete(r comm.Request, fn func(comm.Status)) {
-	req := r.(*rreq)
-	c.mu.Lock()
-	if req.done {
-		req.cb = fn
-		c.readyQ = append(c.readyQ, req)
-		c.mu.Unlock()
-		c.signal()
-		return
-	}
-	req.cb = fn
-	c.mu.Unlock()
-}
+// goroutine from inside Progress or a Wait variant.
+func (c *RemoteComm) OnComplete(r comm.Request, fn func(comm.Status)) { c.eng.OnComplete(r, fn) }
 
 // Progress blocks until at least one pending completion is processed,
 // fires ready callbacks, and returns. It panics when nothing is in
 // flight — a stuck progress loop is a bug.
-func (c *RemoteComm) Progress() {
-	for {
-		if c.drain() > 0 {
-			return
-		}
-		c.mu.Lock()
-		idle := c.inflight == 0 && len(c.readyQ) == 0
-		c.mu.Unlock()
-		if idle {
-			panic("serve: RemoteComm.Progress with no operation in flight")
-		}
-		<-c.wake
-	}
-}
+func (c *RemoteComm) Progress() { c.eng.Progress() }
 
 // TryProgress fires ready callbacks without blocking and reports
-// whether it processed anything.
-func (c *RemoteComm) TryProgress() bool { return c.drain() > 0 }
+// whether it did anything.
+func (c *RemoteComm) TryProgress() bool { return c.eng.TryProgress() }
 
 // Compute is local work: the client performs it for real (no-op here —
 // callers do their arithmetic inline, as with the live runtime).

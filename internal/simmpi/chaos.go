@@ -177,9 +177,8 @@ func (c *Comm) chaosSend(dst int, tag comm.Tag, size int,
 					Rank: c.rank, Peer: dst, Tag: tag,
 					Attempts: st.attempts, Elapsed: w.K.Now() - start,
 				}
-				w.inj.NoteTimeout()
+				w.inj.Fail(err)
 				w.traceFault(trace.FaultTimeout, c.rank, dst, tag, size, id)
-				w.failures = append(w.failures, err)
 				if onFail != nil {
 					onFail(err)
 				}
@@ -250,7 +249,7 @@ func (c *Comm) chaosEager(d *Comm, req *progress.Req, tag comm.Tag, msg comm.Msg
 				copy(buf, retained)
 				del.Data = buf
 			}
-			env := d.eng.NewEnv(c.rank, tag, del, nil)
+			env := d.NewEnv(c.rank, tag, del, nil)
 			env.PostID = req.PostID
 			d.arrive(env)
 			if mem != nil {
@@ -277,7 +276,7 @@ func (c *Comm) chaosEager(d *Comm, req *progress.Req, tag comm.Tag, msg comm.Msg
 // control message is transmitted reliably; the data flies after the CTS
 // (see chaosGrant). An undeliverable RTS fails the send request.
 func (c *Comm) chaosRendezvous(d *Comm, req *progress.Req, tag comm.Tag, msg comm.Msg) {
-	env := d.eng.NewEnv(c.rank, tag, msg, req)
+	env := d.NewEnv(c.rank, tag, msg, req)
 	env.PostID = req.PostID
 	rtsDelay := c.w.Net.ControlLatency(c.rank, d.rank) + c.w.Net.P.RndvAlpha
 	c.chaosSend(d.rank, tag, 0,

@@ -66,7 +66,7 @@ func (w *World) crashRank(r int) {
 	// callbacks never fire, later arrivals are refused) and sweep the
 	// unexpected queue: an RTS parked there belongs to a LIVE sender that
 	// would otherwise wait forever for a grant.
-	_, unexpected := c.eng.Halt()
+	_, unexpected := c.Halt()
 	for _, env := range unexpected {
 		c.refuse(env)
 	}
@@ -79,10 +79,7 @@ func (w *World) crashRank(r int) {
 func (c *Comm) refuse(env *progress.Env) {
 	if env.Rts != nil {
 		err := &faults.TimeoutError{Rank: env.Src, Peer: c.rank, Tag: env.Tag, Attempts: 1}
-		if c.w.inj != nil {
-			c.w.inj.NoteTimeout()
-		}
-		c.w.failures = append(c.w.failures, err)
+		c.w.inj.Fail(err) // crash rules arm only with a fault plan
 		env.Rts.CompleteIfLive(comm.Status{Source: env.Src, Tag: env.Tag, Err: err})
 	} else if env.Msg.Data != nil {
 		comm.PutBuf(env.Msg.Data)
@@ -94,7 +91,7 @@ func (c *Comm) refuse(env *progress.Env) {
 func (w *World) noticeDeath(r int) {
 	for _, d := range w.ranks {
 		if !w.crash.Dead(d.rank) {
-			d.eng.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
+			d.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
 		}
 	}
 }
@@ -108,17 +105,6 @@ func (c *Comm) CrashesEnabled() bool { return c.w.crash != nil }
 
 // ConfirmedDead returns a fresh detector-confirmed death mask.
 func (c *Comm) ConfirmedDead() []bool { return c.w.crash.ConfirmedMask(c.Size()) }
-
-// TakeNotices drains this rank's pending control-plane notices.
-func (c *Comm) TakeNotices() []comm.Notice { return c.eng.TakeNotices() }
-
-// WaitEvent blocks until a completion callback fires or a new notice
-// arrives. Legal with no operation in flight (control-plane waits).
-func (c *Comm) WaitEvent() { c.eng.WaitEvent() }
-
-// CancelRecv retracts a posted, unmatched receive. Returns false when
-// the receive already matched (its callback still fires).
-func (c *Comm) CancelRecv(r comm.Request) bool { return c.eng.CancelRecv(r) }
 
 // Commit fans a NoticeCommit for (seq, survivors) out to every live rank
 // over the control plane. The fan-out counts as a send initiation, so a
@@ -134,7 +120,7 @@ func (c *Comm) Commit(seq int, survivors []bool) {
 		d := d
 		w.K.Schedule(w.Net.ControlLatency(c.rank, d.rank), func() {
 			if !w.crash.Dead(d.rank) {
-				d.eng.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
+				d.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
 			}
 		})
 	}

@@ -156,7 +156,7 @@ func (g *fecGroup) tryResolve() {
 			if mem.msg.Data != nil {
 				del.Data = decoded // pooled; owned by the receiver from here
 			}
-			env := mem.d.eng.NewEnv(g.Src, mem.tag, del, nil)
+			env := mem.d.NewEnv(g.Src, mem.tag, del, nil)
 			env.PostID = mem.post
 			mem.d.arrive(env)
 		})

@@ -86,8 +86,8 @@ func (c *Comm) armDrain() {
 // clock past now with work still queued, and report idleness.
 func (c *Comm) drainFlat() {
 	c.drainArmed = false
-	c.eng.DrainWhile(func() bool { return c.busyUntil <= c.w.K.Now() })
-	if c.eng.PendingCallbacks() > 0 || c.busyUntil > c.w.K.Now() {
+	c.DrainWhile(func() bool { return c.busyUntil <= c.w.K.Now() })
+	if c.PendingCallbacks() > 0 || c.busyUntil > c.w.K.Now() {
 		// A callback's compute charge advanced the clock mid-drain: the
 		// remaining callbacks belong at the new horizon — and even with
 		// none queued, the busy clock must be realized as a kernel event
@@ -96,7 +96,7 @@ func (c *Comm) drainFlat() {
 		c.armDrain()
 		return
 	}
-	if c.onIdle != nil && c.eng.Pending() == 0 {
+	if c.onIdle != nil && c.Pending() == 0 {
 		c.onIdle()
 	}
 }

@@ -47,10 +47,9 @@ type World struct {
 	ranks []*Comm
 
 	// Fault injection (nil inj = fault-free fast paths; see chaos.go).
-	inj      *faults.Injector
-	rec      faults.Recovery
-	xmitSeq  uint64 // world-unique reliable-transmission ids
-	failures []*faults.TimeoutError
+	inj     *faults.Injector
+	rec     faults.Recovery
+	xmitSeq uint64 // world-unique reliable-transmission ids
 	// Erasure coding over the eager segment stream (nil = off; see fec.go).
 	fec      *fec.Framer[*fecMember]
 	fecStats fec.Counters
@@ -67,9 +66,10 @@ func NewWorld(k *sim.Kernel, p *netmodel.Platform, spec noise.Spec) *World {
 	w.ranks = make([]*Comm, n)
 	for r := 0; r < n; r++ {
 		c := &Comm{w: w, rank: r, noiseSrc: spec.NewSource(r)}
-		c.eng = progress.New(progress.Backend{
+		c.Engine = progress.New(progress.Backend{
 			Prefix: "simmpi",
 			Rank:   r,
+			Size:   n,
 			Now:    k.Now,
 			Trace:  func() *trace.Buffer { return w.Trace },
 			Wake: func() {
@@ -106,7 +106,7 @@ func (w *World) Spawn(body func(c *Comm)) {
 		c := c
 		c.proc = w.K.Go(fmt.Sprintf("rank-%d", c.rank), func(p *sim.Proc) {
 			body(c)
-			if n := c.eng.Pending(); n != 0 {
+			if n := c.Pending(); n != 0 {
 				panic(fmt.Sprintf("simmpi: rank %d finished with %d operations in flight", c.rank, n))
 			}
 		})
@@ -130,16 +130,17 @@ func (w *World) FaultStats() faults.Stats { return w.inj.Stats() }
 
 // Failures lists the operations that exhausted their attempt budget, in
 // virtual-time order. Empty when every message was recovered.
-func (w *World) Failures() []*faults.TimeoutError { return w.failures }
+func (w *World) Failures() []*faults.TimeoutError { return w.inj.Failures() }
 
 // Comm is one simulated rank's endpoint. It implements comm.Comm and, on
-// GPU platforms, comm.DeviceComm. Matching and wait loops live in the
-// shared engine; this type supplies the simulated transport.
+// GPU platforms, comm.DeviceComm. The embedded engine supplies matching,
+// the wait loops, notices and tracing; this type supplies the simulated
+// transport.
 type Comm struct {
+	*progress.Engine
 	w    *World
 	rank int
 	proc *sim.Proc
-	eng  *progress.Engine
 
 	busyUntil time.Duration
 	noiseSrc  *noise.Source
@@ -157,18 +158,8 @@ type Comm struct {
 var _ comm.Comm = (*Comm)(nil)
 var _ comm.DeviceComm = (*Comm)(nil)
 
-// Rank returns this endpoint's rank.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the communicator size.
-func (c *Comm) Size() int { return len(c.w.ranks) }
-
 // Now returns the rank's virtual clock.
 func (c *Comm) Now() time.Duration { return c.w.K.Now() }
-
-// AttachProgressNotifier wires a scheduler notifier to this endpoint's
-// engine (see progress.Scheduler).
-func (c *Comm) AttachProgressNotifier(n *progress.Notifier) { c.eng.AttachNotifier(n) }
 
 // noiseResume delays the rank to its noise availability horizon. Called
 // whenever the rank is about to continue executing after a wake-up.
@@ -187,7 +178,7 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 		panic(fmt.Sprintf("simmpi: send to rank %d of %d", dst, c.Size()))
 	}
 	c.w.noteSend(c) // crash point: the rank may die initiating this send
-	req := c.eng.StartSend(dst, tag, msg.Size)
+	req := c.StartSend(dst, tag, msg.Size)
 	if lag := c.sendLag(); lag > 0 {
 		// Flat mode with the rank's busy clock ahead of virtual time: the
 		// protocol launches when the rank would actually have issued it.
@@ -235,7 +226,7 @@ func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg
 		c.w.Net.StartTransfer(c.rank, dst, msg.Size, msg.Space,
 			func() { req.Complete(st) },
 			func() {
-				env := d.eng.NewEnv(c.rank, tag, send, nil)
+				env := d.NewEnv(c.rank, tag, send, nil)
 				env.PostID = req.PostID
 				d.arrive(env)
 			})
@@ -248,29 +239,23 @@ func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg
 	}
 	rtsDelay := c.w.Net.ControlLatency(c.rank, dst) + c.w.Net.P.RndvAlpha
 	c.w.K.Schedule(rtsDelay, func() {
-		env := d.eng.NewEnv(c.rank, tag, msg, req)
+		env := d.NewEnv(c.rank, tag, msg, req)
 		env.PostID = req.PostID
 		d.arrive(env)
 	})
-}
-
-// Irecv posts a non-blocking receive matching (src, tag) into the rank's
-// default memory space.
-func (c *Comm) Irecv(src int, tag comm.Tag) comm.Request {
-	return c.IrecvIn(src, tag, comm.MemDefault)
 }
 
 // IrecvIn posts a non-blocking receive whose buffer lives in the given
 // memory space (the §4.1 staging optimization receives GPU-bound traffic
 // into an explicit host buffer).
 func (c *Comm) IrecvIn(src int, tag comm.Tag, space comm.MemSpace) comm.Request {
-	return c.eng.PostRecv(src, tag, space)
+	return c.PostRecv(src, tag, space)
 }
 
 // arrive processes a payload or RTS reaching this rank's host boundary.
 // Runs in kernel event context.
 func (c *Comm) arrive(env *progress.Env) {
-	if c.eng.Arrive(env) == progress.ArriveHalted {
+	if c.Engine.Arrive(env) == progress.ArriveHalted {
 		// The rank crashed after this copy left its sender (the chaos
 		// transport normally annihilates such copies before arrival, so
 		// this is a defensive path). Otherwise the envelope matched
@@ -289,7 +274,7 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 	if sender != nil {
 		req.MatchID = sender.PostID // causal Link: this receive consumed that send
 	}
-	c.eng.FreeEnv(env)
+	c.FreeEnv(env)
 	if sender != nil {
 		if c.w.inj != nil {
 			c.chaosGrant(req, src, tag, msg, sender)
@@ -346,55 +331,18 @@ func (c *Comm) Ssend(dst int, tag comm.Tag, msg comm.Msg) {
 		panic(fmt.Sprintf("simmpi: ssend to rank %d of %d", dst, c.Size()))
 	}
 	c.w.noteSend(c) // crash point: the rank may die initiating this send
-	req := c.eng.StartSend(dst, tag, msg.Size)
+	req := c.StartSend(dst, tag, msg.Size)
 	d := c.w.ranks[dst]
 	if c.w.inj != nil {
 		c.chaosRendezvous(d, req, tag, msg)
 	} else {
 		rtsDelay := c.w.Net.ControlLatency(c.rank, dst) + c.w.Net.P.RndvAlpha
 		c.w.K.Schedule(rtsDelay, func() {
-			d.arrive(d.eng.NewEnv(c.rank, tag, msg, req))
+			d.arrive(d.NewEnv(c.rank, tag, msg, req))
 		})
 	}
 	c.Wait(req)
 }
-
-// Iprobe reports whether a matching message (or rendezvous announcement)
-// has arrived without consuming it.
-func (c *Comm) Iprobe(src int, tag comm.Tag) (comm.Status, bool) {
-	return c.eng.Iprobe(src, tag)
-}
-
-// Probe blocks until a matching message is available, leaving it queued.
-func (c *Comm) Probe(src int, tag comm.Tag) comm.Status {
-	return c.eng.Probe(src, tag)
-}
-
-// Recv performs a blocking receive.
-func (c *Comm) Recv(src int, tag comm.Tag) comm.Status {
-	return c.Wait(c.Irecv(src, tag))
-}
-
-// Wait blocks until r completes, firing ready callbacks meanwhile.
-func (c *Comm) Wait(r comm.Request) comm.Status { return c.eng.Wait(r) }
-
-// WaitAll blocks until every request completes. nil entries (inactive
-// handles, as with MPI_REQUEST_NULL) are skipped.
-func (c *Comm) WaitAll(rs []comm.Request) { c.eng.WaitAll(rs) }
-
-// WaitAny blocks until some request completes and returns its index.
-// nil entries are inactive and skipped; at least one entry must be live.
-func (c *Comm) WaitAny(rs []comm.Request) (int, comm.Status) { return c.eng.WaitAny(rs) }
-
-// OnComplete attaches fn to r; it fires from Progress/Wait on this rank.
-func (c *Comm) OnComplete(r comm.Request, fn func(comm.Status)) { c.eng.OnComplete(r, fn) }
-
-// Progress blocks until at least one completion is processed, fires ready
-// callbacks, and returns.
-func (c *Comm) Progress() { c.eng.Progress() }
-
-// TryProgress fires ready callbacks without blocking.
-func (c *Comm) TryProgress() bool { return c.eng.TryProgress() }
 
 // Compute charges n bytes of blocking local work to this rank.
 func (c *Comm) Compute(n int, kind comm.ComputeKind) {
@@ -407,8 +355,8 @@ func (c *Comm) Compute(n int, kind comm.ComputeKind) {
 func (c *Comm) ComputeFor(d time.Duration) {
 	if tb := c.w.Trace; tb != nil {
 		if id := tb.Add(trace.Record{At: c.w.K.Now(), Rank: c.rank, Kind: trace.Compute,
-			Peer: -1, Dur: d, Parent: c.eng.TraceSetCause(0)}); id != 0 {
-			c.eng.TraceSetCause(id)
+			Peer: -1, Dur: d, Parent: c.TraceSetCause(0)}); id != 0 {
+			c.TraceSetCause(id)
 		}
 	}
 	if c.flat {
@@ -426,27 +374,16 @@ func (c *Comm) ComputeFor(d time.Duration) {
 	c.busyUntil = c.proc.Now()
 }
 
-// TraceEmit implements trace.Emitter: it stamps the record with this
-// rank's identity and virtual clock, defaults its Parent to the current
-// causal context, and appends it. Returns 0 (and stays allocation-free)
-// when tracing is off.
-func (c *Comm) TraceEmit(r trace.Record) uint64 { return c.eng.TraceEmit(r) }
-
-// TraceSetCause installs id as the rank's causal context and returns the
-// previous one; collectives bracket their entry with it so the initial
-// wave of posts links back to the CollStart record.
-func (c *Comm) TraceSetCause(id uint64) uint64 { return c.eng.TraceSetCause(id) }
-
 // DeviceReduce offloads an n-byte reduction to this rank's GPU (§4.2).
 func (c *Comm) DeviceReduce(n int) comm.Request {
-	req := c.eng.StartOp()
+	req := c.StartOp(true)
 	c.w.Net.GPUReduce(c.rank, n, func() { req.Complete(comm.Status{Source: c.rank}) })
 	return req
 }
 
 // AsyncCopy starts an asynchronous host↔device copy (§4.1 staging flush).
 func (c *Comm) AsyncCopy(n int, from, to comm.MemSpace) comm.Request {
-	req := c.eng.StartOp()
+	req := c.StartOp(true)
 	c.w.Net.AsyncCopy(c.rank, n, from, to, func() { req.Complete(comm.Status{Source: c.rank}) })
 	return req
 }
