@@ -6,9 +6,10 @@ GO ?= go
 verify:
 	$(GO) build ./... && $(GO) test ./...
 
-# Pre-merge gate: static checks (vet + gofmt), the race battery and the
-# flake hunt.
+# Pre-merge gate: static checks (vet + gofmt), the whole suite under the
+# race detector, the flake hunt and a short fuzz pass.
 check: vet race flake
+	$(MAKE) fuzz FUZZTIME=5s
 
 build:
 	$(GO) build ./...
@@ -16,12 +17,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Every package with cross-goroutine traffic: the shared fail-stop and
-# FEC planes, the three substrates, the serving layer, the progress
-# engine and the event-driven collectives.
-RACE_PKGS = faults fec simmpi runtime nettransport serve progress core
+# The whole suite under the race detector.
 race:
-	$(GO) test -race $(addprefix ./internal/,$(addsuffix /...,$(RACE_PKGS)))
+	$(GO) test -race ./...
 
 # Flake hunt: every *Deterministic* and soak test, fifty times over, and
 # the conformance grids that run on live goroutines and sockets (daemon,

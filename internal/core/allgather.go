@@ -63,7 +63,12 @@ func newAllgatherState(c comm.Comm, contrib comm.Msg, opt Options) *allgatherSta
 		right: (me + 1) % n,
 		me:    me,
 	}
-	s.out = newChildStream(s.right)
+	s.out = newChildStream(c, s.right, opt.SendWindow,
+		func(pos int) comm.Tag {
+			block := (s.me - pos/s.nseg + s.n) % s.n
+			return s.opt.TagOf(comm.KindAllgather, block*s.nseg+pos%s.nseg)
+		},
+		func() { s.sendPending-- })
 	if s.nseg*n > 1<<tagSegBitsBudget {
 		panic(fmt.Sprintf("core: allgather parcel space %d×%d exceeds tag budget", n, s.nseg))
 	}
@@ -145,14 +150,5 @@ func (s *allgatherState) onParcel(id int, st comm.Status) {
 func (s *allgatherState) enqueue(block int, sg comm.Segment) {
 	d := (s.me - block + s.n) % s.n
 	s.out.offer(d*s.nseg+sg.Index, sg.Msg)
-	s.pump()
-}
-
-func (s *allgatherState) pump() {
-	s.out.pump(s.c, s.opt.SendWindow,
-		func(pos int) comm.Tag {
-			block := (s.me - pos/s.nseg + s.n) % s.n
-			return s.opt.TagOf(comm.KindAllgather, block*s.nseg+pos%s.nseg)
-		},
-		func() { s.sendPending-- })
+	s.out.pump()
 }

@@ -89,11 +89,13 @@ func newAllreduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options
 	s.upPost = make([]int, len(s.children))
 	s.upRecvPending = ns * len(s.children)
 	s.downSendPending = ns * len(s.children)
+	downTag, downSent := opt.tagger(comm.KindAllreduce), func() { s.downSendPending-- }
 	for _, ch := range s.children {
-		s.downStreams = append(s.downStreams, newChildStream(ch))
+		s.downStreams = append(s.downStreams, newChildStream(c, ch, opt.SendWindow, downTag, downSent))
 	}
 	if p := t.Parent[me]; p != -1 {
-		s.up = newChildStream(p)
+		s.up = newChildStream(c, p, opt.SendWindow, opt.tagger(comm.KindReduce),
+			func() { s.upSendPending-- })
 		s.upSendPending = ns
 		s.downRecvPending = ns
 		// Post the down-direction receive window immediately: the root may
@@ -134,8 +136,12 @@ func (s *allreduceState) onContribution(ci, seg int, st comm.Status) {
 	if s.upPost[ci] < len(s.segs) {
 		s.postUpRecv(ci)
 	}
-	if st.Msg.Data != nil && s.segs[seg].Msg.Data != nil {
-		s.opt.Op.Apply(s.segs[seg].Msg.Data, st.Msg.Data, s.opt.Datatype)
+	if st.Msg.Data != nil {
+		if s.segs[seg].Msg.Data != nil {
+			s.opt.Op.Apply(s.segs[seg].Msg.Data, st.Msg.Data, s.opt.Datatype)
+		}
+		// Folded (or dropped): the receiver-owned buffer is dead.
+		comm.PutBuf(st.Msg.Data)
 	}
 	s.c.Compute(s.opt.ReduceCost(st.Msg.Size), comm.ComputeReduce)
 	s.needed[seg]--
@@ -149,16 +155,10 @@ func (s *allreduceState) onContribution(ci, seg int, st comm.Status) {
 func (s *allreduceState) segFolded(seg int) {
 	if s.up != nil {
 		s.up.offer(seg, s.segs[seg].Msg)
-		s.pumpUp()
+		s.up.pump()
 		return
 	}
 	s.turnaround(seg, s.segs[seg].Msg)
-}
-
-func (s *allreduceState) pumpUp() {
-	s.up.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindReduce, idx) },
-		func() { s.upSendPending-- })
 }
 
 func (s *allreduceState) postDownRecv() {
@@ -173,25 +173,26 @@ func (s *allreduceState) onDownSegment(seg int, st comm.Status) {
 	if s.downPost < len(s.segs) {
 		s.postDownRecv()
 	}
+	sg := s.segs[seg]
+	fwd := comm.Msg{Size: st.Msg.Size, Space: sg.Msg.Space}
 	if st.Msg.Data != nil {
 		if s.outData == nil {
+			// The caller's result: a plain allocation, never pooled.
 			s.outData = make([]byte, s.total)
 		}
-		copy(s.outData[s.segs[seg].Offset:], st.Msg.Data)
+		copy(s.outData[sg.Offset:], st.Msg.Data)
+		// Children are fed aliases of the result, so the receiver-owned
+		// segment buffer is dead: recycle it.
+		comm.PutBuf(st.Msg.Data)
+		fwd.Data = s.outData[sg.Offset : sg.Offset+st.Msg.Size]
 	}
-	s.turnaround(seg, comm.Msg{Data: st.Msg.Data, Size: st.Msg.Size, Space: s.segs[seg].Msg.Space})
+	s.turnaround(seg, fwd)
 }
 
 // turnaround hands a fully reduced segment to the down-direction streams.
 func (s *allreduceState) turnaround(seg int, msg comm.Msg) {
 	for _, cs := range s.downStreams {
 		cs.offer(seg, msg)
-		s.pumpDown(cs)
+		cs.pump()
 	}
-}
-
-func (s *allreduceState) pumpDown(cs *childStream) {
-	cs.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindAllreduce, idx) },
-		func() { s.downSendPending-- })
 }

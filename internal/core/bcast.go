@@ -13,16 +13,28 @@ import (
 // the window with transfers the receiver will not match yet while the
 // sends it waits for sit behind them — a head-of-line deadlock. With a
 // strictly ordered in-flight prefix the receiver's window always matches.
+//
+// A stream is bound at construction to its communicator, window, tag
+// function (stream index → wire tag) and per-completion hook, and builds
+// its send-completion callback once, so issuing a segment allocates no
+// closure.
 type childStream struct {
+	c        comm.Comm
 	rank     int
+	window   int
+	tagf     func(int) comm.Tag
+	onDone   func()           // runs once per completed send
 	ready    map[int]comm.Msg // segment index → payload ready to issue
 	next     int              // next index to issue
 	inflight int
-	sent     int // total issued
+	sentFn   func(comm.Status) // cs.onSent, bound once
 }
 
-func newChildStream(rank int) *childStream {
-	return &childStream{rank: rank, ready: make(map[int]comm.Msg)}
+func newChildStream(c comm.Comm, rank, window int, tagf func(int) comm.Tag, onDone func()) *childStream {
+	cs := &childStream{c: c, rank: rank, window: window, tagf: tagf, onDone: onDone,
+		ready: make(map[int]comm.Msg)}
+	cs.sentFn = cs.onSent
+	return cs
 }
 
 // offer marks segment idx ready for issue.
@@ -31,9 +43,9 @@ func (cs *childStream) offer(idx int, msg comm.Msg) {
 }
 
 // pump issues ready segments in index order while the window has room.
-// tagf maps a stream index to its wire tag; onDone runs per completion.
-func (cs *childStream) pump(c comm.Comm, window int, tagf func(int) comm.Tag, onDone func()) {
-	for cs.inflight < window {
+// Each completion re-enters pump, never touching sibling streams.
+func (cs *childStream) pump() {
+	for cs.inflight < cs.window {
 		msg, ok := cs.ready[cs.next]
 		if !ok {
 			return
@@ -42,14 +54,14 @@ func (cs *childStream) pump(c comm.Comm, window int, tagf func(int) comm.Tag, on
 		idx := cs.next
 		cs.next++
 		cs.inflight++
-		cs.sent++
-		r := c.Isend(cs.rank, tagf(idx), msg)
-		c.OnComplete(r, func(comm.Status) {
-			cs.inflight--
-			onDone()
-			cs.pump(c, window, tagf, onDone)
-		})
+		cs.c.OnComplete(cs.c.Isend(cs.rank, cs.tagf(idx), msg), cs.sentFn)
 	}
+}
+
+func (cs *childStream) onSent(comm.Status) {
+	cs.inflight--
+	cs.onDone()
+	cs.pump()
 }
 
 // bcastState is the per-rank ADAPT broadcast state machine.
@@ -88,8 +100,9 @@ func newBcastState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *bcast
 		c: c, t: t, opt: opt, kind: comm.KindBcast,
 		parent: t.Parent[c.Rank()], total: msg.Size, space: msg.Space,
 	}
+	tagf, sent := opt.tagger(s.kind), func() { s.sendPending-- }
 	for _, ch := range t.Children[c.Rank()] {
-		s.children = append(s.children, newChildStream(ch))
+		s.children = append(s.children, newChildStream(c, ch, opt.SendWindow, tagf, sent))
 	}
 
 	if c.Rank() == t.Root {
@@ -101,7 +114,7 @@ func newBcastState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *bcast
 				cs.offer(sg.Index, sg.Msg)
 			}
 			s.sendPending += len(s.segs)
-			s.pump(cs)
+			cs.pump()
 		}
 	} else {
 		// Non-root: pre-build the segment table from the declared size so
@@ -151,14 +164,6 @@ func (s *bcastState) onSegment(seg int, st comm.Status) {
 	sg.Msg = fwd
 	for _, cs := range s.children {
 		cs.offer(sg.Index, sg.Msg)
-		s.pump(cs)
+		cs.pump()
 	}
-}
-
-// pump advances one child's stream while its window has room — each Isend
-// completion re-enters pump via its callback, never touching siblings.
-func (s *bcastState) pump(cs *childStream) {
-	cs.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(s.kind, idx) },
-		func() { s.sendPending-- })
 }

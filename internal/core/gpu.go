@@ -22,7 +22,7 @@ import (
 // from: host (staged) for slow-lane children, device for same-socket
 // peers.
 type stagedChild struct {
-	childStream
+	*childStream
 	space comm.MemSpace
 }
 
@@ -67,13 +67,14 @@ func newStagedBcastState(dc comm.DeviceComm, topo *hwloc.Topology, t *trees.Tree
 		parent: t.Parent[me],
 		leader: IsNodeLeader(topo, t, me),
 	}
+	tagf, sent := opt.tagger(comm.KindBcast), func() { s.sendPending-- }
 	for _, ch := range t.Children[me] {
 		space := comm.MemDevice
 		if s.leader && topo.LevelBetween(me, ch) != hwloc.LevelCore {
 			// Slow-lane children are served from the staging buffer.
 			space = comm.MemHost
 		}
-		s.children = append(s.children, &stagedChild{childStream: *newChildStream(ch), space: space})
+		s.children = append(s.children, &stagedChild{childStream: newChildStream(dc, ch, opt.SendWindow, tagf, sent), space: space})
 	}
 
 	s.segs = comm.Segments(comm.Msg{Data: msg.Data, Size: msg.Size, Space: comm.MemDevice}, opt.SegSize)
@@ -166,13 +167,7 @@ func (s *stagedBcastState) onSegment(seg int, space comm.MemSpace, st comm.Statu
 func (s *stagedBcastState) enqueue(cs *stagedChild, sg comm.Segment) {
 	sg.Msg.Space = cs.space
 	cs.offer(sg.Index, sg.Msg)
-	s.pump(cs)
-}
-
-func (s *stagedBcastState) pump(cs *stagedChild) {
-	cs.childStream.pump(s.dc, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindBcast, idx) },
-		func() { s.sendPending-- })
+	cs.pump()
 }
 
 // reduceOffloadState extends the ADAPT reduce with GPU-offloaded folds.
@@ -217,7 +212,8 @@ func newReduceOffloadState(dc comm.DeviceComm, t *trees.Tree, contrib comm.Msg, 
 	s.nextPost = make([]int, len(s.children))
 	s.recvPending = ns * len(s.children)
 	if p := t.Parent[me]; p != -1 {
-		s.up = newChildStream(p)
+		s.up = newChildStream(dc, p, opt.SendWindow, opt.tagger(comm.KindReduce),
+			func() { s.sendPending-- })
 		s.sendPending = ns
 	}
 	for ci := range s.children {
@@ -265,11 +261,5 @@ func (s *reduceOffloadState) segReady(seg int) {
 		return
 	}
 	s.up.offer(seg, s.segs[seg].Msg)
-	s.pumpUp()
-}
-
-func (s *reduceOffloadState) pumpUp() {
-	s.up.pump(s.dc, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindReduce, idx) },
-		func() { s.sendPending-- })
+	s.up.pump()
 }

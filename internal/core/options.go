@@ -97,6 +97,12 @@ func (o Options) ReduceCost(n int) int {
 	return n
 }
 
+// tagger returns TagOf bound to one collective kind, for a stream's tag
+// function.
+func (o Options) tagger(kind comm.CollKind) func(int) comm.Tag {
+	return func(seg int) comm.Tag { return o.TagOf(kind, seg) }
+}
+
 // TagOf builds the wire tag for segment seg of a collective of the given
 // kind under this option set's sequence number.
 func (o Options) TagOf(kind comm.CollKind, seg int) comm.Tag {

@@ -54,7 +54,8 @@ func newReduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *
 	s.nextPost = make([]int, len(s.children))
 	s.recvPending = ns * len(s.children)
 	if p := t.Parent[c.Rank()]; p != -1 {
-		s.up = newChildStream(p)
+		s.up = newChildStream(c, p, opt.SendWindow, opt.tagger(comm.KindReduce),
+			func() { s.sendPending-- })
 		s.sendPending = ns
 	}
 
@@ -110,13 +111,7 @@ func (s *reduceState) segReady(seg int) {
 		return
 	}
 	s.up.offer(seg, s.segs[seg].Msg)
-	s.pumpUp()
-}
-
-func (s *reduceState) pumpUp() {
-	s.up.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindReduce, idx) },
-		func() { s.sendPending-- })
+	s.up.pump()
 }
 
 // result reassembles the root's folded segments into one message.

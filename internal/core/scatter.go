@@ -57,7 +57,7 @@ type scatterState struct {
 }
 
 type scatterChild struct {
-	childStream
+	*childStream
 	start int            // child range start within my blob
 	segs  []comm.Segment // child-relative segments (offsets child-local)
 	deps  []int          // outstanding inbound segments per child segment
@@ -99,9 +99,10 @@ func newScatterState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *sca
 
 	// Lay out children ranges: [my block][child0 subtree][child1 subtree]…
 	off := blk
+	tagf, sent := opt.tagger(comm.KindScatter), func() { s.sendPending-- }
 	for _, ch := range t.Children[me] {
 		span := blk * len(subtreeOrder(t, ch))
-		sc := &scatterChild{childStream: *newChildStream(ch), start: off}
+		sc := &scatterChild{childStream: newChildStream(c, ch, opt.SendWindow, tagf, sent), start: off}
 		sc.segs = comm.Segments(comm.Msg{Size: span, Space: msg.Space}, opt.SegSize)
 		sc.deps = make([]int, len(sc.segs))
 		s.children = append(s.children, sc)
@@ -194,11 +195,5 @@ func (s *scatterState) releaseChildSeg(sc *scatterChild, i int) {
 		sg.Msg.Data = s.blob[sc.start+sg.Offset : sc.start+sg.Offset+sg.Msg.Size]
 	}
 	sc.offer(i, sg.Msg)
-	s.pump(sc)
-}
-
-func (s *scatterState) pump(sc *scatterChild) {
-	sc.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindScatter, idx) },
-		func() { s.sendPending-- })
+	sc.pump()
 }

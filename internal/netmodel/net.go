@@ -51,6 +51,8 @@ type Net struct {
 	gpuCalc      []*sim.Resource
 	nvlOut       []*sim.Resource
 	nvlIn        []*sim.Resource
+
+	free []*transfer // recycled transfer records (see newTransfer)
 }
 
 // at returns facility i of class s. An aggregated class holds a single
@@ -138,6 +140,67 @@ type hop struct {
 	bw Rate
 }
 
+// maxHops bounds a route: GPU egress, NIC injection, NIC delivery.
+const maxHops = 3
+
+// transfer is one message crossing its hop chain. It runs as a single
+// event handler bound once per record: after the route latency and then
+// at the end of every hop. Records recycle through the owning Net's
+// free-list, so steady-state transfers allocate nothing.
+type transfer struct {
+	n     *Net
+	hops  [maxHops]hop
+	nhops int
+	next  int // index of the next hop to start
+	size  int
+
+	afterFirst, afterLast func()
+	advanceFn             func() // t.advance, bound once
+}
+
+// newTransfer draws a record from the free-list (the free-list lives on
+// the Net, not in a global: independent kernels run concurrently).
+func (n *Net) newTransfer(size int, afterFirst, afterLast func()) *transfer {
+	var t *transfer
+	if k := len(n.free); k > 0 {
+		t = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		t = &transfer{n: n}
+		t.advanceFn = t.advance
+	}
+	t.size, t.afterFirst, t.afterLast = size, afterFirst, afterLast
+	return t
+}
+
+func (t *transfer) push(r *sim.Resource, bw Rate) {
+	t.hops[t.nhops] = hop{r, bw}
+	t.nhops++
+}
+
+// advance is the transfer's event handler: afterFirst fires at the end of
+// the first hop (or at once when there are none), afterLast at the end
+// of the last. The record returns to the free-list before afterLast
+// runs, so that callback may start the next transfer.
+func (t *transfer) advance() {
+	if f := t.afterFirst; f != nil && (t.next > 0 || t.nhops == 0) {
+		t.afterFirst = nil
+		f()
+	}
+	if t.next == t.nhops {
+		last := t.afterLast
+		*t = transfer{n: t.n, advanceFn: t.advanceFn}
+		t.n.free = append(t.n.free, t)
+		if last != nil {
+			last()
+		}
+		return
+	}
+	h := t.hops[t.next]
+	t.next++
+	t.n.K.At(h.r.Use(h.bw.Over(t.size)), t.advanceFn)
+}
+
 // nvlinkPeer reports whether src→dst traffic may ride NVLink (same
 // socket, NVLink present).
 func (n *Net) nvlinkPeer(src, dst int) bool {
@@ -145,74 +208,46 @@ func (n *Net) nvlinkPeer(src, dst int) bool {
 		n.P.Topo.LevelBetween(src, dst) == hwloc.LevelCore
 }
 
-// sendRoute returns the latency and hop list from src's buffer to dst's
-// host boundary.
-func (n *Net) sendRoute(src, dst int, srcSpace comm.MemSpace) (time.Duration, []hop) {
-	t := n.P.Topo
-	level := t.LevelBetween(src, dst)
+// sendRoute loads t with the hops from src's buffer to dst's host
+// boundary and returns the route latency.
+func (n *Net) sendRoute(t *transfer, src, dst int, srcSpace comm.MemSpace) time.Duration {
+	topo := n.P.Topo
+	level := topo.LevelBetween(src, dst)
 	var alpha time.Duration
-	var hops []hop
 	if n.ResolveSpace(srcSpace) == comm.MemDevice {
 		if n.nvlinkPeer(src, dst) {
 			// Peer traffic leaves over the GPU's NVLink port.
-			return n.P.NVLinkAlpha, []hop{{at(n.nvlOut, src), n.nvlBw}}
+			t.push(at(n.nvlOut, src), n.nvlBw)
+			return n.P.NVLinkAlpha
 		}
 		alpha += n.P.PCIeAlpha
-		hops = append(hops, hop{at(n.gpuOut, src), n.pcieBw})
+		t.push(at(n.gpuOut, src), n.pcieBw)
 	}
 	switch level {
 	case hwloc.LevelSelf: // local copy, no fabric
 		alpha += n.P.ShmAlpha
 	case hwloc.LevelCore: // intra-socket
 		alpha += n.P.ShmAlpha
-		if len(hops) == 0 { // host→…: the sender core's copy engine
-			hops = append(hops, hop{at(n.cpu, src), n.shmBw})
+		if t.nhops == 0 { // host→…: the sender core's copy engine
+			t.push(at(n.cpu, src), n.shmBw)
 		}
 	case hwloc.LevelSocket: // inter-socket
 		alpha += n.P.QpiAlpha
-		hops = append(hops, hop{at(n.qpi, t.NodeOf(src)), n.qpiBw})
+		t.push(at(n.qpi, topo.NodeOf(src)), n.qpiBw)
 	default: // inter-node
 		alpha += n.P.NetAlpha
-		hops = append(hops,
-			hop{at(n.nicTx, t.NodeOf(src)), n.netBw},
-			hop{at(n.nicRx, t.NodeOf(dst)), n.netBw})
+		t.push(at(n.nicTx, topo.NodeOf(src)), n.netBw)
+		t.push(at(n.nicRx, topo.NodeOf(dst)), n.netBw)
 	}
-	return alpha, hops
-}
-
-// runHops executes hops as chained events starting after `alpha` from now,
-// invoking afterFirst at the end of the first hop (or after alpha when
-// there are none) and afterLast at the end of the last.
-func (n *Net) runHops(alpha time.Duration, hops []hop, size int, afterFirst, afterLast func()) {
-	n.K.Schedule(alpha, func() { n.step(hops, size, afterFirst, afterLast) })
-}
-
-func (n *Net) step(hops []hop, size int, afterFirst, afterLast func()) {
-	if len(hops) == 0 {
-		if afterFirst != nil {
-			afterFirst()
-		}
-		if afterLast != nil {
-			afterLast()
-		}
-		return
-	}
-	end := hops[0].r.Use(hops[0].bw.Over(size))
-	rest := hops[1:]
-	n.K.At(end, func() {
-		if afterFirst != nil {
-			afterFirst()
-		}
-		n.step(rest, size, nil, afterLast)
-	})
+	return alpha
 }
 
 // StartTransfer moves size bytes from src toward dst starting now.
 // onSent fires when the source-side buffer is reusable (end of the first
 // hop); onArrive fires when the payload reaches dst's host boundary.
 func (n *Net) StartTransfer(src, dst, size int, srcSpace comm.MemSpace, onSent, onArrive func()) {
-	alpha, hops := n.sendRoute(src, dst, srcSpace)
-	n.runHops(alpha, hops, size, onSent, onArrive)
+	t := n.newTransfer(size, onSent, onArrive)
+	n.K.Schedule(n.sendRoute(t, src, dst, srcSpace), t.advanceFn)
 }
 
 // Deliver lands an arrived payload in dst's receive buffer, crossing the
@@ -227,11 +262,14 @@ func (n *Net) Deliver(dst, size int, dstSpace comm.MemSpace, done func()) {
 // -1 when unknown (forces the PCIe path).
 func (n *Net) DeliverFrom(src, dst, size int, dstSpace comm.MemSpace, done func()) {
 	if n.ResolveSpace(dstSpace) == comm.MemDevice {
+		t := n.newTransfer(size, nil, done)
 		if src >= 0 && n.nvlinkPeer(src, dst) {
-			n.runHops(0, []hop{{at(n.nvlIn, dst), n.nvlBw}}, size, nil, done)
+			t.push(at(n.nvlIn, dst), n.nvlBw)
+			n.K.Schedule(0, t.advanceFn)
 			return
 		}
-		n.runHops(n.P.PCIeAlpha, []hop{{at(n.gpuIn, dst), n.pcieBw}}, size, nil, done)
+		t.push(at(n.gpuIn, dst), n.pcieBw)
+		n.K.Schedule(n.P.PCIeAlpha, t.advanceFn)
 		return
 	}
 	n.K.Schedule(0, done)

@@ -260,3 +260,91 @@ func TestNVLinkOnlyIntraSocket(t *testing.T) {
 			crossSock, crossNode, minPCIe)
 	}
 }
+
+// The transfer record's hop walk: on 0- to 3-hop routes afterFirst fires
+// at the end of the first hop (after the route latency when there is
+// none) and afterLast at the end of the last, each exactly once.
+func TestTransferHopCallbacks(t *testing.T) {
+	const size = 1 * MB
+	cori, psg := Cori(2), PSG(2)
+	cases := []struct {
+		name     string
+		p        *Platform
+		src, dst int
+		space    comm.MemSpace
+		alpha    time.Duration
+		hopCosts []time.Duration
+		wantHops int
+	}{
+		{"0-hop self", cori, 0, 0, comm.MemHost, cori.ShmAlpha, nil, 0},
+		{"1-hop intra-socket", cori, 0, 1, comm.MemHost, cori.ShmAlpha,
+			[]time.Duration{cori.ShmBw.Over(size)}, 1},
+		{"2-hop inter-node", cori, 0, 32, comm.MemHost, cori.NetAlpha,
+			[]time.Duration{cori.NetBw.Over(size), cori.NetBw.Over(size)}, 2},
+		{"3-hop GPU inter-node", psg, 0, 4, comm.MemDevice, psg.PCIeAlpha + psg.NetAlpha,
+			[]time.Duration{psg.PCIeBw.Over(size), psg.NetBw.Over(size), psg.NetBw.Over(size)}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New()
+			n := NewNet(k, tc.p)
+			var first, last []time.Duration
+			k.Schedule(0, func() {
+				n.StartTransfer(tc.src, tc.dst, size, tc.space,
+					func() { first = append(first, k.Now()) },
+					func() { last = append(last, k.Now()) })
+			})
+			k.MustRun()
+			wantFirst, wantLast := tc.alpha, tc.alpha
+			for i, c := range tc.hopCosts {
+				if i == 0 {
+					wantFirst += c
+				}
+				wantLast += c
+			}
+			if len(first) != 1 || first[0] != wantFirst {
+				t.Errorf("afterFirst fired at %v, want once at %v", first, wantFirst)
+			}
+			if len(last) != 1 || last[0] != wantLast {
+				t.Errorf("afterLast fired at %v, want once at %v", last, wantLast)
+			}
+			if got := k.Stats().Dispatched; got != uint64(2+tc.wantHops) {
+				t.Errorf("%d events dispatched, want %d (start, latency, one per hop)", got, 2+tc.wantHops)
+			}
+		})
+	}
+}
+
+// A transfer started from inside afterLast draws the record the finished
+// transfer just released: the chain runs on one record, and the second
+// transfer's timing and callbacks are its own.
+func TestTransferRestartFromAfterLast(t *testing.T) {
+	const size = 1 * MB
+	k := sim.New()
+	p := PSG(2)
+	n := NewNet(k, p)
+	var firstEnd, secondSent, secondEnd time.Duration
+	firstSent := 0
+	k.Schedule(0, func() {
+		n.StartTransfer(0, 4, size, comm.MemDevice, func() { firstSent++ }, func() {
+			firstEnd = k.Now()
+			if len(n.free) != 1 {
+				t.Errorf("free-list holds %d records inside afterLast, want the released one", len(n.free))
+			}
+			n.StartTransfer(0, 1, size, comm.MemHost,
+				func() { secondSent = k.Now() },
+				func() { secondEnd = k.Now() })
+		})
+	})
+	k.MustRun()
+	if firstSent != 1 {
+		t.Errorf("first transfer's afterFirst fired %d times, want 1", firstSent)
+	}
+	want := firstEnd + p.ShmAlpha + p.ShmBw.Over(size)
+	if secondSent != want || secondEnd != want {
+		t.Errorf("second transfer sent/arrived at %v/%v, want %v", secondSent, secondEnd, want)
+	}
+	if len(n.free) != 1 {
+		t.Errorf("free-list holds %d records after the chain, want 1", len(n.free))
+	}
+}

@@ -191,7 +191,9 @@ type Engine struct {
 	mu             sync.Mutex
 	posted         []*Req
 	unexpected     []*Env
-	cbQueue        []*Req
+	cbQueue        []*Req // queued callbacks; cbQueue[cbHead:] are unfired
+	cbHead         int
+	cbSpare        []*Req // drain's second buffer, so batches reuse storage
 	completedCount uint64
 	pendingOps     int
 	arrivalSeq     uint64
@@ -337,7 +339,7 @@ func (e *Engine) PostRecv(src int, tag comm.Tag, space comm.MemSpace) *Req {
 	e.pendingOps++
 	for i, env := range e.unexpected {
 		if req.matches(env) {
-			e.unexpected = append(e.unexpected[:i:i], e.unexpected[i+1:]...)
+			e.unexpected = removeAt(e.unexpected, i)
 			req.MatchID = env.PostID
 			req.matching = true
 			e.mu.Unlock()
@@ -359,6 +361,13 @@ func (e *Engine) Irecv(src int, tag comm.Tag) comm.Request {
 // Recv performs a blocking receive.
 func (e *Engine) Recv(src int, tag comm.Tag) comm.Status {
 	return e.Wait(e.Irecv(src, tag))
+}
+
+// removeAt deletes q[i] in place, keeping the queue's order and storage.
+func removeAt[T any](q []*T, i int) []*T {
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = nil
+	return q[:len(q)-1]
 }
 
 func (r *Req) matches(env *Env) bool {
@@ -389,7 +398,7 @@ func (e *Engine) Arrive(env *Env) ArriveResult {
 	env.Seq = e.arrivalSeq
 	for i, req := range e.posted {
 		if req.matches(env) {
-			e.posted = append(e.posted[:i:i], e.posted[i+1:]...)
+			e.posted = removeAt(e.posted, i)
 			req.MatchID = env.PostID
 			req.matching = true
 			e.mu.Unlock()
@@ -467,22 +476,34 @@ func (e *Engine) drain() int {
 	n := 0
 	for {
 		e.mu.Lock()
-		batch := e.cbQueue
-		e.cbQueue = nil
-		e.mu.Unlock()
-		if len(batch) == 0 {
+		if e.cbHead == len(e.cbQueue) {
+			e.mu.Unlock()
 			return n
 		}
-		for _, req := range batch {
-			cb := req.cb
-			req.cb = nil
-			if req.DoneID != 0 {
-				e.curCause = req.DoneID
-			}
-			cb(req.status)
+		// Swap in the spare buffer: callbacks queued while this batch
+		// fires land in the next batch, in completion order.
+		batch := e.cbQueue[e.cbHead:]
+		e.cbQueue, e.cbHead, e.cbSpare = e.cbSpare, 0, nil
+		e.mu.Unlock()
+		for i, req := range batch {
+			batch[i] = nil
+			e.fire(req)
 		}
 		n += len(batch)
+		e.mu.Lock()
+		e.cbSpare = batch[:0]
+		e.mu.Unlock()
 	}
+}
+
+// fire runs req's callback with its completion as the causal context.
+func (e *Engine) fire(req *Req) {
+	cb := req.cb
+	req.cb = nil
+	if req.DoneID != 0 {
+		e.curCause = req.DoneID
+	}
+	cb(req.status)
 }
 
 // DrainWhile fires queued callbacks one at a time while ok() holds,
@@ -497,19 +518,19 @@ func (e *Engine) DrainWhile(ok func() bool) int {
 	n := 0
 	for ok() {
 		e.mu.Lock()
-		if len(e.cbQueue) == 0 {
+		if e.cbHead == len(e.cbQueue) {
 			e.mu.Unlock()
 			break
 		}
-		req := e.cbQueue[0]
-		e.cbQueue = e.cbQueue[1:]
-		e.mu.Unlock()
-		cb := req.cb
-		req.cb = nil
-		if req.DoneID != 0 {
-			e.curCause = req.DoneID
+		// Pop by head index; once empty the queue rewinds to its start,
+		// so its storage is reused instead of shrinking away.
+		req := e.cbQueue[e.cbHead]
+		e.cbQueue[e.cbHead] = nil
+		if e.cbHead++; e.cbHead == len(e.cbQueue) {
+			e.cbQueue, e.cbHead = e.cbQueue[:0], 0
 		}
-		cb(req.status)
+		e.mu.Unlock()
+		e.fire(req)
 		n++
 	}
 	return n
@@ -520,7 +541,7 @@ func (e *Engine) DrainWhile(ok func() bool) int {
 func (e *Engine) PendingCallbacks() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.cbQueue)
+	return len(e.cbQueue) - e.cbHead
 }
 
 // observe installs a completion the owner just acted on as the causal
@@ -531,7 +552,10 @@ func (e *Engine) observe(doneID uint64) {
 	}
 }
 
-// Wait blocks until r completes, firing ready callbacks meanwhile.
+// Wait blocks until r completes, firing ready callbacks meanwhile. Like
+// every wait variant it returns only after the callbacks of everything
+// that completed before it observed r done have fired (except those an
+// enclosing drain already holds, when called from inside a callback).
 func (e *Engine) Wait(r comm.Request) comm.Status {
 	req := r.(*Req)
 	for {
@@ -540,6 +564,9 @@ func (e *Engine) Wait(r comm.Request) comm.Status {
 		if req.done {
 			st, doneID := req.status, req.DoneID
 			e.mu.Unlock()
+			// A completion landing on another goroutine between the drain
+			// and the check queued its callback first: fire it too.
+			e.drain()
 			e.observe(doneID)
 			return st
 		}
@@ -564,6 +591,7 @@ func (e *Engine) WaitAll(rs []comm.Request) {
 			}
 		}
 		if alldone {
+			e.drain() // callbacks of completions that raced the check (see Wait)
 			// The rank proceeds only once every request has landed: the
 			// latest completion (largest record id) is its causal context.
 			var last uint64
@@ -599,6 +627,7 @@ func (e *Engine) WaitAny(rs []comm.Request) (int, comm.Status) {
 				continue
 			}
 			if st, ok := r.Test(); ok {
+				e.drain() // callbacks of completions that raced the check (see Wait)
 				if req, ok := r.(*Req); ok {
 					e.observe(req.DoneID)
 				}
@@ -702,7 +731,7 @@ func (e *Engine) CancelRecv(r comm.Request) bool {
 	}
 	for i, q := range e.posted {
 		if q == req {
-			e.posted = append(e.posted[:i:i], e.posted[i+1:]...)
+			e.posted = removeAt(e.posted, i)
 			req.done = true
 			req.cb = nil
 			req.status = comm.Status{Source: req.Src, Tag: req.Tag, Err: ErrCanceled}
@@ -722,7 +751,7 @@ func (e *Engine) Halt() (posted []*Req, unexpected []*Env) {
 	e.mu.Lock()
 	e.halted = true
 	posted, unexpected = e.posted, e.unexpected
-	e.posted, e.unexpected, e.cbQueue = nil, nil, nil
+	e.posted, e.unexpected, e.cbQueue, e.cbHead = nil, nil, nil, 0
 	e.mu.Unlock()
 	return posted, unexpected
 }

@@ -591,6 +591,11 @@ func (s *session) handleClose() {
 	case <-s.gone:
 		return
 	}
+	// Free the proxy rank before the Bye: a client whose Close returned
+	// may rebind it at once, before run() tears this session down.
+	if s.proxyRank >= 0 {
+		s.be.unbindProxy(s.proxyRank, s)
+	}
 	s.send(encodeBye())
 	// Let the writer flush the tail before run() tears the conn down.
 	s.send(nil)

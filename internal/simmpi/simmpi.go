@@ -56,6 +56,8 @@ type World struct {
 	// Fail-stop crash schedule and detector (nil = no crash rules armed;
 	// see crash.go).
 	crash *faults.Plane
+
+	p2pFree []*p2p // recycled point-to-point records (see p2p.go)
 }
 
 // NewWorld builds the per-rank endpoints for platform p with the given
@@ -182,7 +184,9 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	if lag := c.sendLag(); lag > 0 {
 		// Flat mode with the rank's busy clock ahead of virtual time: the
 		// protocol launches when the rank would actually have issued it.
-		c.w.K.Schedule(lag, func() { c.launchSend(req, dst, tag, msg) })
+		x := c.w.newP2P(c.rank, dst, tag, msg)
+		x.send, x.pending = req, 1
+		c.w.K.Schedule(lag, x.launchFn)
 	} else {
 		c.launchSend(req, dst, tag, msg)
 	}
@@ -206,43 +210,38 @@ func (c *Comm) sendLag() time.Duration {
 // launchSend runs the send protocol for an already-registered request:
 // eager push or rendezvous announcement. Runs at the rank's issue time.
 func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg) {
-	d := c.w.ranks[dst]
-	st := comm.Status{Source: c.rank, Tag: tag, Msg: msg}
-	if msg.Size <= c.w.Net.P.EagerLimit {
-		if c.w.inj != nil {
-			c.chaosEager(d, req, tag, msg, st)
-			return
-		}
-		// Eager: ship the payload now; sender completes at first-hop end.
-		// Real payloads are snapshotted into a pooled buffer — the sender
-		// may reuse its buffer the moment the send completes, which is
-		// before the match — and the receiver owns the copy from here on.
-		send := msg
-		if msg.Data != nil {
-			buf := comm.GetBuf(len(msg.Data))
-			copy(buf, msg.Data)
-			send.Data = buf
-		}
-		c.w.Net.StartTransfer(c.rank, dst, msg.Size, msg.Space,
-			func() { req.Complete(st) },
-			func() {
-				env := d.NewEnv(c.rank, tag, send, nil)
-				env.PostID = req.PostID
-				d.arrive(env)
-			})
+	if msg.Size > c.w.Net.P.EagerLimit {
+		// Rendezvous: announce via RTS; data moves once the receiver matches.
+		c.sendRTS(req, dst, tag, msg)
 		return
 	}
-	// Rendezvous: announce via RTS; data moves once the receiver matches.
 	if c.w.inj != nil {
-		c.chaosRendezvous(d, req, tag, msg)
+		c.chaosEager(c.w.ranks[dst], req, tag, msg, comm.Status{Source: c.rank, Tag: tag, Msg: msg})
 		return
 	}
-	rtsDelay := c.w.Net.ControlLatency(c.rank, dst) + c.w.Net.P.RndvAlpha
-	c.w.K.Schedule(rtsDelay, func() {
-		env := d.NewEnv(c.rank, tag, msg, req)
-		env.PostID = req.PostID
-		d.arrive(env)
-	})
+	// Eager: ship the payload now; sender completes at first-hop end.
+	// Real payloads are snapshotted into a pooled buffer — the sender
+	// may reuse its buffer the moment the send completes, which is
+	// before the match — and the receiver owns the copy from here on.
+	x := c.w.newP2P(c.rank, dst, tag, msg)
+	x.send, x.pending = req, 2
+	if msg.Data != nil {
+		x.data = comm.GetBuf(len(msg.Data))
+		copy(x.data, msg.Data)
+	}
+	c.w.Net.StartTransfer(c.rank, dst, msg.Size, msg.Space, x.sentFn, x.arriveFn)
+}
+
+// sendRTS announces a rendezvous send to dst; the sender's request
+// completes once the receiver has matched and pulled the data.
+func (c *Comm) sendRTS(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg) {
+	if c.w.inj != nil {
+		c.chaosRendezvous(c.w.ranks[dst], req, tag, msg)
+		return
+	}
+	x := c.w.newP2P(c.rank, dst, tag, msg)
+	x.send, x.pending = req, 1
+	c.w.K.Schedule(c.w.Net.ControlLatency(c.rank, dst)+c.w.Net.P.RndvAlpha, x.announceFn)
 }
 
 // IrecvIn posts a non-blocking receive whose buffer lives in the given
@@ -275,45 +274,29 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 		req.MatchID = sender.PostID // causal Link: this receive consumed that send
 	}
 	c.FreeEnv(env)
+	if sender != nil && c.w.inj != nil {
+		c.chaosGrant(req, src, tag, msg, sender)
+		return
+	}
+	x := c.w.newP2P(src, c.rank, tag, msg)
+	x.recv = req
 	if sender != nil {
-		if c.w.inj != nil {
-			c.chaosGrant(req, src, tag, msg, sender)
-			return
-		}
-		// Rendezvous: grant (CTS) travels back, then the data flies. The
-		// sender keeps its buffer until its request completes; the transfer
-		// snapshots it into a pooled, receiver-owned copy at start time.
-		ctsDelay := net.ControlLatency(c.rank, src) + net.P.RndvAlpha
-		c.w.K.Schedule(ctsDelay, func() {
-			recv := msg
-			if msg.Data != nil {
-				buf := comm.GetBuf(len(msg.Data))
-				copy(buf, msg.Data)
-				recv.Data = buf
-			}
-			st := comm.Status{Source: src, Tag: tag, Msg: recv}
-			net.StartTransfer(src, c.rank, msg.Size, msg.Space,
-				func() { sender.Complete(comm.Status{Source: src, Tag: tag, Msg: msg}) },
-				func() {
-					net.DeliverFrom(src, c.rank, msg.Size, req.Space, func() { req.Complete(st) })
-				})
-		})
+		// Rendezvous: grant (CTS) travels back, then the data flies (see
+		// p2p.grant); both requests complete before the record retires.
+		x.send, x.pending = sender, 2
+		c.w.K.Schedule(net.ControlLatency(c.rank, src)+net.P.RndvAlpha, x.grantFn)
 		return
 	}
 	// Eager payload already at the host boundary (and, when real, already a
-	// pooled copy owned by this rank — see Isend).
-	st := comm.Status{Source: src, Tag: tag, Msg: msg}
-	finish := func() {
-		net.DeliverFrom(src, c.rank, msg.Size, req.Space, func() { req.Complete(st) })
-	}
+	// pooled copy owned by this rank — see launchSend).
+	x.data, x.pending = msg.Data, 1
 	if wasUnexpected {
 		// Buffered copy-out penalty (paper §2.2.1: "memory allocation and
 		// data copying ... significant latency").
-		penalty := net.P.UnexpectedAlpha + net.P.CopyBw.Over(msg.Size)
-		c.w.K.Schedule(penalty, finish)
+		c.w.K.Schedule(net.P.UnexpectedAlpha+net.P.CopyBw.Over(msg.Size), x.landFn)
 		return
 	}
-	finish()
+	x.land()
 }
 
 // Send performs a blocking send (Isend + Wait): for rendezvous sizes it
@@ -332,15 +315,7 @@ func (c *Comm) Ssend(dst int, tag comm.Tag, msg comm.Msg) {
 	}
 	c.w.noteSend(c) // crash point: the rank may die initiating this send
 	req := c.StartSend(dst, tag, msg.Size)
-	d := c.w.ranks[dst]
-	if c.w.inj != nil {
-		c.chaosRendezvous(d, req, tag, msg)
-	} else {
-		rtsDelay := c.w.Net.ControlLatency(c.rank, dst) + c.w.Net.P.RndvAlpha
-		c.w.K.Schedule(rtsDelay, func() {
-			d.arrive(d.NewEnv(c.rank, tag, msg, req))
-		})
-	}
+	c.sendRTS(req, dst, tag, msg)
 	c.Wait(req)
 }
 
