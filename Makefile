@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify check test build race flake vet bench chaos crash fec fuzz trace net progress serve obs scale
+.PHONY: verify check test build race flake vet bench chaos crash fuzz trace net progress serve obs scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
@@ -114,16 +114,6 @@ obs:
 	$(GO) test -race ./internal/metrics/... ./internal/perf/...
 	$(GO) test -race -run 'TestAdminAgainstLiveServer' ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkCounterDisabled|BenchmarkLatencyBracketDisabled' -benchmem ./internal/metrics
-
-# Erasure-coding gate: the codec and controller under the race detector,
-# the FEC paths of all three substrates (simulator, live runtime, TCP
-# loopback), the cross-substrate FEC conformance grids, and the
-# loss-sweep benchmark with its zero-retransmit gate (BENCH_fec.json).
-fec:
-	$(GO) test -race ./internal/fec/...
-	$(GO) test -race -run 'TestFEC|TestLiveFEC|TestNetFEC' ./internal/simmpi ./internal/runtime ./internal/nettransport
-	$(GO) test -race -run 'TestConformanceFEC' ./internal/conform
-	$(GO) run ./cmd/adaptbench -fec-json BENCH_fec.json -scale quick
 
 # Short fuzz passes over the tag-matching predicate, the fault-plan
 # parser, the unified matching core, the daemon's framed request codec,

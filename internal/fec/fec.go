@@ -133,6 +133,11 @@ func mulAccum(dst, src []byte, c byte) {
 // caller; a group whose members are all empty yields empty (non-nil)
 // parity shards.
 func EncodeParity(p Params, data [][]byte) [][]byte {
+	return appendParity(make([][]byte, 0, p.M), p, data)
+}
+
+// appendParity appends the M parity shards of EncodeParity to dst.
+func appendParity(dst [][]byte, p Params, data [][]byte) [][]byte {
 	if len(data) != p.K {
 		panic(fmt.Sprintf("fec: encode with %d shards, params k=%d", len(data), p.K))
 	}
@@ -140,8 +145,7 @@ func EncodeParity(p Params, data [][]byte) [][]byte {
 		panic(err)
 	}
 	n := shardLen(data)
-	parity := make([][]byte, p.M)
-	for j := range parity {
+	for j := 0; j < p.M; j++ {
 		par := comm.GetBufZero(n)
 		if par == nil {
 			// All-empty group (zero-length segments): parity is present
@@ -151,9 +155,9 @@ func EncodeParity(p Params, data [][]byte) [][]byte {
 		for i, d := range data {
 			mulAccum(par, d, p.Coeff(j, i))
 		}
-		parity[j] = par
+		dst = append(dst, par)
 	}
-	return parity
+	return dst
 }
 
 // ErrShortParity reports a group with more erasures than surviving

@@ -18,6 +18,15 @@ import (
 // half: surviving parity rebuilds the erased members. Time reaches the
 // framer only through the injected after(d, fn) — a kernel event on the
 // simulator, a timer goroutine on the live substrates.
+//
+// Groups recycle. A substrate done with a sealed group hands it back
+// through Recycle, and the framer reissues it, with its member, shard,
+// parity and decided slices, to a later group on any link. Each group's
+// idle-flush handler is bound once, when the group is first allocated.
+// A group whose flush is still armed is not reissued until that flush
+// has fired, so a stale flush only ever finds its own, sealed group and
+// can never seal a newer one. The free-list lives under mu, because the
+// live substrates share one framer across goroutines.
 
 // Counters tallies one FEC layer's activity; each count also feeds the
 // process-wide perf counters. Safe for concurrent use.
@@ -70,14 +79,18 @@ func (c *Counters) Decode(p Params, shards [][]byte, missing []int, parity [][]b
 // present returns the codec's view of a group's payloads: an elided
 // (nil) payload is an empty shard, not an erasure.
 func present(shards [][]byte) [][]byte {
-	data := make([][]byte, len(shards))
-	for i, s := range shards {
+	return appendPresent(make([][]byte, 0, len(shards)), shards)
+}
+
+// appendPresent appends present(shards) to dst.
+func appendPresent(dst, shards [][]byte) [][]byte {
+	for _, s := range shards {
 		if s == nil {
 			s = []byte{}
 		}
-		data[i] = s
+		dst = append(dst, s)
 	}
-	return data
+	return dst
 }
 
 // Group is one erasure-coding group on a directed link.
@@ -91,6 +104,11 @@ type Group[M any] struct {
 
 	decided []bool // parity shards whose fate is known
 	pending int    // parity shards still in flight
+
+	data     [][]byte // encode input scratch, cleared after each encode
+	flushFn  func()   // the idle flush, bound once per group object
+	armed    bool     // the idle flush is scheduled and has not fired
+	recycled bool     // handed back while armed: reissue once the flush fires
 }
 
 // ParityFate settles parity shard j: arrived, or lost — its buffer is
@@ -118,12 +136,13 @@ func (g *Group[M]) Release() {
 			g.Shards[i] = nil
 		}
 	}
-	for _, p := range g.Parity {
+	for j, p := range g.Parity {
 		if p != nil {
 			comm.PutBuf(p)
+			g.Parity[j] = nil
 		}
 	}
-	g.Parity = nil
+	g.Parity = g.Parity[:0]
 }
 
 // Framer groups a member stream per directed link. Safe for concurrent
@@ -138,6 +157,7 @@ type Framer[M any] struct {
 
 	mu      sync.Mutex
 	open    map[uint64]*Group[M]
+	free    []*Group[M] // recycled groups, none with its flush armed
 	gid     uint64
 	stopped bool
 }
@@ -166,8 +186,7 @@ func (f *Framer[M]) Add(src, dst int, m M, shard []byte) bool {
 	g := f.open[key]
 	opened := g == nil
 	if opened {
-		f.gid++
-		g = &Group[M]{ID: f.gid, Src: src, Dst: dst}
+		g = f.openLocked(src, dst)
 		f.open[key] = g
 	}
 	g.Members = append(g.Members, m)
@@ -178,7 +197,7 @@ func (f *Framer[M]) Add(src, dst int, m M, shard []byte) bool {
 	}
 	f.mu.Unlock()
 	if opened {
-		f.after(f.idle, func() { f.flush(key, g) })
+		f.after(f.idle, g.flushFn)
 	}
 	if full {
 		f.close(g)
@@ -186,9 +205,35 @@ func (f *Framer[M]) Add(src, dst int, m M, shard []byte) bool {
 	return true
 }
 
-// flush seals a group its idle timer caught still open.
-func (f *Framer[M]) flush(key uint64, g *Group[M]) {
+// openLocked issues the next group on link src→dst, recycled when one is
+// free, with its idle flush marked armed. Caller holds f.mu.
+func (f *Framer[M]) openLocked(src, dst int) *Group[M] {
+	var g *Group[M]
+	if n := len(f.free); n > 0 {
+		g = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		k := f.cfg.K
+		g = &Group[M]{Members: make([]M, 0, k), Shards: make([][]byte, 0, k), data: make([][]byte, 0, k)}
+		g.flushFn = func() { f.flush(g) }
+	}
+	f.gid++
+	g.ID, g.Src, g.Dst, g.armed = f.gid, src, dst, true
+	return g
+}
+
+// flush is g's idle timer: it seals g if g is still its link's open
+// group, and reissues g if it was recycled while the timer was armed.
+func (f *Framer[M]) flush(g *Group[M]) {
 	f.mu.Lock()
+	g.armed = false
+	if g.recycled {
+		g.recycled = false
+		f.free = append(f.free, g)
+		f.mu.Unlock()
+		return
+	}
+	key := linkKey(g.Src, g.Dst)
 	if f.stopped || f.open[key] != g {
 		f.mu.Unlock()
 		return
@@ -198,13 +243,37 @@ func (f *Framer[M]) flush(key uint64, g *Group[M]) {
 	f.close(g)
 }
 
+// Recycle releases a resolved group's buffers and hands the group back
+// for reuse. The caller must hold no reference to g, its members or its
+// slices afterwards. A group whose idle flush is still armed is reissued
+// only after that flush fires.
+func (f *Framer[M]) Recycle(g *Group[M]) {
+	g.Release()
+	clear(g.Members)
+	g.Members, g.Shards = g.Members[:0], g.Shards[:0]
+	g.decided, g.pending, g.Params = g.decided[:0], 0, Params{}
+	f.mu.Lock()
+	if g.armed {
+		g.recycled = true
+	} else {
+		f.free = append(f.free, g)
+	}
+	f.mu.Unlock()
+}
+
 // close picks the parity count, encodes, and seals.
 func (f *Framer[M]) close(g *Group[M]) {
 	k := len(g.Members)
 	m := f.ctl.ChooseM(g.Src, g.Dst, k)
 	g.Params = Params{K: k, M: m}
-	g.Parity = EncodeParity(g.Params, present(g.Shards))
-	g.decided, g.pending = make([]bool, m), m
+	g.data = appendPresent(g.data[:0], g.Shards)
+	g.Parity = appendParity(g.Parity[:0], g.Params, g.data)
+	clear(g.data)
+	g.decided = g.decided[:0]
+	for range m {
+		g.decided = append(g.decided, false)
+	}
+	g.pending = m
 	f.ctr.encoded.Add(uint64(m))
 	perf.RecordFecEncoded(m)
 	f.seal(g)

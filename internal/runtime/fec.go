@@ -74,7 +74,7 @@ func (c *Comm) fecSend(d *Comm, env *progress.Env, size int) {
 // either reconstructs the group's losses or hands them back to the
 // retry walk.
 func (w *World) sealFEC(g *fec.Group[*fecMember]) {
-	defer g.Release()
+	defer w.fec.Recycle(g)
 	src := w.ranks[g.Src]
 	for j, shard := range g.Parity {
 		ptag := comm.MakeTag(comm.KindFec, int(g.ID%comm.SeqWrap), j)

@@ -7,6 +7,8 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/core"
+	"adapt/internal/faults"
+	"adapt/internal/fec"
 	"adapt/internal/netmodel"
 	"adapt/internal/noise"
 	"adapt/internal/sim"
@@ -41,5 +43,37 @@ func TestFlatAllreduceAllocs(t *testing.T) {
 	t.Logf("%.0f allocs over %d data transfers: %.2f per transfer", allocs, transfers, per)
 	if per > 7 {
 		t.Errorf("%.2f allocations per data transfer, want ≤ 7", per)
+	}
+}
+
+// TestChaosAllreduceAllocs bounds the heap allocations of a lossy
+// proc-mode allreduce per data transfer, world build included: the
+// paper's Topology+ChainConfig tree on 128 Cori ranks, 256 KiB in 8 KiB
+// eager segments, 1% drops under the default recovery and FEC at K=4.
+// Every reliable transmission rides one pooled record, and wire copies,
+// parity shards and FEC groups recycle, so what is left per transfer is
+// close to the clean path's cost.
+func TestChaosAllreduceAllocs(t *testing.T) {
+	const size, seg = 256 << 10, 8 << 10
+	p := netmodel.Cori(4)
+	ranks := p.Topo.Size()
+	tree := trees.Topology(p.Topo, 0, trees.ChainConfig())
+	opt := core.DefaultOptions()
+	opt.SegSize = seg
+	plan := faults.MustParsePlan("seed=7; all: drop=0.01")
+	transfers := 2 * (ranks - 1) * comm.NumSegments(size, seg)
+
+	allocs := testing.AllocsPerRun(2, func() {
+		k := sim.New()
+		w := simmpi.NewWorld(k, p, noise.None)
+		w.InstallFaults(plan, faults.DefaultRecovery())
+		w.EnableFEC(fec.Config{K: 4})
+		w.Spawn(func(c *simmpi.Comm) { core.StartAllreduce(c, tree, comm.Sized(size), opt).Wait() })
+		k.MustRun()
+	})
+	per := allocs / float64(transfers)
+	t.Logf("%.0f allocs over %d data transfers (%d ranks): %.2f per transfer", allocs, transfers, ranks, per)
+	if per > 8 {
+		t.Errorf("%.2f allocations per data transfer, want ≤ 8", per)
 	}
 }

@@ -20,7 +20,20 @@ func runChaos(t *testing.T, plan string, rec faults.Recovery, body func(c *Comm)
 	w.InstallFaults(faults.MustParsePlan(plan), rec)
 	w.Spawn(body)
 	_, err := k.Run()
+	if err == nil {
+		requireDrained(t, w)
+	}
 	return w, err
+}
+
+// requireDrained fails the test unless every pooled chaos-path record of
+// a drained, crash-free world is back on its free-list: a leftover means
+// a reference was never dropped, a negative count a double release.
+func requireDrained(t *testing.T, w *World) {
+	t.Helper()
+	if xmits, wires, groups := w.Outstanding(); xmits != 0 || wires != 0 || groups != 0 {
+		t.Errorf("pooled records outstanding after drain: %d xmit, %d wire, %d FEC group", xmits, wires, groups)
+	}
 }
 
 func TestChaosEagerRecoversFromDrops(t *testing.T) {

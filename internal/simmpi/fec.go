@@ -31,6 +31,14 @@ import (
 // space, so sender framer and receiver reconstructor share one group
 // object; the parity still crosses the simulated fabric and draws real
 // fault verdicts.
+//
+// The group's members are the transmissions' own xmit records, so no
+// member object exists apart from the record: enrolling a transmission
+// takes a record reference that the group drops when it resolves. Each
+// parity shard in flight is a pooled wire record, the same type that
+// carries a transmission's wire copies. A resolved group unlinks its
+// members first, so no later delivery can reach it, and then goes back
+// to the framer (fec.Framer.Recycle) with its slices for the next group.
 
 // EnableFEC arms erasure coding over the eager segment stream. Must be
 // called after InstallFaults (FEC shadows the chaos transport) and
@@ -49,116 +57,149 @@ func (w *World) EnableFEC(cfg fec.Config) {
 // FECStats returns what the FEC layer did; zero when not enabled.
 func (w *World) FECStats() fec.Stats { return w.fecStats.Stats() }
 
-// fecMember is one eager transmission enrolled in a group.
-type fecMember struct {
-	g    *fecGroup // set at seal
-	x    *xmit
-	tag  comm.Tag
-	msg  comm.Msg // original metadata (logical size, memory space)
-	d    *Comm
-	post uint64 // sender's PostID, for the causal trace edge
+// wire is one copy in flight: a wire copy of a transmission's attempt
+// (x set, n the attempt) or a parity shard (g set, n the shard index).
+// Recycled through the World's free-list as soon as its arrival fires.
+type wire struct {
+	w       *World
+	x       *xmit
+	g       *fec.Group[*xmit]
+	n       int
+	corrupt bool
+
+	startFn, arriveFn func()
 }
 
-// fecGroup is a sealed group. One object serves both ends: the sender
-// side launched its parity, the receiver side resolves arrivals and
-// reconstructs.
-type fecGroup struct {
-	*fec.Group[*fecMember]
-	w        *World
-	resolved bool
+// newWire draws a wire record.
+func (w *World) newWire() *wire {
+	if n := len(w.wireFree); n > 0 {
+		cp := w.wireFree[n-1]
+		w.wireFree = w.wireFree[:n-1]
+		return cp
+	}
+	cp := &wire{w: w}
+	cp.startFn, cp.arriveFn = cp.start, cp.arrive
+	w.wireMade++
+	return cp
+}
+
+// start puts the copy on the fabric.
+func (cp *wire) start() {
+	if x := cp.x; x != nil {
+		cp.w.Net.StartTransfer(x.src, x.dst, x.msg.Size, x.msg.Space, nil, cp.arriveFn)
+		return
+	}
+	g := cp.g
+	cp.w.Net.StartTransfer(g.Src, g.Dst, len(g.Parity[cp.n]), comm.MemDefault, nil, cp.arriveFn)
+}
+
+// arrive hands the copy to its transmission or settles the parity shard.
+func (cp *wire) arrive() {
+	w, x, g, n, corrupt := cp.w, cp.x, cp.g, cp.n, cp.corrupt
+	cp.x, cp.g = nil, nil
+	w.wireFree = append(w.wireFree, cp)
+	if x != nil {
+		x.arrive(n, corrupt)
+		return
+	}
+	// Damaged (checksum-caught) or annihilated: a lost shard.
+	g.ParityFate(n, !corrupt && !w.crash.Dead(g.Src) && !w.crash.Dead(g.Dst))
+	w.resolveFEC(g)
 }
 
 // sealFEC flies each parity shard of a sealed group as one
 // unacknowledged attempt under a KindFec tag.
-func (w *World) sealFEC(fg *fec.Group[*fecMember]) {
-	g := &fecGroup{Group: fg, w: w}
-	for _, mem := range g.Members {
-		mem.g = g
+func (w *World) sealFEC(g *fec.Group[*xmit]) {
+	w.groupsOut++
+	for _, x := range g.Members {
+		x.group = g
 	}
 	for j, buf := range g.Parity {
-		j, buf := j, buf
 		ptag := comm.MakeTag(comm.KindFec, int(g.ID%comm.SeqWrap), j)
 		w.xmitSeq++
 		pid := w.xmitSeq
 		v := w.inj.Message(g.Src, g.Dst, ptag, pid, 0, w.K.Now(), len(buf))
 		if v.Drop {
 			w.traceFault(trace.FaultDrop, g.Src, g.Dst, ptag, len(buf), pid)
-			g.parityFate(j, false)
+			g.ParityFate(j, false)
 			continue
 		}
-		w.K.Schedule(v.Extra, func() {
-			w.Net.StartTransfer(g.Src, g.Dst, len(buf), comm.MemDefault, nil, func() {
-				// Damaged (checksum-caught) or annihilated: a lost shard.
-				g.parityFate(j, !v.Corrupt && !w.crash.Dead(g.Src) && !w.crash.Dead(g.Dst))
-			})
-		})
+		cp := w.newWire()
+		cp.g, cp.n, cp.corrupt = g, j, v.Corrupt
+		w.K.Schedule(v.Extra, cp.startFn)
 	}
-	g.tryResolve()
-}
-
-// parityFate records parity shard j's outcome.
-func (g *fecGroup) parityFate(j int, arrived bool) {
-	g.ParityFate(j, arrived)
-	g.tryResolve()
-}
-
-// arrived notes that the member's wire copy was delivered.
-func (mem *fecMember) arrived() {
-	if mem.g != nil {
-		mem.g.tryResolve()
-	}
+	w.resolveFEC(g)
 }
 
 // settled reports whether the member's first-attempt fate is known:
 // delivered, failed, or lost in flight (verdict known at send time).
-func (mem *fecMember) settled() bool {
-	return mem.x.st.delivered || mem.x.st.failed || mem.x.firstLost
+func (x *xmit) settled() bool {
+	return x.delivered || x.failed || x.firstLost
 }
 
-// tryResolve fires once every fate in the group is known: members
+// resolveFEC acts once every fate in the group is known: members
 // delivered/lost/failed, parity shards arrived/lost. Within-parity
 // erasures reconstruct and repair; beyond it the group is lost to the
-// ARQ backstop (whose timers have been running all along).
-func (g *fecGroup) tryResolve() {
-	if g.resolved || !g.ParitySettled() {
+// ARQ backstop (whose timers have been running all along). The resolved
+// group drops its member references and goes back to the framer.
+func (w *World) resolveFEC(g *fec.Group[*xmit]) {
+	if !g.ParitySettled() {
 		return
 	}
-	for _, mem := range g.Members {
-		if !mem.settled() {
+	for _, x := range g.Members {
+		if !x.settled() {
 			return
 		}
 	}
-	g.resolved = true
-	w := g.w
-	defer g.Release()
 	var missing []int
 	lost := 0
-	for i, mem := range g.Members {
-		if mem.x.firstLost {
+	for i, x := range g.Members {
+		x.group = nil
+		if x.firstLost {
 			lost++
 		}
-		if !mem.x.st.delivered && !mem.x.st.failed {
+		if !x.delivered && !x.failed {
 			missing = append(missing, i)
 		}
 	}
-	w.fec.Observe(g.Group, lost)
-	if len(missing) == 0 {
-		return
-	}
-	data := w.fec.Decode(g.Group, missing)
-	if data == nil {
-		return
-	}
-	for _, i := range missing {
-		mem, decoded := g.Members[i], data[i]
-		mem.x.repair(func() {
-			del := mem.msg
-			if mem.msg.Data != nil {
-				del.Data = decoded // pooled; owned by the receiver from here
+	w.fec.Observe(g, lost)
+	if len(missing) > 0 {
+		if data := w.fec.Decode(g, missing); data != nil {
+			for _, i := range missing {
+				g.Members[i].repair(data[i])
 			}
-			env := mem.d.NewEnv(g.Src, mem.tag, del, nil)
-			env.PostID = mem.post
-			mem.d.arrive(env)
-		})
+		}
 	}
+	for _, x := range g.Members {
+		x.release()
+	}
+	w.groupsOut--
+	w.fec.Recycle(g)
+}
+
+// repair completes the transmission out-of-band with its decoded
+// payload (pooled; owned by the receiver from here): the message is
+// delivered unless a wire copy arrived first — dedup holds — and a
+// repair-ack travels back to stop the retransmit chain. The repair-ack
+// is group control traffic and is not subject to per-message ack-loss
+// verdicts; the per-attempt ack path keeps its own loss draws.
+func (x *xmit) repair(decoded []byte) {
+	w := x.w
+	if x.failed || w.crash.Dead(x.src) || w.crash.Dead(x.dst) {
+		return
+	}
+	if x.delivered {
+		w.inj.NoteSuppressed()
+	} else {
+		x.delivered = true
+		del := x.msg
+		if del.Data != nil {
+			del.Data = decoded
+		}
+		d := w.ranks[x.dst]
+		env := d.NewEnv(x.src, x.tag, del, nil)
+		env.PostID = x.req.PostID
+		d.arrive(env)
+	}
+	x.ackBack()
 }

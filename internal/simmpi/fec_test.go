@@ -25,6 +25,7 @@ func runFec(t *testing.T, plan string, rec faults.Recovery, cfg fec.Config, body
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("simulation failed: %v", err)
 	}
+	requireDrained(t, w)
 	return w
 }
 

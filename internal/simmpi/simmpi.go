@@ -51,13 +51,20 @@ type World struct {
 	rec     faults.Recovery
 	xmitSeq uint64 // world-unique reliable-transmission ids
 	// Erasure coding over the eager segment stream (nil = off; see fec.go).
-	fec      *fec.Framer[*fecMember]
+	fec      *fec.Framer[*xmit]
 	fecStats fec.Counters
 	// Fail-stop crash schedule and detector (nil = no crash rules armed;
 	// see crash.go).
 	crash *faults.Plane
 
-	p2pFree []*p2p // recycled point-to-point records (see p2p.go)
+	// Recycled transfer records: clean point-to-point legs (see p2p.go),
+	// reliable transmissions and wire copies (see chaos.go and fec.go).
+	p2pFree  []*p2p
+	xmitFree []*xmit
+	wireFree []*wire
+	// Pool accounting for the record-lifetime tests: records allocated,
+	// and FEC groups sealed but not yet handed back to the framer.
+	xmitMade, wireMade, groupsOut int
 }
 
 // NewWorld builds the per-rank endpoints for platform p with the given
@@ -216,7 +223,7 @@ func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg
 		return
 	}
 	if c.w.inj != nil {
-		c.chaosEager(c.w.ranks[dst], req, tag, msg, comm.Status{Source: c.rank, Tag: tag, Msg: msg})
+		c.chaosEager(dst, req, tag, msg)
 		return
 	}
 	// Eager: ship the payload now; sender completes at first-hop end.
@@ -236,7 +243,7 @@ func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg
 // completes once the receiver has matched and pulled the data.
 func (c *Comm) sendRTS(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg) {
 	if c.w.inj != nil {
-		c.chaosRendezvous(c.w.ranks[dst], req, tag, msg)
+		c.chaosRendezvous(dst, req, tag, msg)
 		return
 	}
 	x := c.w.newP2P(c.rank, dst, tag, msg)
