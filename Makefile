@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify check test build race flake vet bench chaos crash fuzz trace net progress serve obs scale
+.PHONY: verify check test build race flake vet bench chaos crash fuzz trace net serve obs scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
@@ -51,16 +51,6 @@ bench:
 # Rows (events/s, peak RSS, ranks/GB) merge into BENCH_kernel.json.
 scale:
 	SCALE_LADDER=1k,10k,100k,1m SCALE_COLLS=bcast,reduce,allreduce ./scripts/scale.sh
-
-# Shared progress-engine gate: the unified matching core and scheduler
-# under the race detector (fairness/starvation, mid-flight enrollment,
-# fuzz corpus regression), the zero-alloc segment-pool assertion, the
-# goroutine-footprint gate on the readiness-loop transport. The bench
-# gate (clean-run counters + BENCH_progress.json) runs from `bench`.
-progress:
-	$(GO) test -race ./internal/progress/...
-	$(GO) test -run 'TestSegmentPoolZeroAlloc' ./internal/comm
-	$(GO) test -race -run 'TestGoroutineFootprint' ./internal/nettransport
 
 # Full-width conformance grid: every collective × world sizes × payload
 # units × segment counts × fault plans, byte-compared against golden

@@ -80,7 +80,10 @@ type Comm interface {
 	// OnComplete attaches a completion callback to a request. If r has
 	// already completed the callback fires during the next Progress/Wait.
 	// This is the low-level hook Open MPI lacks at the MPI_Isend level and
-	// that ADAPT adds below it (paper §2.2.1).
+	// that ADAPT adds below it (paper §2.2.1). OnComplete takes over r:
+	// once fn has run, r is dead — as MPI frees a completed request — and
+	// the substrate may reuse it for a later operation, so the caller must
+	// not Test, Wait on, CancelRecv or compare r after that.
 	OnComplete(r Request, fn func(Status))
 	// Progress blocks until at least one pending completion is processed,
 	// then fires all ready callbacks and returns. It panics if no

@@ -27,6 +27,7 @@ type allgatherState struct {
 	sendPending int
 	expect      []int // expected parcel ids in predicted arrival order
 	nextPost    int
+	recvFn      func(comm.Status) // s.onParcel, bound once
 
 	me  int
 	out *childStream // single ordered stream to the right neighbour
@@ -63,6 +64,7 @@ func newAllgatherState(c comm.Comm, contrib comm.Msg, opt Options) *allgatherSta
 		right: (me + 1) % n,
 		me:    me,
 	}
+	s.recvFn = s.onParcel
 	s.out = newChildStream(c, s.right, opt.SendWindow,
 		func(pos int) comm.Tag {
 			block := (s.me - pos/s.nseg + s.n) % s.n
@@ -113,11 +115,11 @@ const tagSegBitsBudget = 24
 func (s *allgatherState) postRecv() {
 	id := s.expect[s.nextPost]
 	s.nextPost++
-	r := s.c.Irecv(s.left, s.opt.TagOf(comm.KindAllgather, id))
-	s.c.OnComplete(r, func(st comm.Status) { s.onParcel(id, st) })
+	s.c.OnComplete(s.c.Irecv(s.left, s.opt.TagOf(comm.KindAllgather, id)), s.recvFn)
 }
 
-func (s *allgatherState) onParcel(id int, st comm.Status) {
+func (s *allgatherState) onParcel(st comm.Status) {
+	id := st.Tag.Seg()
 	s.recvPending--
 	if s.nextPost < len(s.expect) {
 		s.postRecv()

@@ -29,10 +29,12 @@ type allreduceState struct {
 	children []int
 	upPost   []int // per-child next segment to post a receive for
 	up       *childStream
+	upFn     func(comm.Status) // s.onContribution, bound once
 
 	// Down (broadcast) direction.
 	downStreams []*childStream
-	downPost    int // next segment to post a down-receive for (non-root)
+	downPost    int               // next segment to post a down-receive for (non-root)
+	downFn      func(comm.Status) // s.onDownSegment, bound once
 
 	upRecvPending   int
 	upSendPending   int
@@ -81,6 +83,7 @@ func newAllreduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options
 		total:    contrib.Size,
 		space:    contrib.Space,
 	}
+	s.upFn, s.downFn = s.onContribution, s.onDownSegment
 	ns := len(s.segs)
 	s.needed = make([]int, ns)
 	for i := range s.needed {
@@ -127,11 +130,11 @@ func newAllreduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options
 func (s *allreduceState) postUpRecv(ci int) {
 	seg := s.upPost[ci]
 	s.upPost[ci]++
-	r := s.c.Irecv(s.children[ci], s.opt.TagOf(comm.KindReduce, seg))
-	s.c.OnComplete(r, func(st comm.Status) { s.onContribution(ci, seg, st) })
+	s.c.OnComplete(s.c.Irecv(s.children[ci], s.opt.TagOf(comm.KindReduce, seg)), s.upFn)
 }
 
-func (s *allreduceState) onContribution(ci, seg int, st comm.Status) {
+func (s *allreduceState) onContribution(st comm.Status) {
+	ci, seg := childIndex(s.children, st.Source), st.Tag.Seg()
 	s.upRecvPending--
 	if s.upPost[ci] < len(s.segs) {
 		s.postUpRecv(ci)
@@ -164,11 +167,11 @@ func (s *allreduceState) segFolded(seg int) {
 func (s *allreduceState) postDownRecv() {
 	seg := s.downPost
 	s.downPost++
-	r := s.c.Irecv(s.t.Parent[s.c.Rank()], s.opt.TagOf(comm.KindAllreduce, seg))
-	s.c.OnComplete(r, func(st comm.Status) { s.onDownSegment(seg, st) })
+	s.c.OnComplete(s.c.Irecv(s.t.Parent[s.c.Rank()], s.opt.TagOf(comm.KindAllreduce, seg)), s.downFn)
 }
 
-func (s *allreduceState) onDownSegment(seg int, st comm.Status) {
+func (s *allreduceState) onDownSegment(st comm.Status) {
+	seg := st.Tag.Seg()
 	s.downRecvPending--
 	if s.downPost < len(s.segs) {
 		s.postDownRecv()

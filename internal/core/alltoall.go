@@ -24,6 +24,8 @@ type alltoallState struct {
 	nextRound   int
 	sendPending int
 	recvPending int
+
+	sentFn, recvFn func(comm.Status) // s.onSent / s.onRecv, bound once
 }
 
 // Alltoall performs the personalized all-to-all exchange: input holds n
@@ -56,6 +58,7 @@ func newAlltoallState(c comm.Comm, input comm.Msg, opt Options) *alltoallState {
 	n := c.Size()
 	me := c.Rank()
 	s := &alltoallState{c: c, opt: opt, n: n, blk: input.Size / n, in: input.Data}
+	s.sentFn, s.recvFn = s.onSent, s.onRecv
 	if input.Data != nil {
 		s.out = make([]byte, input.Size)
 		copy(s.out[me*s.blk:], input.Data[me*s.blk:(me+1)*s.blk]) // self block
@@ -87,20 +90,22 @@ func (s *alltoallState) startRound() {
 	if s.in != nil {
 		payload.Data = s.in[to*s.blk : (to+1)*s.blk]
 	}
-	sr := s.c.Isend(to, s.opt.TagOf(comm.KindAlltoall, r), payload)
-	s.c.OnComplete(sr, func(comm.Status) { s.sendPending-- })
+	s.c.OnComplete(s.c.Isend(to, s.opt.TagOf(comm.KindAlltoall, r), payload), s.sentFn)
+	s.c.OnComplete(s.c.Irecv(from, s.opt.TagOf(comm.KindAlltoall, r)), s.recvFn)
+}
 
-	rr := s.c.Irecv(from, s.opt.TagOf(comm.KindAlltoall, r))
-	s.c.OnComplete(rr, func(st comm.Status) {
-		s.recvPending--
-		if st.Msg.Data != nil {
-			if s.out == nil {
-				s.out = make([]byte, s.blk*s.n)
-			}
-			copy(s.out[from*s.blk:], st.Msg.Data)
+func (s *alltoallState) onSent(comm.Status) { s.sendPending-- }
+
+// onRecv lands the block of the round's partner, named by the status.
+func (s *alltoallState) onRecv(st comm.Status) {
+	s.recvPending--
+	if st.Msg.Data != nil {
+		if s.out == nil {
+			s.out = make([]byte, s.blk*s.n)
 		}
-		if s.nextRound < s.n {
-			s.startRound()
-		}
-	})
+		copy(s.out[st.Source*s.blk:], st.Msg.Data)
+	}
+	if s.nextRound < s.n {
+		s.startRound()
+	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"adapt/internal/comm"
 	"adapt/internal/trees"
 )
@@ -64,6 +66,20 @@ func (cs *childStream) onSent(comm.Status) {
 	cs.pump()
 }
 
+// childIndex maps a completed receive's source back to its position in
+// children. The collectives bind one receive handler per state (as
+// childStream binds its send handler) and decode the child from
+// Status.Source and the segment from Status.Tag, which every substrate
+// sets on every receive status, failed and canceled ones included.
+func childIndex(children []int, src int) int {
+	for i, ch := range children {
+		if ch == src {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("core: receive completed from rank %d, not a child", src))
+}
+
 // bcastState is the per-rank ADAPT broadcast state machine.
 type bcastState struct {
 	c    comm.Comm
@@ -74,6 +90,7 @@ type bcastState struct {
 
 	children []*childStream
 	// receive side (non-root)
+	recvFn      func(comm.Status) // s.onSegment, bound once
 	parent      int
 	nextPost    int // next segment index to post an Irecv for
 	recvPending int // segments not yet received
@@ -100,6 +117,7 @@ func newBcastState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *bcast
 		c: c, t: t, opt: opt, kind: comm.KindBcast,
 		parent: t.Parent[c.Rank()], total: msg.Size, space: msg.Space,
 	}
+	s.recvFn = s.onSegment
 	tagf, sent := opt.tagger(s.kind), func() { s.sendPending-- }
 	for _, ch := range t.Children[c.Rank()] {
 		s.children = append(s.children, newChildStream(c, ch, opt.SendWindow, tagf, sent))
@@ -135,14 +153,14 @@ func newBcastState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *bcast
 func (s *bcastState) postRecv() {
 	seg := s.nextPost
 	s.nextPost++
-	r := s.c.Irecv(s.parent, s.opt.TagOf(s.kind, seg))
-	s.c.OnComplete(r, func(st comm.Status) { s.onSegment(seg, st) })
+	s.c.OnComplete(s.c.Irecv(s.parent, s.opt.TagOf(s.kind, seg)), s.recvFn)
 }
 
 // onSegment handles the arrival of one segment from the parent: keep the
 // receive window full, record the payload, and hand the segment to every
 // child's independent stream.
-func (s *bcastState) onSegment(seg int, st comm.Status) {
+func (s *bcastState) onSegment(st comm.Status) {
+	seg := st.Tag.Seg()
 	s.recvPending--
 	if s.nextPost < len(s.segs) {
 		s.postRecv()

@@ -22,6 +22,7 @@ type gatherState struct {
 	order    []int
 
 	children    []*gatherChild
+	recvFn      func(comm.Status) // s.onInbound, bound once
 	recvPending int
 
 	// Outbound segments over the blob grid.
@@ -71,6 +72,7 @@ func newGatherState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *
 		c: c, t: t, opt: opt, blk: blk,
 		blobSize: blk * len(order), order: order, space: contrib.Space,
 	}
+	s.recvFn = s.onInbound
 	if contrib.Data != nil {
 		s.blob = make([]byte, s.blobSize)
 		copy(s.blob, contrib.Data)
@@ -112,9 +114,9 @@ func newGatherState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *
 		}
 	}
 
-	for ci := range s.children {
-		for i := 0; i < opt.RecvWindow && s.children[ci].nextPost < s.children[ci].segs; i++ {
-			s.postRecv(ci)
+	for _, gc := range s.children {
+		for i := 0; i < opt.RecvWindow && gc.nextPost < gc.segs; i++ {
+			s.postRecv(gc)
 		}
 	}
 	return s
@@ -130,19 +132,17 @@ func intersect(a, b, c, d int) (int, int) {
 	return a, b
 }
 
-func (s *gatherState) postRecv(ci int) {
-	gc := s.children[ci]
+func (s *gatherState) postRecv(gc *gatherChild) {
 	seg := gc.nextPost
 	gc.nextPost++
-	r := s.c.Irecv(gc.rank, s.opt.TagOf(comm.KindGather, seg))
-	s.c.OnComplete(r, func(st comm.Status) { s.onInbound(ci, seg, st) })
+	s.c.OnComplete(s.c.Irecv(gc.rank, s.opt.TagOf(comm.KindGather, seg)), s.recvFn)
 }
 
-func (s *gatherState) onInbound(ci, seg int, st comm.Status) {
-	gc := s.children[ci]
+func (s *gatherState) onInbound(st comm.Status) {
+	gc, seg := s.child(st.Source), st.Tag.Seg()
 	s.recvPending--
 	if gc.nextPost < gc.segs {
-		s.postRecv(ci)
+		s.postRecv(gc)
 	}
 	if st.Msg.Data != nil && s.blob != nil {
 		copy(s.blob[gc.start+seg*s.opt.SegSize:], st.Msg.Data)
@@ -163,6 +163,16 @@ func (s *gatherState) onInbound(ci, seg int, st comm.Status) {
 			}
 		}
 	}
+}
+
+// child returns the inbound child whose blob a receive from src fills.
+func (s *gatherState) child(src int) *gatherChild {
+	for _, gc := range s.children {
+		if gc.rank == src {
+			return gc
+		}
+	}
+	panic(fmt.Sprintf("core: gather receive completed from rank %d, not a child", src))
 }
 
 func (s *gatherState) releaseOut(i int) {

@@ -32,9 +32,11 @@ type stagedBcastState struct {
 	opt  Options
 	segs []comm.Segment
 
-	children []*stagedChild
-	leader   bool // receives into / serves from the CPU staging buffer
-	parent   int
+	children  []*stagedChild
+	leader    bool // receives into / serves from the CPU staging buffer
+	parent    int
+	recvSpace comm.MemSpace     // where segments land: host at leaders
+	recvFn    func(comm.Status) // s.onSegment, bound once
 
 	nextPost     int
 	recvPending  int
@@ -67,6 +69,7 @@ func newStagedBcastState(dc comm.DeviceComm, topo *hwloc.Topology, t *trees.Tree
 		parent: t.Parent[me],
 		leader: IsNodeLeader(topo, t, me),
 	}
+	s.recvFn = s.onSegment
 	tagf, sent := opt.tagger(comm.KindBcast), func() { s.sendPending-- }
 	for _, ch := range t.Children[me] {
 		space := comm.MemDevice
@@ -113,30 +116,30 @@ func newStagedBcastState(dc comm.DeviceComm, topo *hwloc.Topology, t *trees.Tree
 		}
 	} else {
 		s.recvPending = ns
-		recvSpace := comm.MemDevice
+		s.recvSpace = comm.MemDevice
 		if s.leader {
-			recvSpace = comm.MemHost
+			s.recvSpace = comm.MemHost
 			// Each received segment is flushed host→device once.
 			s.flushPending = ns
 		}
 		for i := 0; i < opt.RecvWindow && s.nextPost < ns; i++ {
-			s.postRecv(recvSpace)
+			s.postRecv()
 		}
 	}
 	return s
 }
 
-func (s *stagedBcastState) postRecv(space comm.MemSpace) {
+func (s *stagedBcastState) postRecv() {
 	seg := s.nextPost
 	s.nextPost++
-	r := s.dc.IrecvIn(s.parent, s.opt.TagOf(comm.KindBcast, seg), space)
-	s.dc.OnComplete(r, func(st comm.Status) { s.onSegment(seg, space, st) })
+	s.dc.OnComplete(s.dc.IrecvIn(s.parent, s.opt.TagOf(comm.KindBcast, seg), s.recvSpace), s.recvFn)
 }
 
-func (s *stagedBcastState) onSegment(seg int, space comm.MemSpace, st comm.Status) {
+func (s *stagedBcastState) onSegment(st comm.Status) {
+	seg := st.Tag.Seg()
 	s.recvPending--
 	if s.nextPost < len(s.segs) {
-		s.postRecv(space)
+		s.postRecv()
 	}
 	sg := s.segs[seg]
 	sg.Msg = comm.Msg{Data: st.Msg.Data, Size: st.Msg.Size, Space: sg.Msg.Space}
@@ -182,6 +185,7 @@ type reduceOffloadState struct {
 	nextPost []int
 
 	up            *childStream
+	recvFn        func(comm.Status) // s.onContribution, bound once
 	recvPending   int
 	sendPending   int
 	kernelPending int
@@ -204,6 +208,7 @@ func newReduceOffloadState(dc comm.DeviceComm, t *trees.Tree, contrib comm.Msg, 
 		segs:     comm.Segments(comm.Msg{Data: contrib.Data, Size: contrib.Size, Space: comm.MemDevice}, opt.SegSize),
 		children: t.Children[me],
 	}
+	s.recvFn = s.onContribution
 	ns := len(s.segs)
 	s.needed = make([]int, ns)
 	for i := range s.needed {
@@ -232,11 +237,11 @@ func newReduceOffloadState(dc comm.DeviceComm, t *trees.Tree, contrib comm.Msg, 
 func (s *reduceOffloadState) postRecv(ci int) {
 	seg := s.nextPost[ci]
 	s.nextPost[ci]++
-	r := s.dc.Irecv(s.children[ci], s.opt.TagOf(comm.KindReduce, seg))
-	s.dc.OnComplete(r, func(st comm.Status) { s.onContribution(ci, seg, st) })
+	s.dc.OnComplete(s.dc.Irecv(s.children[ci], s.opt.TagOf(comm.KindReduce, seg)), s.recvFn)
 }
 
-func (s *reduceOffloadState) onContribution(ci, seg int, st comm.Status) {
+func (s *reduceOffloadState) onContribution(st comm.Status) {
+	ci, seg := childIndex(s.children, st.Source), st.Tag.Seg()
 	s.recvPending--
 	if s.nextPost[ci] < len(s.segs) {
 		s.postRecv(ci)

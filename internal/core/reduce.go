@@ -23,7 +23,8 @@ type reduceState struct {
 	children []int
 	nextPost []int
 
-	up          *childStream // stream to parent (nil at root)
+	recvFn      func(comm.Status) // s.onContribution, bound once
+	up          *childStream      // stream to parent (nil at root)
 	recvPending int
 	sendPending int
 	readySegs   int
@@ -46,6 +47,7 @@ func newReduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *
 		segs:     comm.Segments(contrib, opt.SegSize),
 		children: t.Children[c.Rank()],
 	}
+	s.recvFn = s.onContribution
 	ns := len(s.segs)
 	s.needed = make([]int, ns)
 	for i := range s.needed {
@@ -77,12 +79,12 @@ func newReduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *
 func (s *reduceState) postRecv(ci int) {
 	seg := s.nextPost[ci]
 	s.nextPost[ci]++
-	r := s.c.Irecv(s.children[ci], s.opt.TagOf(comm.KindReduce, seg))
-	s.c.OnComplete(r, func(st comm.Status) { s.onContribution(ci, seg, st) })
+	s.c.OnComplete(s.c.Irecv(s.children[ci], s.opt.TagOf(comm.KindReduce, seg)), s.recvFn)
 }
 
 // onContribution folds one child's segment into the local accumulator.
-func (s *reduceState) onContribution(ci, seg int, st comm.Status) {
+func (s *reduceState) onContribution(st comm.Status) {
+	ci, seg := childIndex(s.children, st.Source), st.Tag.Seg()
 	s.recvPending--
 	if s.nextPost[ci] < len(s.segs) {
 		s.postRecv(ci)

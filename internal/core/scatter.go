@@ -48,6 +48,7 @@ type scatterState struct {
 	inSegs      int
 	inNextPost  int
 	recvPending int
+	recvFn      func(comm.Status) // s.onInbound, bound once
 
 	// Outbound: per child, the child's byte range and its send segments.
 	children    []*scatterChild
@@ -96,6 +97,7 @@ func newScatterState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *sca
 	blk := msg.Size / n
 	order := subtreeOrder(t, me)
 	s := &scatterState{c: c, t: t, opt: opt, blk: blk, blobSize: blk * len(order)}
+	s.recvFn = s.onInbound
 
 	// Lay out children ranges: [my block][child0 subtree][child1 subtree]…
 	off := blk
@@ -155,11 +157,11 @@ func (s *scatterState) finishMine(space comm.MemSpace) {
 func (s *scatterState) postRecv() {
 	seg := s.inNextPost
 	s.inNextPost++
-	r := s.c.Irecv(s.t.Parent[s.c.Rank()], s.opt.TagOf(comm.KindScatter, seg))
-	s.c.OnComplete(r, func(st comm.Status) { s.onInbound(seg, st) })
+	s.c.OnComplete(s.c.Irecv(s.t.Parent[s.c.Rank()], s.opt.TagOf(comm.KindScatter, seg)), s.recvFn)
 }
 
-func (s *scatterState) onInbound(seg int, st comm.Status) {
+func (s *scatterState) onInbound(st comm.Status) {
+	seg := st.Tag.Seg()
 	s.recvPending--
 	if s.inNextPost < s.inSegs {
 		s.postRecv()

@@ -213,16 +213,14 @@ func TestCallbacksAndWaitAny(t *testing.T) {
 	w.Run(func(c *Comm) {
 		switch c.Rank() {
 		case 0:
+			// OnComplete takes over each handle, so the callbacks are
+			// driven by Progress rather than by waiting on the handles.
 			fired := 0
-			var reqs []comm.Request
 			for i := 0; i < k; i++ {
-				r := c.Irecv(1, tag(i))
-				c.OnComplete(r, func(comm.Status) { fired++ })
-				reqs = append(reqs, r)
+				c.OnComplete(c.Irecv(1, tag(i)), func(comm.Status) { fired++ })
 			}
-			c.WaitAll(reqs)
-			if fired != k {
-				t.Errorf("callbacks fired %d of %d", fired, k)
+			for fired < k {
+				c.Progress()
 			}
 		case 1:
 			var reqs []comm.Request

@@ -19,7 +19,20 @@
 // WITHOUT the engine lock held, so they may call back into the engine
 // (complete a request, post a notice) and may take substrate locks of
 // their own — a substrate lock may be held around engine calls, never
-// the reverse.
+// the reverse. A SingleThreaded backend (the simulator, whose kernel
+// hands control strictly from one goroutine to the next) elides the
+// mutex altogether: the engine's lock and unlock helpers skip it.
+//
+// Request lifetime: StartSend, PostRecv and StartOp return a Req holding
+// two references. The caller's handle is taken over by OnComplete, and
+// the engine drops it once the callback returns (MPI frees a completed
+// non-persistent request the same way); a handle used with Wait, Test or
+// CancelRecv instead is never dropped. The substrate's reference travels
+// with the pointer — OnMatch takes over a matched receive's — and is
+// dropped with Release once the substrate is finished with the request.
+// The last reference returns the request, zeroed, to its engine's
+// free-list, from which the next request is drawn. Substrates that never
+// Release (the live ones) therefore never reuse a request.
 package progress
 
 import (
@@ -50,7 +63,8 @@ type Env struct {
 
 	// Rts, when non-nil, is the sender's request for an in-address-space
 	// rendezvous: the payload still lives in the sender's buffer and the
-	// request completes when the receiver pulls it.
+	// request completes when the receiver pulls it. The field holds one
+	// substrate reference to the request (see Req.Release).
 	Rts *Req
 
 	// Rdv marks a wire rendezvous announcement (nettransport): the
@@ -83,9 +97,12 @@ type Env struct {
 	Err error
 }
 
-// Req implements comm.Request for every substrate.
+// Req implements comm.Request for every substrate. It is reference
+// counted (see the package doc): the caller's handle and the substrate
+// each hold one reference, and the last Release recycles it.
 type Req struct {
 	eng    *Engine
+	refs   int
 	isSend bool
 	done   bool
 
@@ -117,8 +134,8 @@ type Req struct {
 
 // Test reports the request's status without blocking.
 func (r *Req) Test() (comm.Status, bool) {
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
+	r.eng.lock()
+	defer r.eng.unlock()
 	return r.status, r.done
 }
 
@@ -167,16 +184,19 @@ type Backend struct {
 	// OnMatch consumes a matched (receive, envelope) pair: deliver the
 	// payload, grant the rendezvous, or schedule the simulated transfer.
 	// Called without the engine lock; must complete req exactly once
-	// (possibly later, asynchronously). wasUnexpected reports that the
-	// envelope waited in the unexpected queue (the simulator charges the
-	// buffered-copy penalty for that).
+	// (possibly later, asynchronously), and takes over req's substrate
+	// reference. wasUnexpected reports that the envelope waited in the
+	// unexpected queue (the simulator charges the buffered-copy penalty
+	// for that).
 	OnMatch func(req *Req, env *Env, wasUnexpected bool)
-	// CauseOnComplete, when set, installs a completion record as the
-	// causal context at completion time (the simulator's single-threaded
-	// kernel completes in event context, which the owner observes
-	// immediately). Otherwise the context advances when the owner
+	// SingleThreaded declares that every engine call, hook included,
+	// runs on one goroutine at a time with a happens-before handoff
+	// between them (the simulator's kernel). Two things follow: the
+	// engine skips its mutex, and a completion record becomes the causal
+	// context at completion time, since the owner observes a completion
+	// in the same event. Otherwise the context advances when the owner
 	// observes the completion — a fired callback or a returning Wait.
-	CauseOnComplete bool
+	SingleThreaded bool
 	// DedupXids enables receiver-side duplicate suppression for nonzero
 	// envelope Xids (the live runtime's chaos transport). The TCP
 	// transport leaves this off: its stream never duplicates, and its
@@ -206,12 +226,14 @@ type Engine struct {
 
 	// curCause is the rank's causal context: the record id of the latest
 	// event the rank has observed. Owner-goroutine only, except under
-	// CauseOnComplete where completion (same thread) writes it.
+	// SingleThreaded where completion (same thread) writes it.
 	curCause uint64
 
 	// envFree recycles envelopes for the single-threaded simulator, whose
 	// collectives push one envelope per segment per hop.
 	envFree []*Env
+	// reqFree holds requests whose last reference was released.
+	reqFree []*Req
 
 	// notifier, when attached, is signalled alongside every Wake so a
 	// Scheduler can multiplex wait loops across engines. Atomic because
@@ -236,6 +258,20 @@ func New(b Backend) *Engine {
 		b.Block = func() { <-wake }
 	}
 	return &Engine{b: b}
+}
+
+// lock takes the engine mutex unless the backend is single-threaded.
+func (e *Engine) lock() {
+	if !e.b.SingleThreaded {
+		e.mu.Lock()
+	}
+}
+
+// unlock releases what lock took.
+func (e *Engine) unlock() {
+	if !e.b.SingleThreaded {
+		e.mu.Unlock()
+	}
 }
 
 // Rank returns this endpoint's rank.
@@ -265,16 +301,16 @@ func (e *Engine) AttachProgressNotifier(n *Notifier) {
 
 // Pending returns the number of operations in flight.
 func (e *Engine) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	return e.pendingOps
 }
 
 // Snapshot copies the in-flight state for watchdog dumps: pending-op
 // count, posted receives, parked unexpected envelopes.
 func (e *Engine) Snapshot() (pending int, posted []*Req, unexpected []*Env) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	return e.pendingOps,
 		append([]*Req(nil), e.posted...),
 		append([]*Env(nil), e.unexpected...)
@@ -300,28 +336,73 @@ func (e *Engine) FreeEnv(env *Env) {
 	e.envFree = append(e.envFree, env)
 }
 
+// newReq draws a request holding its two references (the caller's
+// handle and the substrate's) from the free-list, or allocates one, and
+// counts one operation in flight. Called with the engine lock held.
+func (e *Engine) newReq() *Req {
+	var req *Req
+	if n := len(e.reqFree); n > 0 {
+		req = e.reqFree[n-1]
+		e.reqFree[n-1] = nil
+		e.reqFree = e.reqFree[:n-1]
+	} else {
+		req = &Req{eng: e}
+	}
+	req.refs = 2
+	e.pendingOps++
+	return req
+}
+
+// Retain adds a substrate reference to r, for a second record or
+// envelope field that stores it.
+func (r *Req) Retain() {
+	r.eng.lock()
+	r.refs++
+	r.eng.unlock()
+}
+
+// Release drops one reference to r. The last one zeroes r and returns it
+// to its engine's free-list; r must not be touched afterwards. Releasing
+// a reference that was never held panics.
+func (r *Req) Release() {
+	e := r.eng
+	e.lock()
+	if r.refs--; r.refs > 0 {
+		e.unlock()
+		return
+	}
+	if r.refs < 0 {
+		e.unlock()
+		panic(e.b.Prefix + ": request released twice")
+	}
+	*r = Req{eng: e}
+	e.reqFree = append(e.reqFree, r)
+	e.unlock()
+}
+
 // StartOp registers an anonymous operation completed from outside the
 // matching queues (device reductions, async copies, a daemon's remote
 // sends and receives): one operation in flight, no trace record.
 func (e *Engine) StartOp(isSend bool) *Req {
-	req := &Req{eng: e, isSend: isSend}
-	e.mu.Lock()
-	e.pendingOps++
-	e.mu.Unlock()
+	e.lock()
+	req := e.newReq()
+	req.isSend = isSend
+	e.unlock()
 	return req
 }
 
 // StartSend registers a send-side request: one operation in flight, a
 // SendPost trace record, the destination recorded for the protocol.
 func (e *Engine) StartSend(dst int, tag comm.Tag, size int) *Req {
-	req := &Req{eng: e, isSend: true, Dst: dst, Tag: tag}
+	var post uint64
 	if tb := e.b.Trace(); tb != nil {
-		req.PostID = tb.Add(trace.Record{At: e.b.Now(), Rank: e.b.Rank, Kind: trace.SendPost,
+		post = tb.Add(trace.Record{At: e.b.Now(), Rank: e.b.Rank, Kind: trace.SendPost,
 			Peer: dst, Tag: tag, Size: size, Parent: e.curCause})
 	}
-	e.mu.Lock()
-	e.pendingOps++
-	e.mu.Unlock()
+	e.lock()
+	req := e.newReq()
+	req.isSend, req.Dst, req.Tag, req.PostID = true, dst, tag, post
+	e.unlock()
 	return req
 }
 
@@ -330,25 +411,26 @@ func (e *Engine) StartSend(dst int, tag comm.Tag, size int) *Req {
 // a hit the envelope is consumed through OnMatch before PostRecv
 // returns.
 func (e *Engine) PostRecv(src int, tag comm.Tag, space comm.MemSpace) *Req {
-	req := &Req{eng: e, Src: src, Tag: tag, Space: space}
+	var post uint64
 	if tb := e.b.Trace(); tb != nil {
-		req.PostID = tb.Add(trace.Record{At: e.b.Now(), Rank: e.b.Rank, Kind: trace.RecvPost,
+		post = tb.Add(trace.Record{At: e.b.Now(), Rank: e.b.Rank, Kind: trace.RecvPost,
 			Peer: src, Tag: tag, Parent: e.curCause})
 	}
-	e.mu.Lock()
-	e.pendingOps++
+	e.lock()
+	req := e.newReq()
+	req.Src, req.Tag, req.Space, req.PostID = src, tag, space, post
 	for i, env := range e.unexpected {
 		if req.matches(env) {
 			e.unexpected = removeAt(e.unexpected, i)
 			req.MatchID = env.PostID
 			req.matching = true
-			e.mu.Unlock()
+			e.unlock()
 			e.b.OnMatch(req, env, true)
 			return req
 		}
 	}
 	e.posted = append(e.posted, req)
-	e.mu.Unlock()
+	e.unlock()
 	return req
 }
 
@@ -379,14 +461,14 @@ func (r *Req) matches(env *Env) bool {
 // queue (OnMatch runs before Arrive returns), or parked unexpected. The
 // caller disposes of refused and duplicate envelopes.
 func (e *Engine) Arrive(env *Env) ArriveResult {
-	e.mu.Lock()
+	e.lock()
 	if e.halted {
-		e.mu.Unlock()
+		e.unlock()
 		return ArriveHalted
 	}
 	if e.b.DedupXids && env.Xid != 0 {
 		if _, dup := e.seen[env.Xid]; dup {
-			e.mu.Unlock()
+			e.unlock()
 			return ArriveDuplicate
 		}
 		if e.seen == nil {
@@ -401,13 +483,13 @@ func (e *Engine) Arrive(env *Env) ArriveResult {
 			e.posted = removeAt(e.posted, i)
 			req.MatchID = env.PostID
 			req.matching = true
-			e.mu.Unlock()
+			e.unlock()
 			e.b.OnMatch(req, env, false)
 			return ArriveMatched
 		}
 	}
 	e.unexpected = append(e.unexpected, env)
-	e.mu.Unlock()
+	e.unlock()
 	e.wake() // wake a blocked Probe
 	return ArriveParked
 }
@@ -425,7 +507,7 @@ func (e *Engine) completeLocked(req *Req, st comm.Status) {
 		req.DoneID = tb.Add(trace.Record{At: e.b.Now(), Rank: e.b.Rank, Kind: kind,
 			Peer: st.Source, Tag: st.Tag, Size: st.Msg.Size,
 			Parent: req.PostID, Link: req.MatchID})
-		if e.b.CauseOnComplete && req.DoneID != 0 {
+		if e.b.SingleThreaded && req.DoneID != 0 {
 			// Single-threaded substrate: the rank cannot act on anything
 			// older once this completion lands.
 			e.curCause = req.DoneID
@@ -442,13 +524,13 @@ func (e *Engine) completeLocked(req *Req, st comm.Status) {
 // goroutine; panics on double completion.
 func (r *Req) Complete(st comm.Status) {
 	e := r.eng
-	e.mu.Lock()
+	e.lock()
 	if r.done {
-		e.mu.Unlock()
+		e.unlock()
 		panic(e.b.Prefix + ": request completed twice")
 	}
 	e.completeLocked(r, st)
-	e.mu.Unlock()
+	e.unlock()
 	e.wake()
 }
 
@@ -456,13 +538,13 @@ func (r *Req) Complete(st comm.Status) {
 // late success can race a timeout failure (or vice versa); first wins.
 func (r *Req) CompleteIfLive(st comm.Status) bool {
 	e := r.eng
-	e.mu.Lock()
+	e.lock()
 	if r.done {
-		e.mu.Unlock()
+		e.unlock()
 		return false
 	}
 	e.completeLocked(r, st)
-	e.mu.Unlock()
+	e.unlock()
 	e.wake()
 	return true
 }
@@ -475,28 +557,29 @@ func (r *Req) CompleteIfLive(st comm.Status) bool {
 func (e *Engine) drain() int {
 	n := 0
 	for {
-		e.mu.Lock()
+		e.lock()
 		if e.cbHead == len(e.cbQueue) {
-			e.mu.Unlock()
+			e.unlock()
 			return n
 		}
 		// Swap in the spare buffer: callbacks queued while this batch
 		// fires land in the next batch, in completion order.
 		batch := e.cbQueue[e.cbHead:]
 		e.cbQueue, e.cbHead, e.cbSpare = e.cbSpare, 0, nil
-		e.mu.Unlock()
+		e.unlock()
 		for i, req := range batch {
 			batch[i] = nil
 			e.fire(req)
 		}
 		n += len(batch)
-		e.mu.Lock()
+		e.lock()
 		e.cbSpare = batch[:0]
-		e.mu.Unlock()
+		e.unlock()
 	}
 }
 
-// fire runs req's callback with its completion as the causal context.
+// fire runs req's callback with its completion as the causal context,
+// then drops the handle's reference: the callback was its last use.
 func (e *Engine) fire(req *Req) {
 	cb := req.cb
 	req.cb = nil
@@ -504,6 +587,7 @@ func (e *Engine) fire(req *Req) {
 		e.curCause = req.DoneID
 	}
 	cb(req.status)
+	req.Release()
 }
 
 // DrainWhile fires queued callbacks one at a time while ok() holds,
@@ -517,9 +601,9 @@ func (e *Engine) fire(req *Req) {
 func (e *Engine) DrainWhile(ok func() bool) int {
 	n := 0
 	for ok() {
-		e.mu.Lock()
+		e.lock()
 		if e.cbHead == len(e.cbQueue) {
-			e.mu.Unlock()
+			e.unlock()
 			break
 		}
 		// Pop by head index; once empty the queue rewinds to its start,
@@ -529,7 +613,7 @@ func (e *Engine) DrainWhile(ok func() bool) int {
 		if e.cbHead++; e.cbHead == len(e.cbQueue) {
 			e.cbQueue, e.cbHead = e.cbQueue[:0], 0
 		}
-		e.mu.Unlock()
+		e.unlock()
 		e.fire(req)
 		n++
 	}
@@ -539,15 +623,15 @@ func (e *Engine) DrainWhile(ok func() bool) int {
 // PendingCallbacks reports how many completion callbacks are queued but
 // not yet fired (the flat driver re-arms a drain when nonzero).
 func (e *Engine) PendingCallbacks() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	return len(e.cbQueue) - e.cbHead
 }
 
 // observe installs a completion the owner just acted on as the causal
-// context (no-op for CauseOnComplete substrates, which already did).
+// context (no-op for SingleThreaded substrates, which already did).
 func (e *Engine) observe(doneID uint64) {
-	if !e.b.CauseOnComplete && doneID != 0 {
+	if !e.b.SingleThreaded && doneID != 0 {
 		e.curCause = doneID
 	}
 }
@@ -560,17 +644,17 @@ func (e *Engine) Wait(r comm.Request) comm.Status {
 	req := r.(*Req)
 	for {
 		e.drain()
-		e.mu.Lock()
+		e.lock()
 		if req.done {
 			st, doneID := req.status, req.DoneID
-			e.mu.Unlock()
+			e.unlock()
 			// A completion landing on another goroutine between the drain
 			// and the check queued its callback first: fire it too.
 			e.drain()
 			e.observe(doneID)
 			return st
 		}
-		e.mu.Unlock()
+		e.unlock()
 		e.b.Block()
 	}
 }
@@ -639,15 +723,17 @@ func (e *Engine) WaitAny(rs []comm.Request) (int, comm.Status) {
 }
 
 // OnComplete attaches fn to r; it fires on the owner goroutine from
-// inside Progress or a Wait variant.
+// inside Progress or a Wait variant. OnComplete takes over the caller's
+// handle: once fn has run, r is dead and may already serve a later
+// operation.
 func (e *Engine) OnComplete(r comm.Request, fn func(comm.Status)) {
 	req, ok := r.(*Req)
 	if !ok || req.eng != e {
 		panic(e.b.Prefix + ": OnComplete on foreign request")
 	}
-	e.mu.Lock()
+	e.lock()
 	if req.cb != nil {
-		e.mu.Unlock()
+		e.unlock()
 		panic(e.b.Prefix + ": request already has a callback")
 	}
 	req.cb = fn
@@ -657,21 +743,21 @@ func (e *Engine) OnComplete(r comm.Request, fn func(comm.Status)) {
 		// before parking.
 		e.cbQueue = append(e.cbQueue, req)
 	}
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // Progress blocks until at least one completion is processed, fires
 // ready callbacks, and returns.
 func (e *Engine) Progress() {
-	e.mu.Lock()
+	e.lock()
 	start := e.completedCount
-	e.mu.Unlock()
+	e.unlock()
 	for {
 		fired := e.drain()
-		e.mu.Lock()
+		e.lock()
 		advanced := e.completedCount > start
 		pending := e.pendingOps
-		e.mu.Unlock()
+		e.unlock()
 		if fired > 0 || advanced {
 			return
 		}
@@ -691,8 +777,8 @@ func (e *Engine) TryProgress() bool {
 // announcement) has arrived without consuming it.
 func (e *Engine) Iprobe(src int, tag comm.Tag) (comm.Status, bool) {
 	probe := &Req{eng: e, Src: src, Tag: tag}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	for _, env := range e.unexpected {
 		if probe.matches(env) {
 			return comm.Status{Source: env.Src, Tag: env.Tag,
@@ -724,8 +810,8 @@ func (e *Engine) CancelRecv(r comm.Request) bool {
 	if !ok || req.eng != e || req.isSend {
 		panic(e.b.Prefix + ": CancelRecv on foreign or send request")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	if req.done || req.matching {
 		return false
 	}
@@ -748,11 +834,11 @@ func (e *Engine) CancelRecv(r comm.Request) bool {
 // substrate can dispose of them — live rendezvous senders parked in the
 // unexpected queue must fail instead of waiting forever for a grant.
 func (e *Engine) Halt() (posted []*Req, unexpected []*Env) {
-	e.mu.Lock()
+	e.lock()
 	e.halted = true
 	posted, unexpected = e.posted, e.unexpected
 	e.posted, e.unexpected, e.cbQueue, e.cbHead = nil, nil, nil, 0
-	e.mu.Unlock()
+	e.unlock()
 	return posted, unexpected
 }
 
@@ -760,8 +846,8 @@ func (e *Engine) Halt() (posted []*Req, unexpected []*Env) {
 // dead sender's rendezvous announcements can never be granted) and
 // returns them for disposal.
 func (e *Engine) DropUnexpected(pred func(*Env) bool) []*Env {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	var dropped []*Env
 	keep := e.unexpected[:0]
 	for _, env := range e.unexpected {
@@ -777,35 +863,35 @@ func (e *Engine) DropUnexpected(pred func(*Env) bool) []*Env {
 
 // PushNotice appends a control-plane notice and wakes the owner.
 func (e *Engine) PushNotice(n comm.Notice) {
-	e.mu.Lock()
+	e.lock()
 	e.notices = append(e.notices, n)
 	e.noticeSeq++
-	e.mu.Unlock()
+	e.unlock()
 	e.wake()
 }
 
 // TakeNotices drains the pending control-plane notices.
 func (e *Engine) TakeNotices() []comm.Notice {
-	e.mu.Lock()
+	e.lock()
 	out := e.notices
 	e.notices = nil
-	e.mu.Unlock()
+	e.unlock()
 	return out
 }
 
 // WaitEvent blocks until a completion callback fires or a new notice
 // arrives. Legal with no operation in flight (control-plane waits).
 func (e *Engine) WaitEvent() {
-	e.mu.Lock()
+	e.lock()
 	start := e.noticeSeq
-	e.mu.Unlock()
+	e.unlock()
 	for {
 		if e.drain() > 0 {
 			return
 		}
-		e.mu.Lock()
+		e.lock()
 		advanced := e.noticeSeq > start
-		e.mu.Unlock()
+		e.unlock()
 		if advanced {
 			return
 		}

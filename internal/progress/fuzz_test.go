@@ -18,7 +18,11 @@ import (
 //   - with DedupXids, a replayed transmission id is always suppressed;
 //   - the unexpected queue fully drains once enough wildcard receives
 //     are posted — nothing parks forever;
-//   - after the drain and cancellations, no operations remain in flight.
+//   - after the drain and cancellations, no operations remain in flight;
+//   - with recycling on — the substrate releases its references, and some
+//     receives hand their handle to OnComplete — every callback fires
+//     exactly once, with a status its posted source and tag match, even
+//     when its request is reused by a later post.
 //
 // The script is single-threaded (substrate-owner discipline), so Block
 // must never fire.
@@ -45,8 +49,10 @@ func FuzzMatch(f *testing.F) {
 			}
 			if env.Rts != nil {
 				env.Rts.Complete(comm.Status{Source: env.Src, Tag: env.Tag})
+				env.Rts.Release()
 			}
 			req.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Msg: env.Msg})
+			req.Release()
 		}
 		eng := New(Backend{
 			Prefix: "fuzz", Rank: 0,
@@ -58,23 +64,46 @@ func FuzzMatch(f *testing.F) {
 			DedupXids: dedup,
 		})
 
-		var recvs []*Req   // every posted receive
+		var recvs []*Req   // every posted receive kept as a handle
 		var arrived []*Env // envelopes the engine accepted (not suppressed)
 		var xid uint64
+		// Receives whose handle went to OnComplete, until their callback
+		// fires: the handle is dead afterwards and its request may be
+		// reused.
+		unfired := map[int]*Req{}
+		fired := map[int]int{}
+		post := func(src int, tag comm.Tag, withCallback bool) {
+			r := eng.PostRecv(src, tag, comm.MemDefault)
+			if !withCallback {
+				recvs = append(recvs, r)
+				return
+			}
+			id := len(fired) + len(unfired)
+			unfired[id] = r
+			eng.OnComplete(r, func(st comm.Status) {
+				delete(unfired, id)
+				if fired[id]++; fired[id] > 1 {
+					t.Fatalf("callback %d fired %d times", id, fired[id])
+				}
+				if (src != comm.AnySource && st.Source != src) || !tag.Matches(st.Tag) {
+					t.Fatalf("callback %d for (%d, %v) got status from (%d, %v)", id, src, tag, st.Source, st.Tag)
+				}
+			})
+		}
 
 		for i := 0; i+2 < len(script); i += 3 {
 			op, a, b := script[i], script[i+1], script[i+2]
 			src := int(a % 4)
 			tag := comm.Tag(b % 4)
 			switch op % 6 {
-			case 0: // concrete receive
-				recvs = append(recvs, eng.PostRecv(src, tag, comm.MemDefault))
+			case 0: // concrete receive, its handle kept or handed to a callback
+				post(src, tag, b&4 != 0)
 			case 1: // wildcard receive (any-source, maybe any-tag)
 				tg := tag
 				if a&1 == 0 {
 					tg = comm.AnyTag
 				}
-				recvs = append(recvs, eng.PostRecv(comm.AnySource, tg, comm.MemDefault))
+				post(comm.AnySource, tg, a&4 != 0)
 			case 2: // eager arrival, fresh transmission id
 				xid++
 				env := &Env{Src: src, Tag: tag, Msg: comm.Msg{Size: 16}, Xid: xid}
@@ -127,6 +156,7 @@ func FuzzMatch(f *testing.F) {
 					t.Fatalf("retracted receive reads %+v settled=%v, want ErrCanceled", st, settled)
 				}
 			}
+			eng.TryProgress() // fire callbacks, recycling their requests
 		}
 
 		// Quiesce: wildcard receives must drain every parked envelope.
@@ -148,9 +178,15 @@ func FuzzMatch(f *testing.F) {
 			}
 		}
 		// Retire unmatched receives; nothing may remain in flight.
+		eng.TryProgress()
 		for _, r := range recvs {
 			if _, ok := r.Test(); !ok {
 				eng.CancelRecv(r)
+			}
+		}
+		for id, r := range unfired {
+			if !eng.CancelRecv(r) {
+				t.Fatalf("callback %d never fired, yet its receive cannot be retracted", id)
 			}
 		}
 		if p := eng.Pending(); p != 0 {

@@ -168,7 +168,7 @@ func (s *Session) readLoop(br *bufio.Reader) {
 				fatal = re // session-fatal: fail everything
 			} else if !s.tryComplete(m.ID, callRes{err: re}) && s.rc != nil {
 				// Proxy ops report failures as typed error frames too.
-				s.rc.complete(m.ID, comm.Status{Source: comm.AnySource, Err: re})
+				s.rc.complete(m.ID, comm.Status{Err: re})
 			}
 		case sfOpDone:
 			m, err := parseOpDone(payload)

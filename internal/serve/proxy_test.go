@@ -100,29 +100,20 @@ func TestProxyNonBlockingAndCallbacks(t *testing.T) {
 		}()
 	}
 	c0 := sessions[0].Comm()
-	rs := []comm.Request{
-		c0.Irecv(comm.AnySource, comm.Tag(1)),
-		c0.Irecv(2, comm.AnyTag),
-	}
 	fired := 0
-	c0.OnComplete(rs[0], func(st comm.Status) {
+	// OnComplete takes over the wildcard receive's handle, so only the
+	// other one goes to WaitAny; the callback is driven by Progress.
+	c0.OnComplete(c0.Irecv(comm.AnySource, comm.Tag(1)), func(st comm.Status) {
 		if st.Source != 1 {
 			t.Errorf("wildcard-source recv matched source %d, want 1", st.Source)
 		}
 		fired++
 	})
-	idx := []int{0, 1} // original identity of each live handle
-	for len(rs) > 0 {
-		i, st := c0.WaitAny(rs)
-		if st.Err != nil {
-			t.Fatalf("request %d: %v", idx[i], st.Err)
-		}
-		if idx[i] == 1 && st.Source != 2 {
-			t.Fatalf("recv from rank 2 matched source %d", st.Source)
-		}
-		// Remove the completed handle, as the WaitAny contract requires.
-		rs = append(rs[:i], rs[i+1:]...)
-		idx = append(idx[:i], idx[i+1:]...)
+	if _, st := c0.WaitAny([]comm.Request{nil, c0.Irecv(2, comm.AnyTag)}); st.Err != nil || st.Source != 2 {
+		t.Fatalf("recv from rank 2: source %d, err %v", st.Source, st.Err)
+	}
+	for fired == 0 {
+		c0.Progress()
 	}
 	wg.Wait()
 	if fired != 1 {
@@ -184,4 +175,31 @@ func TestProxyNilRequests(t *testing.T) {
 		t.Fatalf("WaitAny: index %d status %+v, want index 1 with payload 2", i, st)
 	}
 	wg.Wait()
+}
+
+// TestProxyFailedOpsNameSourceAndTag: a proxy op failed by session loss
+// carries its posted peer and tag like every substrate's failure status,
+// so collectives whose receive handlers decode child and segment from
+// the status can run over the proxy.
+func TestProxyFailedOpsNameSourceAndTag(t *testing.T) {
+	// The drain on close gives up on the stranded receive after this.
+	srv := newTestServer(t, Config{DrainTimeout: 100 * time.Millisecond})
+	s, err := Dial(srv.Addr(), SessionOpts{World: 2, Group: "lost", ProxyRank: 0})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	c := s.Comm()
+	tag := comm.MakeTag(comm.KindReduce, 3, 9)
+	inflight := c.Irecv(1, tag) // rank 1 never joins
+	s.Close()
+	check := func(what string, st comm.Status, src int) {
+		t.Helper()
+		if st.Err == nil || st.Source != src || st.Tag != tag {
+			t.Errorf("%s: status source %d tag %v err %v, want source %d tag %v and an error",
+				what, st.Source, st.Tag, st.Err, src, tag)
+		}
+	}
+	check("in-flight receive", c.Wait(inflight), 1)
+	check("receive after loss", c.Wait(c.Irecv(1, tag)), 1)
+	check("send after loss", c.Wait(c.Isend(1, tag, comm.Sized(8))), 0)
 }

@@ -49,15 +49,30 @@ func (c *RemoteComm) Rank() int { return c.eng.Rank() }
 // Size returns the backend world size.
 func (c *RemoteComm) Size() int { return c.eng.Size() }
 
-// complete lands one sfOpDone from the session reader goroutine.
+// complete lands one sfOpDone (or a typed op error) from the session
+// reader goroutine.
 func (c *RemoteComm) complete(id uint64, st comm.Status) {
 	c.mu.Lock()
 	r := c.ops[id]
 	delete(c.ops, id)
 	c.mu.Unlock()
 	if r != nil {
+		if st.Err != nil {
+			st = c.failed(r, st.Err)
+		}
 		r.CompleteIfLive(st)
 	}
+}
+
+// failed is the status a failed op completes with. Like every
+// substrate's, it names the posted source (this rank for a send) and
+// tag, which callbacks bound once per collective decode.
+func (c *RemoteComm) failed(r *progress.Req, err error) comm.Status {
+	src := r.Src
+	if r.IsSend() {
+		src = c.Rank()
+	}
+	return comm.Status{Source: src, Tag: r.Tag, Err: err}
 }
 
 // fail lands the sticky session error on every current op; later ops
@@ -67,22 +82,29 @@ func (c *RemoteComm) fail(err error) {
 	if c.dead == nil {
 		c.dead = err
 	}
-	st := comm.Status{Source: comm.AnySource, Err: c.dead}
+	dead := c.dead
 	ops := c.ops
 	c.ops = map[uint64]*progress.Req{}
 	c.mu.Unlock()
 	for _, r := range ops {
-		r.CompleteIfLive(st)
+		r.CompleteIfLive(c.failed(r, dead))
 	}
 }
 
-// startOp registers a new remote op and ships its frame.
-func (c *RemoteComm) startOp(isSend bool, frame func(id uint64) []byte) comm.Request {
+// startOp registers a new remote op with its peer (source for a receive,
+// destination for a send) and tag, and ships its frame.
+func (c *RemoteComm) startOp(isSend bool, peer int, tag comm.Tag, frame func(id uint64) []byte) comm.Request {
 	r := c.eng.StartOp(isSend)
+	if isSend {
+		r.Dst = peer
+	} else {
+		r.Src = peer
+	}
+	r.Tag = tag
 	c.mu.Lock()
 	if dead := c.dead; dead != nil {
 		c.mu.Unlock()
-		r.Complete(comm.Status{Source: comm.AnySource, Err: dead})
+		r.Complete(c.failed(r, dead))
 		return r
 	}
 	c.nextID++
@@ -97,7 +119,7 @@ func (c *RemoteComm) startOp(isSend bool, frame func(id uint64) []byte) comm.Req
 
 // Isend starts a non-blocking remote send.
 func (c *RemoteComm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
-	return c.startOp(true, func(id uint64) []byte {
+	return c.startOp(true, dst, tag, func(id uint64) []byte {
 		return encodeIsend(isendMsg{
 			ID: id, Dst: dst, Tag: tag, Size: msg.Size,
 			HasData: msg.Data != nil, Data: msg.Data,
@@ -107,7 +129,7 @@ func (c *RemoteComm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 
 // Irecv posts a non-blocking remote receive.
 func (c *RemoteComm) Irecv(src int, tag comm.Tag) comm.Request {
-	return c.startOp(false, func(id uint64) []byte {
+	return c.startOp(false, src, tag, func(id uint64) []byte {
 		return encodeIrecv(irecvMsg{ID: id, Src: src, Tag: tag})
 	})
 }

@@ -46,7 +46,11 @@ import (
 // the initiating call, each copy in flight, each ack in flight, the
 // armed retry timer, the data leg's final landing, and membership in an
 // unresolved FEC group. The retry timer stays armed until it fires even
-// after an ack, so a record lives for at least one RTO.
+// after an ack, so a record lives for at least one RTO. The record's req
+// and sender fields each hold a substrate reference to their request
+// (progress.Req) until the record retires, so a late CompleteIfLive —
+// say a crash's refusal racing the RTS leg's timeout — never reaches a
+// recycled request.
 
 // xmitLeg names which protocol leg a reliable transmission carries.
 type xmitLeg uint8
@@ -111,6 +115,12 @@ func (x *xmit) release() {
 	}
 	if x.data != nil {
 		comm.PutBuf(x.data)
+	}
+	if x.req != nil {
+		x.req.Release()
+	}
+	if x.sender != nil {
+		x.sender.Release()
 	}
 	w := x.w
 	x.attempts, x.delivered, x.acked, x.failed, x.firstLost = 0, false, false, false, false
@@ -265,6 +275,7 @@ func (x *xmit) deliver() {
 			w.resolveFEC(x.group)
 		}
 	case legRTS:
+		x.req.Retain() // for env.Rts
 		env := d.NewEnv(x.src, x.tag, x.msg, x.req)
 		env.PostID = x.req.PostID
 		d.arrive(env)
@@ -272,6 +283,8 @@ func (x *xmit) deliver() {
 		// CTS reached the sender: the data now crosses reliably.
 		dx := w.newXmit(legData, x.dst, x.src, x.tag, x.msg.Size, x.msg)
 		dx.req, dx.sender = x.req, x.sender
+		dx.req.Retain()
+		dx.sender.Retain()
 		dx.try()
 		dx.release()
 	case legData:
@@ -291,12 +304,13 @@ func (x *xmit) deliver() {
 }
 
 // placed completes a rendezvous receive once the data is in its buffer.
+// The completion comes first: the record's reference is what keeps the
+// request from being recycled under a late CompleteIfLive.
 func (x *xmit) placed() {
-	req, msg := x.req, x.msg
+	msg := x.msg
 	msg.Data, x.data = x.data, nil
-	st := comm.Status{Source: x.src, Tag: x.tag, Msg: msg}
+	x.req.CompleteIfLive(comm.Status{Source: x.src, Tag: x.tag, Msg: msg})
 	x.release()
-	req.CompleteIfLive(st)
 }
 
 // fail completes the leg's requests with err once every attempt went

@@ -155,6 +155,33 @@ func TestChaosEagerSendFailsStructured(t *testing.T) {
 	}
 }
 
+// TestChaosFailedReceiveNamesSourceAndTag: a rendezvous whose grant
+// (CTS) cannot cross the reverse link fails the matched receive, and that
+// failure status names the sender and the tag like a delivered one — the
+// collectives' receive handlers decode child and segment from it.
+func TestChaosFailedReceiveNamesSourceAndTag(t *testing.T) {
+	var recv, send comm.Status
+	_, err := runChaos(t, "seed=1; link 1->0: drop=1", faults.NoRecovery(), func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			send = c.Wait(c.Isend(1, tag(9), comm.Sized(1<<20)))
+		case 1:
+			recv = c.Wait(c.Irecv(0, tag(9)))
+		}
+	})
+	if err != nil {
+		t.Fatalf("simulation failed: %v", err)
+	}
+	if send.Err == nil {
+		t.Error("send over a dead reverse link completed without error")
+	}
+	var te *faults.TimeoutError
+	if !errors.As(recv.Err, &te) || recv.Source != 0 || recv.Tag != tag(9) {
+		t.Fatalf("failed receive status: source %d tag %v err %v, want source 0 tag %v and a TimeoutError",
+			recv.Source, recv.Tag, recv.Err, tag(9))
+	}
+}
+
 // A lost ack must trigger retransmission, and the retransmitted copy must
 // be absorbed by dedup — the sender can time out even though the payload
 // arrived, but with retries enabled it must eventually see an ack.

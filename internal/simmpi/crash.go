@@ -81,6 +81,7 @@ func (c *Comm) refuse(env *progress.Env) {
 		err := &faults.TimeoutError{Rank: env.Src, Peer: c.rank, Tag: env.Tag, Attempts: 1}
 		c.w.inj.Fail(err) // crash rules arm only with a fault plan
 		env.Rts.CompleteIfLive(comm.Status{Source: env.Src, Tag: env.Tag, Err: err})
+		env.Rts.Release()
 	} else if env.Msg.Data != nil {
 		comm.PutBuf(env.Msg.Data)
 	}

@@ -19,7 +19,11 @@ import (
 // The handlers are method values bound once per record, so a steady
 // stream of messages schedules events without allocating closures. Each
 // handler copies what it needs before releasing the record, because the
-// call it then makes may draw the same record for the next leg.
+// call it then makes may draw the same record for the next leg. The
+// request fields each hold one substrate reference (progress.Req): a
+// handler that hands a request on to the next leg moves the reference
+// with it, and the record's retirement releases the rest — after the
+// final Complete, which schedules events but draws no record.
 type p2p struct {
 	w        *World
 	src, dst int
@@ -55,6 +59,12 @@ func (x *p2p) finish() {
 	if x.pending--; x.pending > 0 {
 		return
 	}
+	if x.send != nil {
+		x.send.Release()
+	}
+	if x.recv != nil {
+		x.recv.Release()
+	}
 	x.msg, x.data, x.send, x.recv = comm.Msg{}, nil, nil, nil
 	x.w.p2pFree = append(x.w.p2pFree, x)
 }
@@ -62,6 +72,7 @@ func (x *p2p) finish() {
 // launch runs a lagged send's protocol at the rank's issue time.
 func (x *p2p) launch() {
 	c, req, dst, tag, msg := x.w.ranks[x.src], x.send, x.dst, x.tag, x.msg
+	x.send = nil // its reference moves on with the launch
 	x.finish()
 	c.launchSend(req, dst, tag, msg)
 }
@@ -69,9 +80,8 @@ func (x *p2p) launch() {
 // sent completes the sender's request: the first hop ended, so its
 // buffer is reusable.
 func (x *p2p) sent() {
-	req, st := x.send, comm.Status{Source: x.src, Tag: x.tag, Msg: x.msg}
+	x.send.Complete(comm.Status{Source: x.src, Tag: x.tag, Msg: x.msg})
 	x.finish()
-	req.Complete(st)
 }
 
 // arrive hands an eager payload, now at the receiver's host boundary,
@@ -90,6 +100,7 @@ func (x *p2p) announce() {
 	d, send := x.w.ranks[x.dst], x.send
 	env := d.NewEnv(x.src, x.tag, x.msg, send)
 	env.PostID = send.PostID
+	x.send = nil // its reference moves into env.Rts
 	x.finish()
 	d.arrive(env)
 }
@@ -113,9 +124,8 @@ func (x *p2p) land() {
 
 // done completes the receive with the receiver-owned payload.
 func (x *p2p) done() {
-	req, msg := x.recv, x.msg
+	msg := x.msg
 	msg.Data = x.data
-	st := comm.Status{Source: x.src, Tag: x.tag, Msg: msg}
+	x.recv.Complete(comm.Status{Source: x.src, Tag: x.tag, Msg: msg})
 	x.finish()
-	req.Complete(st)
 }

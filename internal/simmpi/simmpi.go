@@ -97,8 +97,8 @@ func NewWorld(k *sim.Kernel, p *netmodel.Platform, spec noise.Spec) *World {
 				c.proc.Park()
 				c.noiseResume()
 			},
-			OnMatch:         c.onMatch,
-			CauseOnComplete: true,
+			OnMatch:        c.onMatch,
+			SingleThreaded: true,
 		})
 		w.ranks[r] = c
 	}
@@ -181,7 +181,9 @@ func (c *Comm) noiseResume() {
 // resolveSpace maps MemDefault to the platform's payload home.
 func (c *Comm) resolveSpace(s comm.MemSpace) comm.MemSpace { return c.w.Net.ResolveSpace(s) }
 
-// Isend starts a non-blocking send of msg to dst.
+// Isend starts a non-blocking send of msg to dst. The request's
+// substrate reference travels with it through the protocol's records
+// (see p2p.go and chaos.go), which release it when they are done.
 func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("simmpi: send to rank %d of %d", dst, c.Size()))
@@ -215,7 +217,8 @@ func (c *Comm) sendLag() time.Duration {
 }
 
 // launchSend runs the send protocol for an already-registered request:
-// eager push or rendezvous announcement. Runs at the rank's issue time.
+// eager push or rendezvous announcement. Runs at the rank's issue time
+// and takes over the request's substrate reference.
 func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg) {
 	if msg.Size > c.w.Net.P.EagerLimit {
 		// Rendezvous: announce via RTS; data moves once the receiver matches.
@@ -273,7 +276,8 @@ func (c *Comm) arrive(env *progress.Env) {
 // onMatch completes the (req, env) match. wasUnexpected indicates the
 // payload sat in the unexpected queue and must be copied out. The
 // envelope is recycled here; every field still needed below is copied
-// into locals first.
+// into locals first, and the references held by req (from the engine)
+// and by env.Rts move into the record that carries the match on.
 func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool) {
 	net := c.w.Net
 	src, tag, msg, sender := env.Src, env.Tag, env.Msg, env.Rts
@@ -359,14 +363,20 @@ func (c *Comm) ComputeFor(d time.Duration) {
 // DeviceReduce offloads an n-byte reduction to this rank's GPU (§4.2).
 func (c *Comm) DeviceReduce(n int) comm.Request {
 	req := c.StartOp(true)
-	c.w.Net.GPUReduce(c.rank, n, func() { req.Complete(comm.Status{Source: c.rank}) })
+	c.w.Net.GPUReduce(c.rank, n, func() {
+		req.Complete(comm.Status{Source: c.rank})
+		req.Release()
+	})
 	return req
 }
 
 // AsyncCopy starts an asynchronous host↔device copy (§4.1 staging flush).
 func (c *Comm) AsyncCopy(n int, from, to comm.MemSpace) comm.Request {
 	req := c.StartOp(true)
-	c.w.Net.AsyncCopy(c.rank, n, from, to, func() { req.Complete(comm.Status{Source: c.rank}) })
+	c.w.Net.AsyncCopy(c.rank, n, from, to, func() {
+		req.Complete(comm.Status{Source: c.rank})
+		req.Release()
+	})
 	return req
 }
 
