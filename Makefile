@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify check test build race flake vet bench chaos crash fuzz trace net serve obs scale
+.PHONY: verify check test build race flake vet bench chaos crash fuzz trace net obs scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
@@ -85,15 +85,6 @@ net:
 	$(GO) test -race -run 'TestConformanceGridTCP|TestCrashGridTCP|TestEagerBoundary|TestSeqWrap' ./internal/conform
 	$(GO) test -run 'TestE2E' -v ./cmd/adaptrun
 
-# Serving-layer gate: the daemon package under the race detector (the
-# full soak battery with chaos, membership churn, fusing byte-identity,
-# proxy sessions) and the daemon-substrate conformance grid. The bench
-# gate (BENCH_serve.json + the adaptd clean-counters check) runs from
-# `bench`.
-serve:
-	$(GO) test -race ./internal/serve/...
-	$(GO) test -race -run 'TestConformanceGridDaemon' ./internal/conform
-
 # Live telemetry gate: the metrics core under the race detector
 # (concurrent writers, merge algebra, quantile error bounds, the golden
 # Prometheus exposition, the zero-alloc contract), the perf snapshot
@@ -106,14 +97,16 @@ obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkCounterDisabled|BenchmarkLatencyBracketDisabled' -benchmem ./internal/metrics
 
 # Short fuzz passes over the tag-matching predicate, the fault-plan
-# parser, the unified matching core, the daemon's framed request codec,
-# and the erasure codec's encode/reconstruct round trip; the committed
-# corpora under testdata/fuzz run in every normal `go test`, this target
-# explores beyond them.
+# parser, the unified matching core, the daemon's framed codec in both
+# directions (client requests and server replies), and the erasure
+# codec's encode/reconstruct round trip; the committed corpora under
+# testdata/fuzz run in every normal `go test`, this target explores
+# beyond them.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTagMatch -fuzztime $(FUZZTIME) ./internal/comm
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz FuzzMatch -fuzztime $(FUZZTIME) ./internal/progress
 	$(GO) test -run '^$$' -fuzz FuzzRequestFrame -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzFEC -fuzztime $(FUZZTIME) ./internal/fec

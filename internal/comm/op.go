@@ -77,6 +77,8 @@ func (o Op) String() string {
 // Apply folds src into dst element-wise: dst = dst ⊕ src. Both slices must
 // have the same length, a multiple of dt.ElemSize(). Apply is the "CPU
 // reduction kernel"; cost accounting is the caller's job (Comm.Compute).
+// The operator is picked once per call: each (datatype, op) pair has its
+// own loop, so the per-element work is the arithmetic alone.
 func (o Op) Apply(dst, src []byte, dt Datatype) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("comm: reduce length mismatch %d != %d", len(dst), len(src)))
@@ -85,19 +87,14 @@ func (o Op) Apply(dst, src []byte, dt Datatype) {
 	if len(dst)%es != 0 {
 		panic(fmt.Sprintf("comm: reduce buffer %dB not a multiple of element size %d", len(dst), es))
 	}
+	if len(dst) == 0 {
+		return // nothing to fold, so not even an op undefined for dt panics
+	}
 	switch dt {
 	case Float64:
-		for i := 0; i+8 <= len(dst); i += 8 {
-			a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-			b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(o.foldF64(a, b)))
-		}
+		o.applyF64(dst, src)
 	case Int64:
-		for i := 0; i+8 <= len(dst); i += 8 {
-			a := int64(binary.LittleEndian.Uint64(dst[i:]))
-			b := int64(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], uint64(o.foldI64(a, b)))
-		}
+		o.applyI64(dst, src)
 	case Byte:
 		for i := range dst {
 			dst[i] = o.foldByte(dst[i], src[i])
@@ -107,44 +104,70 @@ func (o Op) Apply(dst, src []byte, dt Datatype) {
 	}
 }
 
-func (o Op) foldF64(a, b float64) float64 {
+func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+func getI64(b []byte) int64      { return int64(binary.LittleEndian.Uint64(b)) }
+func putI64(b []byte, v int64)   { binary.LittleEndian.PutUint64(b, uint64(v)) }
+
+// applyF64 folds non-empty float64 buffers of equal length. Max and Min
+// keep math.Max/math.Min semantics for NaN and signed zeros.
+func (o Op) applyF64(dst, src []byte) {
 	switch o {
 	case OpSum:
-		return a + b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putF64(dst[i:], getF64(dst[i:])+getF64(src[i:]))
+		}
 	case OpProd:
-		return a * b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putF64(dst[i:], getF64(dst[i:])*getF64(src[i:]))
+		}
 	case OpMax:
-		return math.Max(a, b)
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putF64(dst[i:], math.Max(getF64(dst[i:]), getF64(src[i:])))
+		}
 	case OpMin:
-		return math.Min(a, b)
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putF64(dst[i:], math.Min(getF64(dst[i:]), getF64(src[i:])))
+		}
+	default:
+		panic(fmt.Sprintf("comm: op %s not defined for float64", o))
 	}
-	panic(fmt.Sprintf("comm: op %s not defined for float64", o))
 }
 
-func (o Op) foldI64(a, b int64) int64 {
+// applyI64 folds non-empty int64 buffers of equal length.
+func (o Op) applyI64(dst, src []byte) {
 	switch o {
 	case OpSum:
-		return a + b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putI64(dst[i:], getI64(dst[i:])+getI64(src[i:]))
+		}
 	case OpProd:
-		return a * b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putI64(dst[i:], getI64(dst[i:])*getI64(src[i:]))
+		}
 	case OpMax:
-		if a > b {
-			return a
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putI64(dst[i:], max(getI64(dst[i:]), getI64(src[i:])))
 		}
-		return b
 	case OpMin:
-		if a < b {
-			return a
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putI64(dst[i:], min(getI64(dst[i:]), getI64(src[i:])))
 		}
-		return b
 	case OpBAnd:
-		return a & b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putI64(dst[i:], getI64(dst[i:])&getI64(src[i:]))
+		}
 	case OpBOr:
-		return a | b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putI64(dst[i:], getI64(dst[i:])|getI64(src[i:]))
+		}
 	case OpBXor:
-		return a ^ b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			putI64(dst[i:], getI64(dst[i:])^getI64(src[i:]))
+		}
+	default:
+		panic(fmt.Sprintf("comm: op %s not defined for int64", o))
 	}
-	panic(fmt.Sprintf("comm: op %s not defined for int64", o))
 }
 
 func (o Op) foldByte(a, b byte) byte {

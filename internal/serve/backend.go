@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -92,10 +90,12 @@ func (j *job) opts() core.Options {
 
 // rankDone retires a scheduled allreduce on one rank; the last rank
 // fires delivery with rank 0's result (all ranks hold identical bytes).
+// Rank 0 is the root, whose result is its own contribution folded in
+// place, so it stays valid until delivery releases the job's buffers.
 func (j *job) rankDone(rank int, out comm.Msg) {
 	if rank == 0 {
 		j.mu.Lock()
-		j.out = append([]byte(nil), out.Data...)
+		j.out = out.Data
 		j.mu.Unlock()
 	}
 	if j.remaining.Add(-1) == 0 {
@@ -414,14 +414,14 @@ func (b *backend) submitProxy(rank int, j *job) error {
 }
 
 // submitFT fans one survivor-set FT reduction out as a service job.
-func (b *backend) submitFT(vals []float64, elems int, deliver func(out []byte, mask []bool, err error)) {
+// Each rank gets a private copy of its slice of raw: an FT job settles
+// as soon as one rank reaches a decisive outcome, while others may
+// still be folding, so the caller's frame cannot back the contributions.
+func (b *backend) submitFT(raw []byte, elems int, deliver func(out []byte, mask []bool, err error)) {
+	sz := elems * 8
 	in := make([][]byte, b.n)
-	for r := 0; r < b.n; r++ {
-		buf := make([]byte, elems*8)
-		for e, v := range vals[r*elems : (r+1)*elems] {
-			binary.LittleEndian.PutUint64(buf[e*8:], math.Float64bits(v))
-		}
-		in[r] = buf
+	for r := range in {
+		in[r] = append([]byte(nil), raw[r*sz:(r+1)*sz]...)
 	}
 	j := &job{kind: jobReduceFT, in: in, deliver: deliver}
 	if err := b.submitService(j); err != nil {

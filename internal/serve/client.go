@@ -47,7 +47,11 @@ type Session struct {
 	rc *RemoteComm // non-nil on proxy sessions
 }
 
+// callRes is one call's outcome as the reader loop hands it over. data
+// aliases body, the pooled result frame payload, which the call owns
+// until Wait has decoded it.
 type callRes struct {
+	body []byte
 	data []byte
 	mask []bool
 	err  error
@@ -58,6 +62,11 @@ type Call struct {
 	s  *Session
 	id uint64
 	ch chan callRes
+
+	once sync.Once // Wait's decode-and-release runs once
+	vals []float64
+	mask []bool
+	err  error
 }
 
 // Dial connects a new client session and completes the Hello/Welcome
@@ -83,7 +92,7 @@ func Dial(addr string, opts SessionOpts) (*Session, error) {
 		Proto: protoVersion, World: opts.World, TagSpace: uint32(opts.TagSpace),
 		ProxyRank: opts.ProxyRank, Group: opts.Group,
 	})
-	if _, err := conn.Write(hello); err != nil {
+	if err := s.writeFrame(hello); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -94,6 +103,7 @@ func Dial(addr string, opts SessionOpts) (*Session, error) {
 		conn.Close()
 		return nil, fmt.Errorf("serve: dial handshake: %w", err)
 	}
+	defer releaseFrame(payload)
 	switch typ {
 	case sfWelcome:
 		w, err := parseWelcome(payload)
@@ -136,7 +146,7 @@ func (s *Session) Err() error {
 
 func (s *Session) readLoop(br *bufio.Reader) {
 	var fatal error
-	for {
+	for fatal == nil {
 		typ, payload, err := readFrame(br)
 		if err != nil {
 			select {
@@ -149,55 +159,56 @@ func (s *Session) readLoop(br *bufio.Reader) {
 			}
 			break
 		}
-		switch typ {
-		case sfResult:
-			m, err := parseResult(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			s.complete(m.ID, callRes{data: m.Data, mask: m.Mask})
-		case sfErr:
-			m, err := parseErr(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			re := &RequestError{Code: m.Code, Msg: m.Msg}
-			if m.ID == 0 {
-				fatal = re // session-fatal: fail everything
-			} else if !s.tryComplete(m.ID, callRes{err: re}) && s.rc != nil {
-				// Proxy ops report failures as typed error frames too.
-				s.rc.complete(m.ID, comm.Status{Err: re})
-			}
-		case sfOpDone:
-			m, err := parseOpDone(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			if s.rc == nil {
-				fatal = protoErrf("op-done on service session")
-				break
-			}
-			st := comm.Status{Source: m.Source, Tag: m.Tag}
-			if m.HasData {
-				st.Msg = comm.Bytes(m.Data)
-				st.Msg.Size = m.Size
-			} else {
-				st.Msg = comm.Sized(m.Size)
-			}
-			s.rc.complete(m.ID, st)
-		case sfBye:
-			s.byeOnce.Do(func() { close(s.byeCh) })
-		default:
-			fatal = protoErrf("unexpected server frame type 0x%02x", typ)
-		}
-		if fatal != nil {
-			break
+		var keep bool
+		keep, fatal = s.handleFrame(typ, payload)
+		if !keep {
+			releaseFrame(payload)
 		}
 	}
 	s.fail(fatal)
+}
+
+// handleFrame applies one server frame. keep reports that the payload
+// outlives the frame; a non-nil fatal ends the session.
+func (s *Session) handleFrame(typ byte, payload []byte) (keep bool, fatal error) {
+	msg, err := parseServerFrame(typ, payload)
+	if err != nil {
+		return false, err
+	}
+	switch m := msg.(type) {
+	case resultMsg:
+		// The call owns the payload until Wait decodes it.
+		return s.tryComplete(m.ID, callRes{body: payload, data: m.Data, mask: m.Mask}), nil
+	case errMsg:
+		re := &RequestError{Code: m.Code, Msg: m.Msg}
+		if m.ID == 0 {
+			return false, re // session-fatal: fail everything
+		}
+		if !s.tryComplete(m.ID, callRes{err: re}) && s.rc != nil {
+			// Proxy ops report failures as typed error frames too.
+			s.rc.complete(m.ID, comm.Status{Err: re})
+		}
+	case opDoneMsg:
+		if s.rc == nil {
+			return false, protoErrf("op-done on service session")
+		}
+		st := comm.Status{Source: m.Source, Tag: m.Tag}
+		if m.HasData {
+			// The receiver owns delivered data, and it aliases the
+			// payload: leave the payload to the GC.
+			keep = true
+			st.Msg = comm.Bytes(m.Data)
+			st.Msg.Size = m.Size
+		} else {
+			st.Msg = comm.Sized(m.Size)
+		}
+		s.rc.complete(m.ID, st)
+	case byeMsg:
+		s.byeOnce.Do(func() { close(s.byeCh) })
+	default:
+		return false, protoErrf("unexpected server frame type 0x%02x", typ)
+	}
+	return keep, nil
 }
 
 // fail marks the session dead and fails every pending call.
@@ -222,10 +233,6 @@ func (s *Session) fail(err error) {
 	s.deadOnce.Do(func() { close(s.deadCh) })
 }
 
-func (s *Session) complete(id uint64, res callRes) {
-	s.tryComplete(id, res)
-}
-
 // tryComplete resolves one registered call, reporting whether id was
 // known (proxy op ids live in the RemoteComm, not here).
 func (s *Session) tryComplete(id uint64, res callRes) bool {
@@ -239,10 +246,13 @@ func (s *Session) tryComplete(id uint64, res callRes) bool {
 	return ch != nil
 }
 
+// writeFrame puts one encoded frame on the socket and recycles it: the
+// caller hands over ownership of the pooled frame.
 func (s *Session) writeFrame(frame []byte) error {
 	s.wmu.Lock()
-	defer s.wmu.Unlock()
 	_, err := s.conn.Write(frame)
+	s.wmu.Unlock()
+	releaseFrame(frame)
 	return err
 }
 
@@ -281,22 +291,28 @@ func (s *Session) start(typ byte, vals []float64) (*Call, error) {
 	if err != nil {
 		return nil, err
 	}
-	frame := encodeReduce(typ, id, vals)
-	if err := s.writeFrame(frame); err != nil {
-		s.complete(id, callRes{}) // retract registration
+	if err := s.writeFrame(encodeReduce(typ, id, vals)); err != nil {
+		s.tryComplete(id, callRes{}) // retract registration
 		return nil, err
 	}
 	return &Call{s: s, id: id, ch: ch}, nil
 }
 
 // Wait blocks for the call's outcome: summed elems float64s (and for FT
-// calls the survivor mask).
+// calls the survivor mask). It is idempotent and safe from several
+// goroutines: the first Wait decodes the result and recycles its frame,
+// and every Wait returns the same slices and error.
 func (c *Call) Wait() ([]float64, []bool, error) {
-	res := <-c.ch
-	if res.err != nil {
-		return nil, nil, res.err
-	}
-	return bytesToFloats(res.data), res.mask, nil
+	c.once.Do(func() {
+		res := <-c.ch
+		if res.err != nil {
+			c.err = res.err
+			return
+		}
+		c.vals, c.mask = bytesToFloats(res.data), res.mask
+		releaseFrame(res.body)
+	})
+	return c.vals, c.mask, c.err
 }
 
 // Allreduce is the blocking convenience wrapper.

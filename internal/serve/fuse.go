@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"encoding/binary"
-	"math"
 	"sync"
 	"time"
 
+	"adapt/internal/comm"
 	"adapt/internal/perf"
 )
 
@@ -25,7 +24,8 @@ type fuser struct {
 }
 
 type fusePart struct {
-	vals    []float64 // world*elems contributions, rank-major
+	raw     []byte // world*elems contributions, rank-major little-endian float64s
+	body    []byte // the pooled frame payload raw aliases, owned by the part
 	deliver func(out []byte, mask []bool, err error)
 }
 
@@ -42,9 +42,9 @@ func newFuser(b *backend, window time.Duration, maxReqs int) *fuser {
 // add enqueues one allreduce of elems float64s per rank. With fusing
 // off (or on a crash-armed backend, whose jobs serialize) the request
 // submits immediately as a batch of one.
-func (f *fuser) add(vals []float64, elems int, deliver func(out []byte, mask []bool, err error)) {
+func (f *fuser) add(part fusePart, elems int) {
 	if f.window <= 0 || f.b.armed {
-		f.b.submitFused(&fuseBatch{elems: elems, parts: []fusePart{{vals: vals, deliver: deliver}}})
+		f.b.submitFused(&fuseBatch{elems: elems, parts: []fusePart{part}})
 		return
 	}
 	f.mu.Lock()
@@ -54,7 +54,7 @@ func (f *fuser) add(vals []float64, elems int, deliver func(out []byte, mask []b
 		f.batches[elems] = bt
 		bt.timer = time.AfterFunc(f.window, func() { f.flush(elems) })
 	}
-	bt.parts = append(bt.parts, fusePart{vals: vals, deliver: deliver})
+	bt.parts = append(bt.parts, part)
 	if len(bt.parts) >= f.maxReqs {
 		delete(f.batches, elems)
 		bt.timer.Stop()
@@ -76,27 +76,50 @@ func (f *fuser) flush(elems int) {
 	}
 }
 
-// submitFused turns a batch into one service job. Rank r's contribution
-// is the concatenation of every part's rank-r slice; delivery
-// demultiplexes the fused result back by offset. An admission rejection
-// fails every part in the batch with the typed Overloaded error.
+// submitFused turns a batch into one service job. A lone request's
+// frame payload already is the per-rank contributions, so rank r folds
+// its slice of it in place; a fused batch copies every part's rank-r
+// slice into one pooled buffer per rank and frees the parts' payloads.
+// Delivery demultiplexes the fused result back by offset. An admission
+// rejection fails every part in the batch with the typed Overloaded
+// error.
+//
+// Rank 0's contribution is the result, so the buffers the ranks folded
+// into are recycled only after every part's result frame is encoded.
+// A failed job leaves them to the GC: a surviving rank may still hold
+// its slice.
 func (b *backend) submitFused(bt *fuseBatch) {
 	k := len(bt.parts)
-	elems := bt.elems
+	sz := bt.elems * 8
 	mFuseBatch.Observe(uint64(k))
-	if k > 1 {
-		perf.RecordServeFused(k)
-	}
 	in := make([][]byte, b.n)
-	for r := 0; r < b.n; r++ {
-		buf := make([]byte, k*elems*8)
-		for i, part := range bt.parts {
-			slice := part.vals[r*elems : (r+1)*elems]
-			for e, v := range slice {
-				binary.LittleEndian.PutUint64(buf[(i*elems+e)*8:], math.Float64bits(v))
-			}
+	if k == 1 {
+		// Capacity capped: no append or pool Put can reach past a slice.
+		raw := bt.parts[0].raw
+		for r := range in {
+			in[r] = raw[r*sz : (r+1)*sz : (r+1)*sz]
 		}
-		in[r] = buf
+	} else {
+		perf.RecordServeFused(k)
+		for r := range in {
+			buf := comm.GetBuf(k * sz)
+			for i, part := range bt.parts {
+				copy(buf[i*sz:], part.raw[r*sz:(r+1)*sz])
+			}
+			in[r] = buf
+		}
+		for _, part := range bt.parts {
+			releaseFrame(part.body)
+		}
+	}
+	release := func() {
+		if k == 1 {
+			releaseFrame(bt.parts[0].body)
+			return
+		}
+		for _, buf := range in {
+			comm.PutBuf(buf)
+		}
 	}
 	j := &job{
 		kind: jobAllreduce,
@@ -107,7 +130,10 @@ func (b *backend) submitFused(bt *fuseBatch) {
 					part.deliver(nil, nil, err)
 					continue
 				}
-				part.deliver(out[i*elems*8:(i+1)*elems*8], mask, nil)
+				part.deliver(out[i*sz:(i+1)*sz], mask, nil)
+			}
+			if err == nil {
+				release()
 			}
 		},
 	}
@@ -115,5 +141,6 @@ func (b *backend) submitFused(bt *fuseBatch) {
 		for _, part := range bt.parts {
 			part.deliver(nil, nil, err)
 		}
+		release() // refused before any rank saw the job
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -67,6 +68,82 @@ func FuzzRequestFrame(f *testing.F) {
 			parseResult(payload)
 			parseErr(payload)
 			parseOpDone(payload)
+			releaseFrame(payload)
+		}
+	})
+}
+
+// FuzzServerFrame is FuzzRequestFrame for the other direction: the
+// byte streams a client reader consumes. Every malformation must come
+// back as a typed *ProtoError or a plain io error, never a panic, and
+// every frame parseServerFrame accepts must re-encode to the identical
+// bytes.
+func FuzzServerFrame(f *testing.F) {
+	f.Add(encodeWelcome(welcomeMsg{Session: 3, Gen: 1}))
+	f.Add(encodeResult(resultMsg{ID: 7, Data: comm.EncodeFloat64s([]float64{1.5, -2.25, 1e9})}))
+	f.Add(encodeResult(resultMsg{ID: 8, Mask: []bool{true, false, true}, Data: comm.EncodeFloat64s([]float64{4})}))
+	f.Add(encodeErr(errMsg{ID: 9, Code: CodeOverloaded, Msg: "session in-flight cap reached"}))
+	f.Add(encodeErr(errMsg{ID: 0, Code: CodeRankFailed}))
+	f.Add(encodeOpDone(opDoneMsg{ID: 4, Source: 2, Tag: 42, Size: 3, HasData: true, Data: []byte{1, 2, 3}}))
+	f.Add(encodeOpDone(opDoneMsg{ID: 5, Source: comm.AnySource, Tag: -1, Size: 4096}))
+	f.Add(encodeBye())
+	// A session's tail: results interleaved with an error, then Bye.
+	f.Add(bytes.Join([][]byte{
+		encodeResult(resultMsg{ID: 1, Data: comm.EncodeFloat64s([]float64{1, 2})}),
+		encodeErr(errMsg{ID: 2, Code: CodeShutdown, Msg: "session draining"}),
+		encodeBye(),
+	}, nil))
+	// Malformations: a result whose declared data length overruns the
+	// body, a mask byte that is not 0/1, an out-of-range error code,
+	// a Bye with a payload, an unknown type.
+	f.Add([]byte{17, 0, 0, 0, sfResult, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 0, 0, 0})
+	f.Add([]byte{18, 0, 0, 0, sfResult, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0})
+	f.Add([]byte{12, 0, 0, 0, sfErr, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 0, 0, 0, sfBye, 0})
+	f.Add([]byte{1, 0, 0, 0, 0x99})
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		r := bytes.NewReader(stream)
+		for frames := 0; frames < 64; frames++ {
+			typ, payload, err := readFrame(r)
+			if err != nil {
+				var pe *ProtoError
+				if !errors.As(err, &pe) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("readFrame returned untyped error %T: %v", err, err)
+				}
+				return
+			}
+			msg, err := parseServerFrame(typ, payload)
+			if err != nil {
+				var pe *ProtoError
+				if !errors.As(err, &pe) {
+					t.Fatalf("parseServerFrame(%#x) returned untyped error %T: %v", typ, err, err)
+				}
+				releaseFrame(payload)
+				continue
+			}
+			var frame []byte
+			switch m := msg.(type) {
+			case welcomeMsg:
+				frame = encodeWelcome(m)
+			case resultMsg:
+				frame = encodeResult(m)
+			case errMsg:
+				frame = encodeErr(m)
+			case opDoneMsg:
+				frame = encodeOpDone(m)
+			case byeMsg:
+				frame = encodeBye()
+			default:
+				t.Fatalf("parseServerFrame returned unknown message type %T", msg)
+			}
+			if want := frameOf(typ, payload); !bytes.Equal(frame, want) {
+				t.Fatalf("frame %#x does not round-trip: parsed %+v re-encodes to %d bytes, original %d",
+					typ, msg, len(frame), len(want))
+			}
+			// A hostile peer can impersonate either side.
+			parseClientFrame(typ, payload)
+			releaseFrame(payload)
 		}
 	})
 }
@@ -80,7 +157,9 @@ func reencodeRoundTrip(t *testing.T, typ byte, payload []byte, msg any) {
 	case helloMsg:
 		frame = encodeHello(m)
 	case reduceMsg:
-		frame = encodeReduce(typ, m.ID, m.Vals)
+		// The server keeps the values as raw bytes; decode them to
+		// drive the client encoder.
+		frame = encodeReduce(typ, m.ID, bytesToFloats(m.Raw))
 	case isendMsg:
 		frame = encodeIsend(m)
 	case irecvMsg:
@@ -90,9 +169,15 @@ func reencodeRoundTrip(t *testing.T, typ byte, payload []byte, msg any) {
 	default:
 		t.Fatalf("parseClientFrame returned unknown message type %T", msg)
 	}
-	want := appendFrame(nil, typ, payload)
-	if !bytes.Equal(frame, want) {
+	if want := frameOf(typ, payload); !bytes.Equal(frame, want) {
 		t.Fatalf("frame %#x does not round-trip: parsed %+v re-encodes to %d bytes, original %d",
 			typ, msg, len(frame), len(want))
 	}
+}
+
+// frameOf is the reference framing: length prefix, type, payload.
+func frameOf(typ byte, payload []byte) []byte {
+	f := binary.LittleEndian.AppendUint32(nil, uint32(1+len(payload)))
+	f = append(f, typ)
+	return append(f, payload...)
 }

@@ -102,7 +102,9 @@ func (s *Server) acceptLoop() {
 			s.mu.Unlock()
 			s.stOverloads.Add(1)
 			perf.RecordServeOverload()
-			conn.Write(encodeErr(errMsg{ID: 0, Code: CodeOverloaded, Msg: "session limit reached"}))
+			frame := encodeErr(errMsg{ID: 0, Code: CodeOverloaded, Msg: "session limit reached"})
+			conn.Write(frame)
+			releaseFrame(frame)
 			conn.Close()
 			continue
 		}
@@ -264,12 +266,15 @@ func newSession(s *Server, id uint64, conn net.Conn) *session {
 	}
 }
 
-// send hands an encoded frame to the writer; drops it if the session is
-// already gone (the client vanished mid-flight).
+// send hands an encoded frame to the writer, which takes ownership:
+// the writer recycles the pooled frame once it is on the socket, so
+// the caller must not touch it afterwards. A frame for a session that
+// is already gone (the client vanished mid-flight) is recycled here.
 func (s *session) send(frame []byte) {
 	select {
 	case s.out <- frame:
 	case <-s.gone:
+		releaseFrame(frame)
 	}
 }
 
@@ -314,16 +319,23 @@ func (s *session) run() {
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
+		// write puts one frame on the socket and recycles it; false ends
+		// the writer (the nil sentinel, or a dead connection).
+		write := func(frame []byte) bool {
+			if frame == nil {
+				// Sentinel: everything queued before it has flushed;
+				// cut the connection to unblock the reader.
+				s.conn.Close()
+				return false
+			}
+			_, err := s.conn.Write(frame)
+			releaseFrame(frame)
+			return err == nil
+		}
 		for {
 			select {
 			case frame := <-s.out:
-				if frame == nil {
-					// Sentinel: everything queued before it has flushed;
-					// cut the connection to unblock the reader.
-					s.conn.Close()
-					return
-				}
-				if _, err := s.conn.Write(frame); err != nil {
+				if !write(frame) {
 					return
 				}
 			case <-s.gone:
@@ -332,11 +344,7 @@ func (s *session) run() {
 				for {
 					select {
 					case frame := <-s.out:
-						if frame == nil {
-							s.conn.Close()
-							return
-						}
-						if _, err := s.conn.Write(frame); err != nil {
+						if !write(frame) {
 							return
 						}
 					default:
@@ -374,51 +382,61 @@ func (s *session) reader() {
 			}
 			return // EOF/teardown: abrupt close, in-flight work completes into the void
 		}
-		msg, err := parseClientFrame(typ, payload)
-		if err != nil {
-			s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: err.Error()}))
-			return
-		}
-		if s.be == nil {
-			// First frame must be Hello.
-			hello, ok := msg.(helloMsg)
-			if !ok {
-				s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: "first frame must be hello"}))
-				return
-			}
-			if !s.handleHello(hello) {
+		if (typ == cfAllreduce || typ == cfReduceFT) && s.be != nil {
+			// The reduce handler owns the payload from here: its value
+			// bytes are the ranks' contributions.
+			if !s.handleReduce(payload, typ == cfReduceFT) {
 				return
 			}
 			continue
 		}
-		switch typ {
-		case cfHello:
-			s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: "duplicate hello"}))
-			return
-		case cfAllreduce:
-			s.handleReduce(msg.(reduceMsg), false)
-		case cfReduceFT:
-			s.handleReduce(msg.(reduceMsg), true)
-		case cfIsend:
-			m := msg.(isendMsg)
-			if !s.handleProxyOp(m.ID, &job{
-				kind: jobIsend, sess: s, opID: m.ID, peer: m.Dst, tag: m.Tag,
-				msg: comm.Msg{Data: append([]byte(nil), m.Data...), Size: m.Size},
-			}) {
-				continue
-			}
-		case cfIrecv:
-			m := msg.(irecvMsg)
-			if !s.handleProxyOp(m.ID, &job{
-				kind: jobIrecv, sess: s, opID: m.ID, peer: m.Src, tag: m.Tag,
-			}) {
-				continue
-			}
-		case cfClose:
-			s.handleClose()
+		// Every other frame is consumed here: parsed messages copy out
+		// what they keep, so the payload goes back to the pool.
+		more := s.handleFrame(typ, payload)
+		releaseFrame(payload)
+		if !more {
 			return
 		}
 	}
+}
+
+// handleFrame applies one non-reduce frame (or any frame before the
+// Hello); false ends the session.
+func (s *session) handleFrame(typ byte, payload []byte) bool {
+	msg, err := parseClientFrame(typ, payload)
+	if err != nil {
+		s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: err.Error()}))
+		return false
+	}
+	if s.be == nil {
+		// First frame must be Hello.
+		hello, ok := msg.(helloMsg)
+		if !ok {
+			s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: "first frame must be hello"}))
+			return false
+		}
+		return s.handleHello(hello)
+	}
+	switch typ {
+	case cfHello:
+		s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: "duplicate hello"}))
+		return false
+	case cfIsend:
+		m := msg.(isendMsg)
+		s.handleProxyOp(m.ID, &job{
+			kind: jobIsend, sess: s, opID: m.ID, peer: m.Dst, tag: m.Tag,
+			msg: comm.Msg{Data: append([]byte(nil), m.Data...), Size: m.Size},
+		})
+	case cfIrecv:
+		m := msg.(irecvMsg)
+		s.handleProxyOp(m.ID, &job{
+			kind: jobIrecv, sess: s, opID: m.ID, peer: m.Src, tag: m.Tag,
+		})
+	case cfClose:
+		s.handleClose()
+		return false
+	}
+	return true
 }
 
 // handleHello binds the session to its (possibly cached) backend.
@@ -484,27 +502,42 @@ func (s *session) respond(id uint64, out []byte, mask []bool, err error) {
 	s.maybeDrained()
 }
 
-func (s *session) handleReduce(m reduceMsg, ft bool) {
-	if s.be.key.proxy {
-		s.send(encodeErr(errMsg{ID: m.ID, Code: CodeBadRequest, Msg: "proxy session serves point-to-point ops only"}))
-		return
+// handleReduce admits one reduce request; false means the frame was
+// malformed and the session ends. It owns payload, the pooled frame
+// payload whose value bytes are the ranks' contributions: a rejection
+// recycles it at once, an FT request once submitFT has copied the
+// contributions out, and an allreduce once its result frame is encoded
+// (submitFused).
+func (s *session) handleReduce(payload []byte, ft bool) bool {
+	m, err := parseReduce(payload)
+	if err != nil {
+		releaseFrame(payload)
+		s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: err.Error()}))
+		return false
 	}
-	if len(m.Vals)%s.be.n != 0 {
-		s.send(encodeErr(errMsg{ID: m.ID, Code: CodeBadRequest,
-			Msg: fmt.Sprintf("%d values not divisible by world %d", len(m.Vals), s.be.n)}))
-		return
+	reject := func(msg string) bool {
+		releaseFrame(payload)
+		s.send(encodeErr(errMsg{ID: m.ID, Code: CodeBadRequest, Msg: msg}))
+		return true
+	}
+	vals := len(m.Raw) / 8
+	if s.be.key.proxy {
+		return reject("proxy session serves point-to-point ops only")
+	}
+	if vals%s.be.n != 0 {
+		return reject(fmt.Sprintf("%d values not divisible by world %d", vals, s.be.n))
 	}
 	if s.be.armed && !ft {
-		s.send(encodeErr(errMsg{ID: m.ID, Code: CodeBadRequest, Msg: "crash-armed group serves FT requests only"}))
-		return
+		return reject("crash-armed group serves FT requests only")
 	}
 	if !s.admit(m.ID) {
-		return
+		releaseFrame(payload)
+		return true
 	}
 	s.srv.stRequests.Add(1)
 	perf.RecordServeRequest()
-	mReqBytes.Add(uint64(len(m.Vals)) * 8)
-	elems := len(m.Vals) / s.be.n
+	mReqBytes.Add(uint64(len(m.Raw)))
+	elems := vals / s.be.n
 	id := m.ID
 	deliver := func(out []byte, mask []bool, err error) { s.respond(id, out, mask, err) }
 	// Latency brackets only exist while telemetry is on: a zero Clock
@@ -521,21 +554,23 @@ func (s *session) handleReduce(m reduceMsg, ft bool) {
 		}
 	}
 	if ft {
-		s.be.submitFT(m.Vals, elems, deliver)
+		s.be.submitFT(m.Raw, elems, deliver)
+		releaseFrame(payload)
 	} else {
-		s.be.fuse.add(m.Vals, elems, deliver)
+		s.be.fuse.add(fusePart{raw: m.Raw, body: payload, deliver: deliver}, elems)
 	}
+	return true
 }
 
 // handleProxyOp queues one point-to-point op on the bound rank.
-func (s *session) handleProxyOp(id uint64, j *job) bool {
+func (s *session) handleProxyOp(id uint64, j *job) {
 	if s.proxyRank < 0 {
 		s.send(encodeErr(errMsg{ID: id, Code: CodeBadRequest, Msg: "session is not rank-bound"}))
-		return false
+		return
 	}
 	if s.shutdown.Load() || s.draining.Load() {
 		s.send(encodeErr(errMsg{ID: id, Code: CodeShutdown, Msg: "session draining"}))
-		return false
+		return
 	}
 	s.pending.Add(1)
 	// Same increment-then-re-check as admit: beginShutdown racing this
@@ -544,7 +579,7 @@ func (s *session) handleProxyOp(id uint64, j *job) bool {
 		s.pending.Add(-1)
 		s.maybeDrained()
 		s.send(encodeErr(errMsg{ID: id, Code: CodeShutdown, Msg: "session draining"}))
-		return false
+		return
 	}
 	s.srv.stProxyOps.Add(1)
 	j.t0 = metrics.Clock()
@@ -552,9 +587,7 @@ func (s *session) handleProxyOp(id uint64, j *job) bool {
 		s.pending.Add(-1)
 		s.maybeDrained()
 		s.send(encodeErr(errMsg{ID: id, Code: codeOf(err), Msg: err.Error()}))
-		return false
 	}
-	return true
 }
 
 // opDone reports a finished proxy op back to the client. Failed ops
@@ -600,8 +633,6 @@ func (s *session) handleClose() {
 	// Let the writer flush the tail before run() tears the conn down.
 	s.send(nil)
 }
-
-func encodeBye() []byte { return appendFrame(nil, sfBye, nil) }
 
 // codeOf extracts the wire code from a typed error (Internal otherwise).
 func codeOf(err error) Code {

@@ -56,33 +56,58 @@ func protoErrf(format string, args ...any) error {
 // readFrame reads one frame. Transport failures come back as the raw
 // io error (io.EOF on a clean end-of-stream between frames); framing
 // violations come back as *ProtoError.
+//
+// The payload is drawn from the comm.GetBuf pool and belongs to the
+// caller, who hands it back with releaseFrame once nothing aliases it
+// any more (a zero-length payload is nil).
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var pfx [4]byte
-	if _, err := io.ReadFull(r, pfx[:]); err != nil {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(pfx[:]))
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n < 1 {
 		return 0, nil, protoErrf("frame body %d bytes, want >= 1", n)
 	}
 	if n > maxFrameBody {
 		return 0, nil, protoErrf("frame body %d bytes exceeds limit %d", n, maxFrameBody)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, nil, unexpectedEOF(err)
 	}
-	return body[0], body[1:], nil
+	payload = comm.GetBuf(n - 1)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		releaseFrame(payload)
+		return 0, nil, unexpectedEOF(err)
+	}
+	return hdr[4], payload, nil
 }
 
-// appendFrame frames (typ, payload) onto dst.
-func appendFrame(dst []byte, typ byte, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(payload)))
-	dst = append(dst, typ)
-	return append(dst, payload...)
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// releaseFrame returns a pooled frame or payload buffer; nil (an empty
+// payload) is a no-op.
+func releaseFrame(b []byte) {
+	if len(b) > 0 {
+		comm.PutBuf(b)
+	}
+}
+
+// newFrame starts a pooled frame for a payload of exactly n bytes: the
+// length prefix and type are written, and the returned slice has
+// length 5 and capacity for the payload, so encoders append in place
+// without reallocating. Whoever writes the frame to the socket owns it
+// and recycles it with releaseFrame.
+func newFrame(typ byte, n int) []byte {
+	f := comm.GetBuf(5 + n)[:5]
+	binary.LittleEndian.PutUint32(f, uint32(1+n))
+	f[4] = typ
+	return f
 }
 
 type helloMsg struct {
@@ -94,14 +119,13 @@ type helloMsg struct {
 }
 
 func encodeHello(m helloMsg) []byte {
-	p := make([]byte, 0, 17+len(m.Group))
+	p := newFrame(cfHello, 17+len(m.Group))
 	p = binary.LittleEndian.AppendUint32(p, m.Proto)
 	p = binary.LittleEndian.AppendUint32(p, uint32(m.World))
 	p = binary.LittleEndian.AppendUint32(p, m.TagSpace)
 	p = binary.LittleEndian.AppendUint32(p, uint32(int32(m.ProxyRank)))
 	p = append(p, byte(len(m.Group)))
-	p = append(p, m.Group...)
-	return appendFrame(nil, cfHello, p)
+	return append(p, m.Group...)
 }
 
 func parseHello(p []byte) (helloMsg, error) {
@@ -131,19 +155,23 @@ func parseHello(p []byte) (helloMsg, error) {
 	return m, nil
 }
 
+// reduceMsg is a parsed reduce request. Raw aliases the frame payload:
+// the world*elems contributions as little-endian float64 bytes,
+// rank-major, never decoded on the server.
 type reduceMsg struct {
-	ID   uint64
-	Vals []float64
+	ID  uint64
+	Raw []byte
 }
 
 func encodeReduce(typ byte, id uint64, vals []float64) []byte {
-	p := make([]byte, 0, 12+8*len(vals))
-	p = binary.LittleEndian.AppendUint64(p, id)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(vals)))
-	for _, v := range vals {
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+	f := newFrame(typ, 12+8*len(vals))
+	f = binary.LittleEndian.AppendUint64(f, id)
+	f = binary.LittleEndian.AppendUint32(f, uint32(len(vals)))
+	f = f[:17+8*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(f[17+8*i:], math.Float64bits(v))
 	}
-	return appendFrame(nil, typ, p)
+	return f
 }
 
 func parseReduce(p []byte) (reduceMsg, error) {
@@ -158,10 +186,7 @@ func parseReduce(p []byte) (reduceMsg, error) {
 	if len(p) != 12+8*count {
 		return reduceMsg{}, protoErrf("reduce payload %d bytes for %d elements", len(p)-12, count)
 	}
-	m.Vals = make([]float64, count)
-	for i := range m.Vals {
-		m.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[12+8*i:]))
-	}
+	m.Raw = p[12:]
 	return m, nil
 }
 
@@ -175,18 +200,20 @@ type isendMsg struct {
 }
 
 func encodeIsend(m isendMsg) []byte {
-	p := make([]byte, 0, 25+len(m.Data))
+	n := 25
+	if m.HasData {
+		n += len(m.Data)
+	}
+	p := newFrame(cfIsend, n)
 	p = binary.LittleEndian.AppendUint64(p, m.ID)
 	p = binary.LittleEndian.AppendUint32(p, uint32(int32(m.Dst)))
 	p = binary.LittleEndian.AppendUint64(p, uint64(m.Tag))
 	p = binary.LittleEndian.AppendUint32(p, uint32(m.Size))
 	if m.HasData {
 		p = append(p, 1)
-		p = append(p, m.Data...)
-	} else {
-		p = append(p, 0)
+		return append(p, m.Data...)
 	}
-	return appendFrame(nil, cfIsend, p)
+	return append(p, 0)
 }
 
 func parseIsend(p []byte) (isendMsg, error) {
@@ -229,11 +256,10 @@ type irecvMsg struct {
 }
 
 func encodeIrecv(m irecvMsg) []byte {
-	p := make([]byte, 0, 20)
+	p := newFrame(cfIrecv, 20)
 	p = binary.LittleEndian.AppendUint64(p, m.ID)
 	p = binary.LittleEndian.AppendUint32(p, uint32(int32(m.Src)))
-	p = binary.LittleEndian.AppendUint64(p, uint64(m.Tag))
-	return appendFrame(nil, cfIrecv, p)
+	return binary.LittleEndian.AppendUint64(p, uint64(m.Tag))
 }
 
 func parseIrecv(p []byte) (irecvMsg, error) {
@@ -257,10 +283,9 @@ type welcomeMsg struct {
 }
 
 func encodeWelcome(m welcomeMsg) []byte {
-	p := make([]byte, 0, 16)
+	p := newFrame(sfWelcome, 16)
 	p = binary.LittleEndian.AppendUint64(p, m.Session)
-	p = binary.LittleEndian.AppendUint64(p, m.Gen)
-	return appendFrame(nil, sfWelcome, p)
+	return binary.LittleEndian.AppendUint64(p, m.Gen)
 }
 
 func parseWelcome(p []byte) (welcomeMsg, error) {
@@ -282,7 +307,7 @@ type resultMsg struct {
 func encodeResult(m resultMsg) []byte {
 	// The mask length is a uint32: survivor masks are world-sized and
 	// worlds may be as large as maxWireWorld, which outgrows a byte.
-	p := make([]byte, 0, 16+len(m.Mask)+len(m.Data))
+	p := newFrame(sfResult, 16+len(m.Mask)+len(m.Data))
 	p = binary.LittleEndian.AppendUint64(p, m.ID)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(m.Mask)))
 	for _, alive := range m.Mask {
@@ -293,8 +318,7 @@ func encodeResult(m resultMsg) []byte {
 		}
 	}
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(m.Data)))
-	p = append(p, m.Data...)
-	return appendFrame(nil, sfResult, p)
+	return append(p, m.Data...)
 }
 
 func parseResult(p []byte) (resultMsg, error) {
@@ -312,7 +336,13 @@ func parseResult(p []byte) (resultMsg, error) {
 	if ml > 0 {
 		m.Mask = make([]bool, ml)
 		for i := 0; i < ml; i++ {
-			m.Mask[i] = p[12+i] != 0
+			switch p[12+i] {
+			case 0:
+			case 1:
+				m.Mask[i] = true
+			default:
+				return resultMsg{}, protoErrf("result mask entry %d is %d, want 0 or 1", i, p[12+i])
+			}
 		}
 	}
 	dl := int(binary.LittleEndian.Uint32(p[12+ml : 16+ml]))
@@ -329,16 +359,18 @@ type errMsg struct {
 	Msg  string
 }
 
+// maxErrMsg bounds an error frame's message; longer ones are cut.
+const maxErrMsg = 1024
+
 func encodeErr(m errMsg) []byte {
-	if len(m.Msg) > 1024 {
-		m.Msg = m.Msg[:1024]
+	if len(m.Msg) > maxErrMsg {
+		m.Msg = m.Msg[:maxErrMsg]
 	}
-	p := make([]byte, 0, 11+len(m.Msg))
+	p := newFrame(sfErr, 11+len(m.Msg))
 	p = binary.LittleEndian.AppendUint64(p, m.ID)
 	p = append(p, byte(m.Code))
 	p = binary.LittleEndian.AppendUint16(p, uint16(len(m.Msg)))
-	p = append(p, m.Msg...)
-	return appendFrame(nil, sfErr, p)
+	return append(p, m.Msg...)
 }
 
 func parseErr(p []byte) (errMsg, error) {
@@ -349,6 +381,9 @@ func parseErr(p []byte) (errMsg, error) {
 	ml := int(binary.LittleEndian.Uint16(p[9:11]))
 	if len(p) != 11+ml {
 		return errMsg{}, protoErrf("err message %d bytes, declared %d", len(p)-11, ml)
+	}
+	if ml > maxErrMsg {
+		return errMsg{}, protoErrf("err message %d bytes exceeds limit %d", ml, maxErrMsg)
 	}
 	m.Msg = string(p[11:])
 	if m.Code == CodeOK || m.Code > CodeInternal {
@@ -367,18 +402,20 @@ type opDoneMsg struct {
 }
 
 func encodeOpDone(m opDoneMsg) []byte {
-	p := make([]byte, 0, 25+len(m.Data))
+	n := 25
+	if m.HasData {
+		n += len(m.Data)
+	}
+	p := newFrame(sfOpDone, n)
 	p = binary.LittleEndian.AppendUint64(p, m.ID)
 	p = binary.LittleEndian.AppendUint32(p, uint32(int32(m.Source)))
 	p = binary.LittleEndian.AppendUint64(p, uint64(m.Tag))
 	p = binary.LittleEndian.AppendUint32(p, uint32(m.Size))
 	if m.HasData {
 		p = append(p, 1)
-		p = append(p, m.Data...)
-	} else {
-		p = append(p, 0)
+		return append(p, m.Data...)
 	}
-	return appendFrame(nil, sfOpDone, p)
+	return append(p, 0)
 }
 
 func parseOpDone(p []byte) (opDoneMsg, error) {
@@ -408,7 +445,12 @@ func parseOpDone(p []byte) (opDoneMsg, error) {
 	return m, nil
 }
 
-func encodeClose() []byte { return appendFrame(nil, cfClose, nil) }
+func encodeClose() []byte { return newFrame(cfClose, 0) }
+
+// byeMsg is the server's drain-complete handshake; it carries nothing.
+type byeMsg struct{}
+
+func encodeBye() []byte { return newFrame(sfBye, 0) }
 
 // parseClientFrame decodes any client-side frame into its typed message
 // — the single entry point the server reader and the fuzz harness
@@ -433,13 +475,27 @@ func parseClientFrame(typ byte, payload []byte) (any, error) {
 	}
 }
 
-// floatsToBytes renders vals as the wire's little-endian float64 bytes.
-func floatsToBytes(vals []float64) []byte {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+// parseServerFrame decodes any server-side frame into its typed message
+// — the single entry point the client reader and the fuzz harness
+// share. Unknown types and malformed payloads are *ProtoError.
+func parseServerFrame(typ byte, payload []byte) (any, error) {
+	switch typ {
+	case sfWelcome:
+		return parseWelcome(payload)
+	case sfResult:
+		return parseResult(payload)
+	case sfErr:
+		return parseErr(payload)
+	case sfOpDone:
+		return parseOpDone(payload)
+	case sfBye:
+		if len(payload) != 0 {
+			return nil, protoErrf("bye frame carries %d bytes", len(payload))
+		}
+		return byeMsg{}, nil
+	default:
+		return nil, protoErrf("unknown server frame type %#x", typ)
 	}
-	return b
 }
 
 // bytesToFloats decodes little-endian float64 bytes; len(b) must be a

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"testing"
+
+	"adapt/internal/comm"
 )
 
 // TestResultFrameWideMask pins the survivor-mask length field at 32
@@ -10,7 +12,7 @@ import (
 // be far longer than 255 entries and must round-trip rather than wrap
 // into a length the parser rejects.
 func TestResultFrameWideMask(t *testing.T) {
-	data := floatsToBytes([]float64{1.5, -2.25, 1e9})
+	data := comm.EncodeFloat64s([]float64{1.5, -2.25, 1e9})
 	for _, n := range []int{0, 1, 255, 256, 300, maxWireWorld} {
 		var mask []bool
 		if n > 0 {
