@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify check test build race flake vet bench chaos crash fuzz trace net obs scale
+.PHONY: verify check test build race flake vet bench chaos crash fuzz trace net scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
@@ -41,9 +41,12 @@ vet:
 # layer (BENCH_serve.json + the adaptd clean-counters check) and the
 # obs section (adaptd -admin under adaptbench -serve load, scraped
 # mid-run by adaptctl -check -> BENCH_obs.json); writes BENCH_kernel.json,
-# BENCH_progress.json, BENCH_serve.json and BENCH_obs.json.
+# BENCH_progress.json, BENCH_serve.json and BENCH_obs.json. Then the
+# telemetry gate-cost benchmarks: the metrics recording paths with the
+# gate off and on.
 bench:
 	./scripts/bench.sh
+	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkCounterDisabled|BenchmarkLatencyBracketDisabled' -benchmem ./internal/metrics
 
 # Million-rank kernel-scaling ladder: tree bcast/reduce and allreduce in
 # the goroutine-per-rank and flat rank drivers from 1k to 1M simulated
@@ -84,17 +87,6 @@ net:
 	$(GO) test -race ./internal/nettransport/...
 	$(GO) test -race -run 'TestConformanceGridTCP|TestCrashGridTCP|TestEagerBoundary|TestSeqWrap' ./internal/conform
 	$(GO) test -run 'TestE2E' -v ./cmd/adaptrun
-
-# Live telemetry gate: the metrics core under the race detector
-# (concurrent writers, merge algebra, quantile error bounds, the golden
-# Prometheus exposition, the zero-alloc contract), the perf snapshot
-# export-coverage tests, the admin e2e against a live daemon and the
-# gate-cost benchmarks. The bench.sh obs section (BENCH_obs.json) runs
-# from `bench`.
-obs:
-	$(GO) test -race ./internal/metrics/... ./internal/perf/...
-	$(GO) test -race -run 'TestAdminAgainstLiveServer' ./internal/serve
-	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkCounterDisabled|BenchmarkLatencyBracketDisabled' -benchmem ./internal/metrics
 
 # Short fuzz passes over the tag-matching predicate, the fault-plan
 # parser, the unified matching core, the daemon's framed codec in both

@@ -11,7 +11,7 @@
 //	adaptctl -addr 127.0.0.1:7078 -metrics    # raw Prometheus exposition
 //	adaptctl -addr 127.0.0.1:7078 -check -out BENCH_obs.json
 //
-// -check is the observability bench gate (make obs): it scrapes the
+// -check is the observability bench gate (make bench): it scrapes the
 // plane under load and fails unless the Prometheus exposition parses,
 // the serving-layer latency histogram is non-empty, /healthz reports
 // ready, and the trouble counters (overloads, rank failures, net

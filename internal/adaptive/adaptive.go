@@ -163,6 +163,7 @@ func Reduce(c comm.Comm, topo *hwloc.Topology, root int, contrib comm.Msg, seq i
 
 // Allreduce runs the fused ADAPT allreduce with an automatically decided
 // configuration (the tree must be rooted consistently; rank 0 is used).
+// contrib.Data, when present, is the result buffer on every rank.
 func Allreduce(c comm.Comm, topo *hwloc.Topology, contrib comm.Msg, seq int, goal Goal) comm.Msg {
 	ch := Decide(topo, comm.KindAllreduce, contrib.Size, goal)
 	return core.Allreduce(c, trees.Topology(topo, 0, ch.Tree), contrib, ch.Options(seq))

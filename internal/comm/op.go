@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Datatype identifies the element type of a reduction payload.
@@ -110,60 +111,77 @@ func getI64(b []byte) int64      { return int64(binary.LittleEndian.Uint64(b)) }
 func putI64(b []byte, v int64)   { binary.LittleEndian.PutUint64(b, uint64(v)) }
 
 // applyF64 folds non-empty float64 buffers of equal length. Max and Min
-// keep math.Max/math.Min semantics for NaN and signed zeros.
+// keep math.Max/math.Min semantics for NaN and signed zeros. Each loop
+// works on 8-byte windows d, s of dst and src. With src resliced to
+// len(dst) once, one bounds check on d's window covers both, where
+// reading and writing through dst[i:] and src[i:] paid one per access.
 func (o Op) applyF64(dst, src []byte) {
+	src = src[:len(dst)]
 	switch o {
 	case OpSum:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putF64(dst[i:], getF64(dst[i:])+getF64(src[i:]))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putF64(d, getF64(d)+getF64(s))
 		}
 	case OpProd:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putF64(dst[i:], getF64(dst[i:])*getF64(src[i:]))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putF64(d, getF64(d)*getF64(s))
 		}
 	case OpMax:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putF64(dst[i:], math.Max(getF64(dst[i:]), getF64(src[i:])))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putF64(d, math.Max(getF64(d), getF64(s)))
 		}
 	case OpMin:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putF64(dst[i:], math.Min(getF64(dst[i:]), getF64(src[i:])))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putF64(d, math.Min(getF64(d), getF64(s)))
 		}
 	default:
 		panic(fmt.Sprintf("comm: op %s not defined for float64", o))
 	}
 }
 
-// applyI64 folds non-empty int64 buffers of equal length.
+// applyI64 folds non-empty int64 buffers of equal length, on 8-byte
+// windows as applyF64 does.
 func (o Op) applyI64(dst, src []byte) {
+	src = src[:len(dst)]
 	switch o {
 	case OpSum:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putI64(dst[i:], getI64(dst[i:])+getI64(src[i:]))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putI64(d, getI64(d)+getI64(s))
 		}
 	case OpProd:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putI64(dst[i:], getI64(dst[i:])*getI64(src[i:]))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putI64(d, getI64(d)*getI64(s))
 		}
 	case OpMax:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putI64(dst[i:], max(getI64(dst[i:]), getI64(src[i:])))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putI64(d, max(getI64(d), getI64(s)))
 		}
 	case OpMin:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putI64(dst[i:], min(getI64(dst[i:]), getI64(src[i:])))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putI64(d, min(getI64(d), getI64(s)))
 		}
 	case OpBAnd:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putI64(dst[i:], getI64(dst[i:])&getI64(src[i:]))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putI64(d, getI64(d)&getI64(s))
 		}
 	case OpBOr:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putI64(dst[i:], getI64(dst[i:])|getI64(src[i:]))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putI64(d, getI64(d)|getI64(s))
 		}
 	case OpBXor:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putI64(dst[i:], getI64(dst[i:])^getI64(src[i:]))
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			putI64(d, getI64(d)^getI64(s))
 		}
 	default:
 		panic(fmt.Sprintf("comm: op %s not defined for int64", o))
@@ -196,12 +214,42 @@ func (o Op) foldByte(a, b byte) byte {
 	panic(fmt.Sprintf("comm: op %s not defined for byte", o))
 }
 
+// The float64 and int64 codec. On a little-endian host a []float64 or
+// []int64 already holds its wire bytes, so encoding and decoding are one
+// copy through a byte view of the typed slice. Only the typed side is
+// ever viewed: *float64 → *byte is always aligned, while a []byte taken
+// at any offset of a frame need not be 8-byte aligned, so the codec
+// never converts that way. A big-endian host runs the per-element loops.
+
+// hostLittleEndian reports whether the host's native byte order is the
+// wire's.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// wordBytes views the backing array of an 8-byte-element slice as bytes.
+func wordBytes[T float64 | int64](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// PutFloat64s writes v into b as little-endian float64s; len(b) must be
+// at least 8*len(v).
+func PutFloat64s(b []byte, v []float64) {
+	if len(b) < 8*len(v) {
+		panic(fmt.Sprintf("comm: %dB buffer too short for %d float64s", len(b), len(v)))
+	}
+	if hostLittleEndian {
+		copy(b, wordBytes(v))
+		return
+	}
+	putFloat64sLoop(b, v)
+}
+
 // EncodeFloat64s packs a float64 slice into a fresh byte buffer.
 func EncodeFloat64s(v []float64) []byte {
 	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
+	PutFloat64s(b, v)
 	return b
 }
 
@@ -211,8 +259,10 @@ func DecodeFloat64s(b []byte) []float64 {
 		panic("comm: float64 buffer length not a multiple of 8")
 	}
 	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	if hostLittleEndian {
+		copy(wordBytes(v), b)
+	} else {
+		getFloat64sLoop(v, b)
 	}
 	return v
 }
@@ -220,8 +270,10 @@ func DecodeFloat64s(b []byte) []float64 {
 // EncodeInt64s packs an int64 slice into a fresh byte buffer.
 func EncodeInt64s(v []int64) []byte {
 	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+	if hostLittleEndian {
+		copy(b, wordBytes(v))
+	} else {
+		putInt64sLoop(b, v)
 	}
 	return b
 }
@@ -232,8 +284,37 @@ func DecodeInt64s(b []byte) []int64 {
 		panic("comm: int64 buffer length not a multiple of 8")
 	}
 	v := make([]int64, len(b)/8)
+	if hostLittleEndian {
+		copy(wordBytes(v), b)
+	} else {
+		getInt64sLoop(v, b)
+	}
+	return v
+}
+
+// The per-element codec: the big-endian fallback, and the reference the
+// bulk path must match byte for byte.
+
+func putFloat64sLoop(b []byte, v []float64) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+}
+
+func getFloat64sLoop(v []float64, b []byte) {
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+func putInt64sLoop(b []byte, v []int64) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+	}
+}
+
+func getInt64sLoop(v []int64, b []byte) {
 	for i := range v {
 		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return v
 }

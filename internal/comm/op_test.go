@@ -155,6 +155,55 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecBulkMatchesLoop: the bulk codec agrees with the per-element
+// loops, called directly, byte for byte and bit for bit, on NaN payloads,
+// ±0, ±Inf, the int64 extremes and empty slices, encoding into and
+// decoding from buffers at an odd, misaligned offset.
+func TestCodecBulkMatchesLoop(t *testing.T) {
+	floats := [][]float64{nil, {}, {
+		math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001),
+		math.Float64frombits(0x7ff0_0000_0000_0001), math.Copysign(math.NaN(), -1),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, -1.5,
+	}}
+	ints := [][]int64{nil, {}, {0, -1, 1, math.MaxInt64, math.MinInt64}}
+	// misaligned returns a copy of b starting one byte into its array.
+	misaligned := func(b []byte) []byte { return append([]byte{0}, b...)[1:] }
+	for _, v := range floats {
+		want := make([]byte, 8*len(v))
+		putFloat64sLoop(want, v)
+		if got := EncodeFloat64s(v); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeFloat64s(%v) = %x, loop %x", v, got, want)
+		}
+		odd := misaligned(make([]byte, len(want)))
+		PutFloat64s(odd, v)
+		if !bytes.Equal(odd, want) {
+			t.Fatalf("PutFloat64s at an odd offset = %x, loop %x", odd, want)
+		}
+		got, ref := DecodeFloat64s(misaligned(want)), make([]float64, len(v))
+		getFloat64sLoop(ref, want)
+		for i := range v {
+			if b := math.Float64bits(got[i]); b != math.Float64bits(ref[i]) || b != math.Float64bits(v[i]) {
+				t.Fatalf("DecodeFloat64s[%d] = %#x, loop %#x, encoded %#x", i, b, math.Float64bits(ref[i]), math.Float64bits(v[i]))
+			}
+		}
+	}
+	for _, v := range ints {
+		want := make([]byte, 8*len(v))
+		putInt64sLoop(want, v)
+		if got := EncodeInt64s(v); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeInt64s(%v) = %x, loop %x", v, got, want)
+		}
+		got, ref := DecodeInt64s(misaligned(want)), make([]int64, len(v))
+		getInt64sLoop(ref, want)
+		for i := range v {
+			if got[i] != ref[i] || got[i] != v[i] {
+				t.Fatalf("DecodeInt64s[%d] = %d, loop %d, encoded %d", i, got[i], ref[i], v[i])
+			}
+		}
+	}
+}
+
 func TestStringMethods(t *testing.T) {
 	if Float64.String() != "float64" || Int64.String() != "int64" || Byte.String() != "byte" {
 		t.Error("datatype names wrong")
@@ -328,4 +377,14 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return len(a)
+}
+
+// BenchmarkApplyFloat64Sum folds 8192 float64s (64 KiB, one served
+// rank's rendezvous-sized contribution) into another.
+func BenchmarkApplyFloat64Sum(b *testing.B) {
+	dst, src := make([]byte, 8*8192), make([]byte, 8*8192)
+	b.SetBytes(int64(len(dst)))
+	for i := 0; i < b.N; i++ {
+		OpSum.Apply(dst, src, Float64)
+	}
 }

@@ -48,8 +48,10 @@ type allreduceState struct {
 
 // Allreduce folds every rank's contribution under opt.Op and delivers the
 // result to all ranks, as one fused pipeline over tree t. contrib.Data,
-// when present, is folded in place at intermediate ranks — pass a private
-// copy. Returns the full result on every rank.
+// when present, is the result buffer on every rank (MPI_IN_PLACE): the
+// root and intermediate ranks fold into it, and every non-root rank's
+// down segments overwrite it, so pass a private copy that no other rank
+// or later call reads. The returned Msg's Data is contrib.Data.
 func Allreduce(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) comm.Msg {
 	return StartAllreduce(c, t, contrib, opt).Wait()
 }
@@ -107,10 +109,14 @@ func newAllreduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options
 			s.postDownRecv()
 		}
 	}
-	// At the root the final data is the in-place folded contribution.
-	if me == t.Root {
-		s.outData = contrib.Data
-	}
+	// The result overwrites the contribution in place on every rank: the
+	// root folds into it, and a non-root rank copies each down segment
+	// over it. That copy cannot clobber bytes still to be sent up: down
+	// segment k leaves the parent only after the parent has received
+	// this rank's up segment k, and by then every substrate is done
+	// reading that send's payload (snapshotted at Isend, or pulled or
+	// written out to complete the parent's receive).
+	s.outData = contrib.Data
 
 	// Up-direction receive windows.
 	for ci := range s.children {
@@ -179,10 +185,6 @@ func (s *allreduceState) onDownSegment(st comm.Status) {
 	sg := s.segs[seg]
 	fwd := comm.Msg{Size: st.Msg.Size, Space: sg.Msg.Space}
 	if st.Msg.Data != nil {
-		if s.outData == nil {
-			// The caller's result: a plain allocation, never pooled.
-			s.outData = make([]byte, s.total)
-		}
 		copy(s.outData[sg.Offset:], st.Msg.Data)
 		// Children are fed aliases of the result, so the receiver-owned
 		// segment buffer is dead: recycle it.

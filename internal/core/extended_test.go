@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"adapt/internal/comm"
+	"adapt/internal/hwloc"
 	"adapt/internal/netmodel"
 	"adapt/internal/noise"
 	"adapt/internal/runtime"
@@ -52,6 +55,68 @@ func TestFusedAllreduceLive(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestAllreduceResultInPlace: on the live runtime with real bytes, the
+// allreduce result is each rank's own contribution buffer — at the
+// root, at an intermediate rank and at the leaves — and its bytes equal
+// the simulator's, for one eager segment and for several rendezvous
+// segments.
+func TestAllreduceResultInPlace(t *testing.T) {
+	const n = 4
+	tree := trees.Binomial(n, 1)
+	p := netmodel.Cori(1).WithTopo(hwloc.New(2, 1, 2))
+	roles := map[string]bool{}
+	for r := 0; r < n; r++ {
+		switch {
+		case tree.Parent[r] == -1:
+			roles["root"] = true
+		case len(tree.Children[r]) > 0:
+			roles["intermediate"] = true
+		default:
+			roles["leaf"] = true
+		}
+	}
+	if len(roles) != 3 {
+		t.Fatalf("tree covers roles %v, want root, intermediate and leaf", roles)
+	}
+	contrib := func(rank, elems int) comm.Msg {
+		b := make([]byte, 8*elems)
+		for i := 0; i < elems; i++ {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64((rank*31+i)%17)-0.25))
+		}
+		return comm.Bytes(b)
+	}
+	for _, elems := range []int{16, 8192} {
+		opt := DefaultOptions()
+		opt.SegSize = 16 << 10 // four rendezvous segments at 8192 elements
+		golden := make([][]byte, n)
+		runSim(t, p, noise.None, func(c *simmpi.Comm) {
+			golden[c.Rank()] = Allreduce(c, tree, contrib(c.Rank(), elems), opt).Data
+		})
+		got := make([][]byte, n)
+		runtime.NewWorld(n).Run(func(c *runtime.Comm) {
+			in := contrib(c.Rank(), elems)
+			out := Allreduce(c, tree, in, opt)
+			if len(out.Data) != len(in.Data) || &out.Data[0] != &in.Data[0] {
+				t.Errorf("%d elems rank %d: result is not the contribution buffer", elems, c.Rank())
+			}
+			got[c.Rank()] = out.Data
+		})
+		// Quarter-integer terms sum exactly in any fold order.
+		want := contrib(0, elems).Data
+		for r := 1; r < n; r++ {
+			comm.OpSum.Apply(want, contrib(r, elems).Data, comm.Float64)
+		}
+		for r := 0; r < n; r++ {
+			if !bytes.Equal(golden[r], want) {
+				t.Fatalf("%d elems rank %d: simulator result is not the sum", elems, r)
+			}
+			if !bytes.Equal(got[r], golden[r]) {
+				t.Fatalf("%d elems rank %d: live result diverges from the simulator's", elems, r)
+			}
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // allreduce on a 4-rank live runtime world — the rank goroutines, the
 // collective's state, requests and envelopes — after warm-up runs have
 // filled the segment pool. Eager (16 float64) and rendezvous (8192
-// float64) sizes both measure 106–110 allocations on go1.24/amd64; the
+// float64) sizes both measure 105 allocations on go1.24/amd64; the
 // bound leaves room for scheduling noise, not for a per-segment
 // allocation. (Excluded under -race, which instruments allocations.)
 func TestLiveAllreduceAllocs(t *testing.T) {
@@ -41,10 +41,9 @@ func TestLiveAllreduceAllocs(t *testing.T) {
 				seq++
 				opt := core.DefaultOptions()
 				opt.Seq = seq % comm.SeqWrap
-				w.Run(func(c *runtime.Comm) {
-					res := core.Allreduce(c, tree, in[c.Rank()], opt)
-					comm.PutBuf(res.Data)
-				})
+				// The result lands in each rank's own input buffer, which
+				// the next run reuses as its contribution.
+				w.Run(func(c *runtime.Comm) { core.Allreduce(c, tree, in[c.Rank()], opt) })
 			}
 			for i := 0; i < 20; i++ {
 				once()

@@ -12,10 +12,11 @@ import (
 // allocates in steady state, client and daemon together: an in-process
 // daemon on the runtime backend, 4 ranks, one warmed-up session. The
 // wire path copies each payload only where the protocol needs it and
-// draws every frame from the segment-buffer pool, so what remains is
-// the caller's result slice, the non-root ranks' result buffers and
-// small per-request records. Decoding and re-encoding every frame, as
-// the wire path once did, costs ~1.9 MB per 8192-element request.
+// draws every frame from the segment-buffer pool, and every rank's
+// result lands in its own contribution bytes, so what remains is the
+// caller's result slice and small per-request records. A fresh result
+// buffer per non-root rank, as core once made, costs ~270 KB per
+// 8192-element request; decoding and re-encoding every frame ~1.9 MB.
 func TestServeAllocsPerRequest(t *testing.T) {
 	const world, reqs = 4, 40
 	srv := newTestServer(t, Config{DrainTimeout: 2 * time.Second})
@@ -28,7 +29,7 @@ func TestServeAllocsPerRequest(t *testing.T) {
 		elems int
 		bound uint64 // bytes per request
 	}{
-		{8192, 384 << 10},
+		{8192, 128 << 10},
 		{16, 12 << 10},
 	} {
 		vals := contrib(world, c.elems, 1)

@@ -90,8 +90,8 @@ func (j *job) opts() core.Options {
 
 // rankDone retires a scheduled allreduce on one rank; the last rank
 // fires delivery with rank 0's result (all ranks hold identical bytes).
-// Rank 0 is the root, whose result is its own contribution folded in
-// place, so it stays valid until delivery releases the job's buffers.
+// Every rank's result is its own contribution overwritten in place, so
+// rank 0's stays valid until delivery releases the job's buffers.
 func (j *job) rankDone(rank int, out comm.Msg) {
 	if rank == 0 {
 		j.mu.Lock()

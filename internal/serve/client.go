@@ -194,10 +194,14 @@ func (s *Session) handleFrame(typ byte, payload []byte) (keep bool, fatal error)
 		}
 		st := comm.Status{Source: m.Source, Tag: m.Tag}
 		if m.HasData {
-			// The receiver owns delivered data, and it aliases the
-			// payload: leave the payload to the GC.
-			keep = true
-			st.Msg = comm.Bytes(m.Data)
+			// The receiver owns delivered data, as on every substrate: a
+			// pooled copy it may PutBuf, so the frame goes back at once.
+			data := comm.GetBuf(len(m.Data))
+			if data == nil {
+				data = []byte{} // empty but present, as sent
+			}
+			copy(data, m.Data)
+			st.Msg = comm.Bytes(data)
 			st.Msg.Size = m.Size
 		} else {
 			st.Msg = comm.Sized(m.Size)
@@ -309,7 +313,7 @@ func (c *Call) Wait() ([]float64, []bool, error) {
 			c.err = res.err
 			return
 		}
-		c.vals, c.mask = bytesToFloats(res.data), res.mask
+		c.vals, c.mask = comm.DecodeFloat64s(res.data), res.mask
 		releaseFrame(res.body)
 	})
 	return c.vals, c.mask, c.err

@@ -84,8 +84,8 @@ func (f *fuser) flush(elems int) {
 // rejection fails every part in the batch with the typed Overloaded
 // error.
 //
-// Rank 0's contribution is the result, so the buffers the ranks folded
-// into are recycled only after every part's result frame is encoded.
+// Each rank's result overwrites its contribution, so the buffers are
+// recycled only after every part's result frame is encoded.
 // A failed job leaves them to the GC: a surviving rank may still hold
 // its slice.
 func (b *backend) submitFused(bt *fuseBatch) {

@@ -159,7 +159,7 @@ func reencodeRoundTrip(t *testing.T, typ byte, payload []byte, msg any) {
 	case reduceMsg:
 		// The server keeps the values as raw bytes; decode them to
 		// drive the client encoder.
-		frame = encodeReduce(typ, m.ID, bytesToFloats(m.Raw))
+		frame = encodeReduce(typ, m.ID, comm.DecodeFloat64s(m.Raw))
 	case isendMsg:
 		frame = encodeIsend(m)
 	case irecvMsg:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adapt/internal/comm"
+	"adapt/internal/perf"
 )
 
 // TestProxyPingPong drives the daemon-backed comm.Comm adapter with raw
@@ -71,6 +72,52 @@ func TestProxyPingPong(t *testing.T) {
 		if back.Err != nil || !bytes.Equal(back.Msg.Data, reply) {
 			t.Fatalf("size %d: reply corrupted (err %v)", size, back.Err)
 		}
+	}
+}
+
+// TestProxyRecvRecycles: the proxy plane's receive payloads circulate
+// through the segment-buffer pool. The daemon returns its receive copy
+// once the op-done frame is encoded, and the client hands the receiver
+// a pooled copy of the frame's data, so a receiver that returns it with
+// PutBuf leaves nothing to the GC: after 100 sends of 64 KiB and both
+// sessions closed, at most 4 pool buffers are still out.
+func TestProxyRecvRecycles(t *testing.T) {
+	const world, msgs, size = 2, 100, 64 << 10
+	srv := newTestServer(t, Config{DrainTimeout: 2 * time.Second})
+	var sess [world]*Session
+	for r := range sess {
+		s, err := Dial(srv.Addr(), SessionOpts{World: world, Group: "recycle", ProxyRank: r})
+		if err != nil {
+			t.Fatalf("Dial rank %d: %v", r, err)
+		}
+		sess[r] = s
+	}
+	c0, c1 := sess[0].Comm(), sess[1].Comm()
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	before := perf.Read()
+	for i := 0; i < msgs; i++ {
+		done := make(chan comm.Status, 1)
+		go func() { done <- c0.Wait(c0.Isend(1, comm.Tag(5), comm.Bytes(payload))) }()
+		st := c1.Recv(0, comm.Tag(5))
+		if sst := <-done; sst.Err != nil {
+			t.Fatalf("send %d: %v", i, sst.Err)
+		}
+		if st.Err != nil || !bytes.Equal(st.Msg.Data, payload) {
+			t.Fatalf("recv %d: payload corrupted (err %v)", i, st.Err)
+		}
+		comm.PutBuf(st.Msg.Data)
+	}
+	for _, s := range sess {
+		s.Close()
+	}
+	d := perf.Read().Delta(before)
+	out := int64(d.BufGets) - int64(d.BufRecycled) // a buffer got before the window may return in it
+	t.Logf("pool: %d gets, %d puts, %d retained, %d outstanding", d.BufGets, d.BufPuts, d.BufRecycled, out)
+	if out > 4 {
+		t.Errorf("%d of %d pool buffers outstanding after %d proxy messages: the receive path leaves them to the GC", out, d.BufGets, msgs)
 	}
 }
 

@@ -607,6 +607,11 @@ func (s *session) opDone(id uint64, st comm.Status) {
 		m.Data = st.Msg.Data
 	}
 	s.send(encodeOpDone(m))
+	if m.HasData {
+		// Only a receive's status carries data (retire strips a send's):
+		// the substrate's pooled receive copy, dead once encoded.
+		comm.PutBuf(m.Data)
+	}
 	s.srv.stResponses.Add(1)
 	s.pending.Add(-1)
 	s.maybeDrained()

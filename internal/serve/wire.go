@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"adapt/internal/comm"
 )
@@ -168,9 +167,7 @@ func encodeReduce(typ byte, id uint64, vals []float64) []byte {
 	f = binary.LittleEndian.AppendUint64(f, id)
 	f = binary.LittleEndian.AppendUint32(f, uint32(len(vals)))
 	f = f[:17+8*len(vals)]
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(f[17+8*i:], math.Float64bits(v))
-	}
+	comm.PutFloat64s(f[17:], vals)
 	return f
 }
 
@@ -496,14 +493,4 @@ func parseServerFrame(typ byte, payload []byte) (any, error) {
 	default:
 		return nil, protoErrf("unknown server frame type %#x", typ)
 	}
-}
-
-// bytesToFloats decodes little-endian float64 bytes; len(b) must be a
-// multiple of 8.
-func bytesToFloats(b []byte) []float64 {
-	vals := make([]float64, len(b)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return vals
 }
