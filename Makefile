@@ -1,14 +1,31 @@
 GO ?= go
 
-.PHONY: verify check test build race flake vet bench chaos crash fuzz trace net scale
+.PHONY: verify check test build race flake vet bench chaos crash fuzz scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
 	$(GO) build ./... && $(GO) test ./...
 
-# Pre-merge gate: static checks (vet + gofmt), the whole suite under the
-# race detector, the flake hunt and a short fuzz pass.
-check: vet race flake
+# The packages whose tests run goroutines concurrently. check runs them
+# under the race detector, and every other package once under the
+# pooldebug checker, which catches in the single-threaded simulator the
+# use-after-release the race detector cannot see there.
+CONCURRENT = adapt/internal/(runtime|nettransport|serve|progress|metrics|trace)
+CONCURRENT_PKGS = $$($(GO) list ./... | grep -E '^$(CONCURRENT)')
+OTHER_PKGS = $$($(GO) list ./... | grep -vE '^$(CONCURRENT)')
+
+# Pre-merge gate: static checks (vet + gofmt); the concurrent packages,
+# bench's parallel sweep and the live, TCP and daemon conformance grids
+# under the race detector; every other package (the conformance registry
+# and the simulator among them), and the golden tests and committed fuzz
+# corpora everywhere, under pooldebug; the flake hunt and a short fuzz
+# pass. make race keeps the whole suite under the race detector.
+check: vet
+	$(GO) test -race $(CONCURRENT_PKGS)
+	$(GO) test -race -run 'TestParallelSweep|TestConformanceGrid(Daemon|TCP)$$|TestConformanceFECGrid(Live|TCP)$$|TestCrashGridTCP|TestEagerBoundary|TestSeqWrap|TestAllreduceBufferOwnership' ./internal/bench ./internal/conform
+	$(GO) test -tags pooldebug $(OTHER_PKGS)
+	$(GO) test -tags pooldebug -run 'Golden|Fuzz' $(CONCURRENT_PKGS)
+	$(MAKE) flake
 	$(MAKE) fuzz FUZZTIME=5s
 
 build:
@@ -21,17 +38,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Flake hunt: every *Deterministic* and soak test, fifty times over, and
-# the conformance grids that run on live goroutines and sockets (daemon,
-# TCP, live and TCP FEC) plus the daemon-backed proxy adapter.
+# Flake hunt: every *Deterministic*, soak and golden test, fifty times
+# over, and the conformance grids that run on live goroutines and sockets
+# (daemon, TCP, live and TCP FEC) plus the daemon-backed proxy adapter.
 flake:
-	$(GO) test -count=50 -run 'Deterministic|Soak' ./...
+	$(GO) test -count=50 -run 'Deterministic|Soak|Golden' ./...
 	$(GO) test -count=50 -run 'TestConformanceGrid(Daemon|TCP)$$|TestConformanceFECGrid(Live|TCP)$$' ./internal/conform
 	$(GO) test -count=50 -run 'TestProxy' ./internal/serve
 
-# Static checks: go vet, and gofmt must have nothing to reformat.
+# Static checks: go vet (also over the pooldebug-only files), and gofmt
+# must have nothing to reformat.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags pooldebug ./...
 	@out="$$(gofmt -l internal cmd examples)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
@@ -43,10 +62,12 @@ vet:
 # mid-run by adaptctl -check -> BENCH_obs.json); writes BENCH_kernel.json,
 # BENCH_progress.json, BENCH_serve.json and BENCH_obs.json. Then the
 # telemetry gate-cost benchmarks: the metrics recording paths with the
-# gate off and on.
+# gate off and on, and the kernel's dispatch cost with a dispatch
+# observer attached (the untraced path is in scripts/bench.sh).
 bench:
 	./scripts/bench.sh
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkCounterDisabled|BenchmarkLatencyBracketDisabled' -benchmem ./internal/metrics
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatchObserved$$' -benchmem ./internal/sim
 
 # Million-rank kernel-scaling ladder: tree bcast/reduce and allreduce in
 # the goroutine-per-rank and flat rank drivers from 1k to 1M simulated
@@ -67,26 +88,6 @@ chaos:
 crash:
 	ADAPT_CONFORM_FULL=1 $(GO) test -race -v -run 'TestCrash|TestCleanRunDetectorCountersZero' ./internal/conform
 	$(GO) test -race -run 'TestBcastFT|TestReduceFT|TestFTDeterministicSchedule' ./internal/core
-
-# Causal-trace pipeline gate: analyzer + exporter tests (including the
-# critical-path == sim-makespan check), trace.Buffer under concurrent
-# writers with -race, and the zero-overhead guarantee — the nil-tracer
-# kernel dispatch path must stay allocation-free.
-trace:
-	$(GO) test -race ./internal/trace/...
-	$(GO) test -run 'TestObserverNilZeroAlloc|TestTraceSweepByteIdentical' ./internal/sim ./internal/bench
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch$$|BenchmarkKernelDispatchObserved$$' -benchmem ./internal/sim
-
-# TCP transport gate: the loopback socket suite under the race detector
-# (matching engine, eager/rendezvous wire protocol, lease detector,
-# crash paths), the cross-substrate conformance + boundary grids, and
-# the multi-process adaptrun end-to-end scenarios (clean verified run,
-# dead root -> structured RankFailedError, mid-tree crash healed).
-net:
-	$(GO) build ./...
-	$(GO) test -race ./internal/nettransport/...
-	$(GO) test -race -run 'TestConformanceGridTCP|TestCrashGridTCP|TestEagerBoundary|TestSeqWrap' ./internal/conform
-	$(GO) test -run 'TestE2E' -v ./cmd/adaptrun
 
 # Short fuzz passes over the tag-matching predicate, the fault-plan
 # parser, the unified matching core, the daemon's framed codec in both

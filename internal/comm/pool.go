@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"adapt/internal/perf"
+	"adapt/internal/pool"
 )
 
 // Size-classed segment-buffer pool.
@@ -34,7 +35,9 @@ import (
 // touch them afterwards. Receivers own their delivered payload buffers
 // (both substrates hand over fresh copies), which is what lets the
 // collective engines recycle a segment the moment its bytes have been
-// folded or copied into the assembled result.
+// folded or copied into the assembled result. Under the pooldebug build
+// constraint every released buffer is poisoned and quarantined by
+// pool.Bufs, and GetBuf checks the poison of every buffer it reuses.
 
 const (
 	minBufClassBits = 8  // smallest pooled capacity: 256 B
@@ -50,7 +53,11 @@ type bufFreelist struct {
 	mu   sync.Mutex
 	bufs [][]byte
 	cap  int
+	chk  pool.Bufs
 }
+
+// bufKind names segment buffers in pooldebug panics.
+const bufKind = "comm segment buffer"
 
 var (
 	bufFree    [numBufClasses]bufFreelist
@@ -89,16 +96,17 @@ func (fl *bufFreelist) pop() []byte {
 	return b
 }
 
-// push retains a full-capacity buffer if the class has room.
-func (fl *bufFreelist) push(b []byte) bool {
+// push retains a full-capacity buffer if the class has room and returns
+// it otherwise. Under pooldebug the buffer enters quarantine and the one
+// leaving it, if any, takes its place.
+func (fl *bufFreelist) push(b []byte) []byte {
 	fl.mu.Lock()
-	if len(fl.bufs) >= fl.cap {
-		fl.mu.Unlock()
-		return false
+	defer fl.mu.Unlock()
+	if b = fl.chk.Hold(bufKind, b); b == nil || len(fl.bufs) >= fl.cap {
+		return b
 	}
 	fl.bufs = append(fl.bufs, b)
-	fl.mu.Unlock()
-	return true
+	return nil
 }
 
 // bufClass returns the index of the smallest class with capacity ≥ n, or
@@ -128,10 +136,12 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if b := bufFree[cls].pop(); b != nil {
+		pool.CheckBuf(bufKind, b)
 		perf.RecordBufGet(true)
 		return b[:n]
 	}
 	if p, _ := bufClasses[cls].Get().(*[]byte); p != nil {
+		pool.CheckBuf(bufKind, *p)
 		perf.RecordBufGet(true)
 		return (*p)[:n]
 	}
@@ -169,10 +179,10 @@ func PutBuf(b []byte) {
 		perf.RecordBufPut(false)
 		return
 	}
-	if !bufFree[cls].push(b[:c]) {
+	if over := bufFree[cls].push(b[:c]); over != nil {
 		// Overflow tier only: the boxed header is declared here so the
 		// freelist fast path stays allocation-free.
-		full := b[:c]
+		full := over
 		bufClasses[cls].Put(&full)
 	}
 	perf.RecordBufPut(true)

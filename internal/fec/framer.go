@@ -8,7 +8,10 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/perf"
+	"adapt/internal/pool"
 )
+
+const groupKind = "fec.Group"
 
 // The group framer and decoder every substrate shares. The framer keeps
 // one open group per directed link, closes it at K members or when its
@@ -23,10 +26,13 @@ import (
 // through Recycle, and the framer reissues it, with its member, shard,
 // parity and decided slices, to a later group on any link. Each group's
 // idle-flush handler is bound once, when the group is first allocated.
-// A group whose flush is still armed is not reissued until that flush
-// has fired, so a stale flush only ever finds its own, sealed group and
-// can never seal a newer one. The free-list lives under mu, because the
-// live substrates share one framer across goroutines.
+// A group takes two references when it opens: its owner's (the framer,
+// then the substrate from seal until Recycle) and its armed idle
+// flush's, dropped when the flush fires. The group is reissued only once
+// both are gone, so a stale flush only ever finds its own, sealed group
+// and can never seal a newer one. The free-list and the counts live
+// under mu, because the live substrates share one framer across
+// goroutines.
 
 // Counters tallies one FEC layer's activity; each count also feeds the
 // process-wide perf counters. Safe for concurrent use.
@@ -105,10 +111,9 @@ type Group[M any] struct {
 	decided []bool // parity shards whose fate is known
 	pending int    // parity shards still in flight
 
-	data     [][]byte // encode input scratch, cleared after each encode
-	flushFn  func()   // the idle flush, bound once per group object
-	armed    bool     // the idle flush is scheduled and has not fired
-	recycled bool     // handed back while armed: reissue once the flush fires
+	data    [][]byte // encode input scratch, cleared after each encode
+	flushFn func()   // the idle flush, bound once per group object
+	ref     pool.Ref // the owner and the armed idle flush
 }
 
 // ParityFate settles parity shard j: arrived, or lost — its buffer is
@@ -157,7 +162,7 @@ type Framer[M any] struct {
 
 	mu      sync.Mutex
 	open    map[uint64]*Group[M]
-	free    []*Group[M] // recycled groups, none with its flush armed
+	groups  pool.List[Group[M]]
 	gid     uint64
 	stopped bool
 }
@@ -168,8 +173,18 @@ type Framer[M any] struct {
 // parity encoded.
 func NewFramer[M any](cfg Config, ctr *Counters, idle time.Duration,
 	after func(d time.Duration, fn func()), seal func(g *Group[M])) *Framer[M] {
-	return &Framer[M]{cfg: cfg, ctl: NewController(cfg), ctr: ctr, idle: idle, after: after,
+	f := &Framer[M]{cfg: cfg, ctl: NewController(cfg), ctr: ctr, idle: idle, after: after,
 		seal: seal, open: make(map[uint64]*Group[M])}
+	f.groups = pool.List[Group[M]]{
+		New: func() *Group[M] {
+			k := cfg.K
+			g := &Group[M]{Members: make([]M, 0, k), Shards: make([][]byte, 0, k), data: make([][]byte, 0, k)}
+			g.flushFn = func() { f.flush(g) }
+			return g
+		},
+		Reset: func(*Group[M]) {}, // Recycle empties a group, keeping its slices
+	}
+	return f
 }
 
 // Add enrolls member m on link src→dst, taking ownership of shard (nil
@@ -206,30 +221,24 @@ func (f *Framer[M]) Add(src, dst int, m M, shard []byte) bool {
 }
 
 // openLocked issues the next group on link src→dst, recycled when one is
-// free, with its idle flush marked armed. Caller holds f.mu.
+// free, holding its owner's and its idle flush's references. Caller
+// holds f.mu.
 func (f *Framer[M]) openLocked(src, dst int) *Group[M] {
-	var g *Group[M]
-	if n := len(f.free); n > 0 {
-		g = f.free[n-1]
-		f.free = f.free[:n-1]
-	} else {
-		k := f.cfg.K
-		g = &Group[M]{Members: make([]M, 0, k), Shards: make([][]byte, 0, k), data: make([][]byte, 0, k)}
-		g.flushFn = func() { f.flush(g) }
-	}
+	g := f.groups.Get()
 	f.gid++
-	g.ID, g.Src, g.Dst, g.armed = f.gid, src, dst, true
+	g.ID, g.Src, g.Dst = f.gid, src, dst
+	g.ref.Init(2)
 	return g
 }
 
-// flush is g's idle timer: it seals g if g is still its link's open
-// group, and reissues g if it was recycled while the timer was armed.
+// flush is g's idle timer: it drops the flush's reference, reissuing g
+// if it was recycled meanwhile, and otherwise seals g if g is still its
+// link's open group.
 func (f *Framer[M]) flush(g *Group[M]) {
 	f.mu.Lock()
-	g.armed = false
-	if g.recycled {
-		g.recycled = false
-		f.free = append(f.free, g)
+	g.ref.Live(groupKind)
+	if g.ref.Release(groupKind) {
+		f.groups.Put(g)
 		f.mu.Unlock()
 		return
 	}
@@ -243,22 +252,28 @@ func (f *Framer[M]) flush(g *Group[M]) {
 	f.close(g)
 }
 
-// Recycle releases a resolved group's buffers and hands the group back
-// for reuse. The caller must hold no reference to g, its members or its
+// Recycle releases a resolved group's buffers and drops the owner's
+// reference. The caller must hold no reference to g, its members or its
 // slices afterwards. A group whose idle flush is still armed is reissued
-// only after that flush fires.
+// only after that flush fires. Recycling a group twice panics.
 func (f *Framer[M]) Recycle(g *Group[M]) {
 	g.Release()
 	clear(g.Members)
 	g.Members, g.Shards = g.Members[:0], g.Shards[:0]
 	g.decided, g.pending, g.Params = g.decided[:0], 0, Params{}
 	f.mu.Lock()
-	if g.armed {
-		g.recycled = true
-	} else {
-		f.free = append(f.free, g)
+	defer f.mu.Unlock()
+	if g.ref.Release(groupKind) {
+		f.groups.Put(g)
 	}
-	f.mu.Unlock()
+}
+
+// Outstanding counts the groups issued and not yet back for reuse: open,
+// sealed and unresolved, or recycled with the idle flush still armed.
+func (f *Framer[M]) Outstanding() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.groups.Outstanding()
 }
 
 // close picks the parity count, encodes, and seals.

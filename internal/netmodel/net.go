@@ -6,6 +6,7 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/hwloc"
+	"adapt/internal/pool"
 	"adapt/internal/sim"
 )
 
@@ -52,7 +53,9 @@ type Net struct {
 	nvlOut       []*sim.Resource
 	nvlIn        []*sim.Resource
 
-	free []*transfer // recycled transfer records (see newTransfer)
+	// transfers recycles transfer records. It lives on the Net, not in
+	// a global: independent kernels run concurrently.
+	transfers pool.List[transfer]
 }
 
 // at returns facility i of class s. An aggregated class holds a single
@@ -73,6 +76,14 @@ func NewNet(k *sim.Kernel, p *Platform) *Net {
 	n := &Net{K: k, P: p,
 		shmBw: p.ShmBw, qpiBw: p.QpiBw, netBw: p.NetBw,
 		pcieBw: p.PCIeBw, nvlBw: p.NVLinkBw, gpuCalcBw: p.ReduceGPUBw,
+	}
+	n.transfers = pool.List[transfer]{
+		New: func() *transfer {
+			t := &transfer{n: n}
+			t.advanceFn = t.advance
+			return t
+		},
+		Reset: func(t *transfer) { *t = transfer{n: t.n, advanceFn: t.advanceFn} },
 	}
 	if p.Aggregate {
 		nodes, ranks := Rate(t.Nodes), Rate(t.Size())
@@ -158,17 +169,9 @@ type transfer struct {
 	advanceFn             func() // t.advance, bound once
 }
 
-// newTransfer draws a record from the free-list (the free-list lives on
-// the Net, not in a global: independent kernels run concurrently).
+// newTransfer draws a record from the free-list.
 func (n *Net) newTransfer(size int, afterFirst, afterLast func()) *transfer {
-	var t *transfer
-	if k := len(n.free); k > 0 {
-		t = n.free[k-1]
-		n.free = n.free[:k-1]
-	} else {
-		t = &transfer{n: n}
-		t.advanceFn = t.advance
-	}
+	t := n.transfers.Get()
 	t.size, t.afterFirst, t.afterLast = size, afterFirst, afterLast
 	return t
 }
@@ -189,8 +192,7 @@ func (t *transfer) advance() {
 	}
 	if t.next == t.nhops {
 		last := t.afterLast
-		*t = transfer{n: t.n, advanceFn: t.advanceFn}
-		t.n.free = append(t.n.free, t)
+		t.n.transfers.Put(t)
 		if last != nil {
 			last()
 		}

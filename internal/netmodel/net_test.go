@@ -328,8 +328,8 @@ func TestTransferRestartFromAfterLast(t *testing.T) {
 	k.Schedule(0, func() {
 		n.StartTransfer(0, 4, size, comm.MemDevice, func() { firstSent++ }, func() {
 			firstEnd = k.Now()
-			if len(n.free) != 1 {
-				t.Errorf("free-list holds %d records inside afterLast, want the released one", len(n.free))
+			if out := n.transfers.Outstanding(); out != 0 {
+				t.Errorf("%d transfer records outstanding inside afterLast, want the finished one released", out)
 			}
 			n.StartTransfer(0, 1, size, comm.MemHost,
 				func() { secondSent = k.Now() },
@@ -344,7 +344,7 @@ func TestTransferRestartFromAfterLast(t *testing.T) {
 	if secondSent != want || secondEnd != want {
 		t.Errorf("second transfer sent/arrived at %v/%v, want %v", secondSent, secondEnd, want)
 	}
-	if len(n.free) != 1 {
-		t.Errorf("free-list holds %d records after the chain, want 1", len(n.free))
+	if out := n.transfers.Outstanding(); out != 0 {
+		t.Errorf("%d transfer records outstanding after the chain, want 0", out)
 	}
 }

@@ -96,11 +96,6 @@ func WithEagerLimit(n int) Option {
 	return func(c *config) { c.eagerLimit = n }
 }
 
-// WithRecovery overrides the detector-lease and dial-backoff tuning.
-func WithRecovery(r faults.Recovery) Option {
-	return func(c *config) { c.rec = r.Normalized(); c.dialRecovery = r.Normalized() }
-}
-
 // WithCrashes arms a fail-stop crash schedule (the plan's Crashes only;
 // message-level chaos rules are the other substrates' business).
 func WithCrashes(crashes []faults.Crash) Option {

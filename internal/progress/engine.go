@@ -31,8 +31,9 @@
 // with the pointer — OnMatch takes over a matched receive's — and is
 // dropped with Release once the substrate is finished with the request.
 // The last reference returns the request, zeroed, to its engine's
-// free-list, from which the next request is drawn. Substrates that never
-// Release (the live ones) therefore never reuse a request.
+// free-list (a pool.List), from which the next request is drawn.
+// Substrates that never Release (the live ones) therefore never reuse a
+// request.
 package progress
 
 import (
@@ -43,8 +44,12 @@ import (
 	"time"
 
 	"adapt/internal/comm"
+	"adapt/internal/pool"
 	"adapt/internal/trace"
 )
+
+// reqKind names requests in over-release and pooldebug panics.
+const reqKind = "progress.Req"
 
 // ErrCanceled is the status error of a receive retracted by CancelRecv.
 // Before it existed a canceled request's Status was indistinguishable
@@ -102,7 +107,7 @@ type Env struct {
 // each hold one reference, and the last Release recycles it.
 type Req struct {
 	eng    *Engine
-	refs   int
+	ref    pool.Ref
 	isSend bool
 	done   bool
 
@@ -136,6 +141,7 @@ type Req struct {
 func (r *Req) Test() (comm.Status, bool) {
 	r.eng.lock()
 	defer r.eng.unlock()
+	r.ref.Live(reqKind)
 	return r.status, r.done
 }
 
@@ -229,11 +235,11 @@ type Engine struct {
 	// SingleThreaded where completion (same thread) writes it.
 	curCause uint64
 
-	// envFree recycles envelopes for the single-threaded simulator, whose
+	// envs recycles envelopes for the single-threaded simulator, whose
 	// collectives push one envelope per segment per hop.
-	envFree []*Env
-	// reqFree holds requests whose last reference was released.
-	reqFree []*Req
+	envs pool.List[Env]
+	// reqs holds requests whose last reference was released.
+	reqs pool.List[Req]
 
 	// notifier, when attached, is signalled alongside every Wake so a
 	// Scheduler can multiplex wait loops across engines. Atomic because
@@ -257,7 +263,9 @@ func New(b Backend) *Engine {
 		}
 		b.Block = func() { <-wake }
 	}
-	return &Engine{b: b}
+	// A released request keeps its engine, so a stray Release panics
+	// naming its kind instead of dereferencing nil.
+	return &Engine{b: b, reqs: pool.List[Req]{Reset: func(r *Req) { *r = Req{eng: r.eng} }}}
 }
 
 // lock takes the engine mutex unless the backend is single-threaded.
@@ -320,35 +328,22 @@ func (e *Engine) Snapshot() (pending int, posted []*Req, unexpected []*Env) {
 // substrates recycle envelopes through FreeEnv; concurrent ones build
 // their own and never call this pair).
 func (e *Engine) NewEnv(src int, tag comm.Tag, msg comm.Msg, rts *Req) *Env {
-	if n := len(e.envFree); n > 0 {
-		env := e.envFree[n-1]
-		e.envFree = e.envFree[:n-1]
-		*env = Env{Src: src, Tag: tag, Msg: msg, Rts: rts}
-		return env
-	}
-	return &Env{Src: src, Tag: tag, Msg: msg, Rts: rts}
+	env := e.envs.Get()
+	env.Src, env.Tag, env.Msg, env.Rts = src, tag, msg, rts
+	return env
 }
 
 // FreeEnv returns a matched envelope to the free-list. Callers must have
 // copied out every field they still need.
-func (e *Engine) FreeEnv(env *Env) {
-	*env = Env{}
-	e.envFree = append(e.envFree, env)
-}
+func (e *Engine) FreeEnv(env *Env) { e.envs.Put(env) }
 
 // newReq draws a request holding its two references (the caller's
 // handle and the substrate's) from the free-list, or allocates one, and
 // counts one operation in flight. Called with the engine lock held.
 func (e *Engine) newReq() *Req {
-	var req *Req
-	if n := len(e.reqFree); n > 0 {
-		req = e.reqFree[n-1]
-		e.reqFree[n-1] = nil
-		e.reqFree = e.reqFree[:n-1]
-	} else {
-		req = &Req{eng: e}
-	}
-	req.refs = 2
+	req := e.reqs.Get()
+	req.eng = e
+	req.ref.Init(2)
 	e.pendingOps++
 	return req
 }
@@ -357,7 +352,8 @@ func (e *Engine) newReq() *Req {
 // envelope field that stores it.
 func (r *Req) Retain() {
 	r.eng.lock()
-	r.refs++
+	r.ref.Live(reqKind)
+	r.ref.Retain()
 	r.eng.unlock()
 }
 
@@ -367,17 +363,10 @@ func (r *Req) Retain() {
 func (r *Req) Release() {
 	e := r.eng
 	e.lock()
-	if r.refs--; r.refs > 0 {
-		e.unlock()
-		return
+	defer e.unlock()
+	if r.ref.Release(reqKind) {
+		e.reqs.Put(r)
 	}
-	if r.refs < 0 {
-		e.unlock()
-		panic(e.b.Prefix + ": request released twice")
-	}
-	*r = Req{eng: e}
-	e.reqFree = append(e.reqFree, r)
-	e.unlock()
 }
 
 // StartOp registers an anonymous operation completed from outside the
@@ -525,6 +514,7 @@ func (e *Engine) completeLocked(req *Req, st comm.Status) {
 func (r *Req) Complete(st comm.Status) {
 	e := r.eng
 	e.lock()
+	r.ref.Live(reqKind)
 	if r.done {
 		e.unlock()
 		panic(e.b.Prefix + ": request completed twice")
@@ -539,6 +529,7 @@ func (r *Req) Complete(st comm.Status) {
 func (r *Req) CompleteIfLive(st comm.Status) bool {
 	e := r.eng
 	e.lock()
+	r.ref.Live(reqKind)
 	if r.done {
 		e.unlock()
 		return false
@@ -732,6 +723,7 @@ func (e *Engine) OnComplete(r comm.Request, fn func(comm.Status)) {
 		panic(e.b.Prefix + ": OnComplete on foreign request")
 	}
 	e.lock()
+	req.ref.Live(reqKind)
 	if req.cb != nil {
 		e.unlock()
 		panic(e.b.Prefix + ": request already has a callback")
@@ -812,6 +804,7 @@ func (e *Engine) CancelRecv(r comm.Request) bool {
 	}
 	e.lock()
 	defer e.unlock()
+	req.ref.Live(reqKind)
 	if req.done || req.matching {
 		return false
 	}

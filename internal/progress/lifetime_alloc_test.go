@@ -1,4 +1,4 @@
-//go:build !race
+//go:build !race && !pooldebug
 
 package progress
 
@@ -12,7 +12,8 @@ import (
 // TestRecvCycleZeroAlloc: on a SingleThreaded engine the steady-state
 // receive cycle — PostRecv, Arrive, OnMatch, Complete, DrainWhile —
 // recycles its request and envelope and allocates nothing. (Excluded
-// under -race, which instruments allocations.)
+// under -race, which instruments allocations, and under pooldebug,
+// whose quarantine holds released records back from reuse.)
 func TestRecvCycleZeroAlloc(t *testing.T) {
 	const tag = comm.Tag(11)
 	var eng *Engine

@@ -1,4 +1,7 @@
-//go:build !race
+//go:build !race && !pooldebug
+
+// Excluded under -race, which instruments allocations, and under
+// pooldebug, whose quarantine holds released buffers back from reuse.
 
 package serve
 

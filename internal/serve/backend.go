@@ -9,6 +9,7 @@ import (
 	"adapt/internal/core"
 	"adapt/internal/nettransport"
 	"adapt/internal/perf"
+	"adapt/internal/pool"
 	"adapt/internal/progress"
 	"adapt/internal/runtime"
 	"adapt/internal/trees"
@@ -80,6 +81,16 @@ type job struct {
 	deliver   func(out []byte, mask []bool, err error)
 }
 
+// dropPayload returns a proxy send's pooled payload copy once nothing
+// can reference it: the op never reached the substrate, or the send
+// completed.
+func (j *job) dropPayload() {
+	if j.msg.Data != nil {
+		comm.PutBuf(j.msg.Data)
+		j.msg.Data = nil
+	}
+}
+
 // opts builds the collective options for a service job; the centrally
 // assigned seq keeps concurrent jobs' tags disjoint on every rank.
 func (j *job) opts() core.Options {
@@ -146,7 +157,7 @@ type backend struct {
 	closeOnce sync.Once
 
 	mu        sync.Mutex
-	refs      int
+	refs      pool.Ref // live sessions bound to this backend
 	evicted   bool
 	dead      []bool
 	seqNext   int
@@ -291,6 +302,7 @@ func (b *backend) sweepDead(rank int) {
 			case jobReduceFT:
 				// Survivors deliver via ftDone.
 			case jobIsend, jobIrecv:
+				j.dropPayload()
 				j.sess.opDone(j.opID, comm.Status{Source: comm.AnySource, Err: &RequestError{
 					Code: CodeRankFailed,
 					Msg:  fmt.Sprintf("backend rank %d died", rank),
@@ -629,8 +641,13 @@ func (b *backend) retire(r int, f flight) {
 	st, _ := f.req.Test()
 	if f.j.kind == jobIsend {
 		// A send's status echoes the posted message; don't ship the
-		// payload back to the client that sent it.
+		// payload back to the client that sent it. A completed send no
+		// longer references its payload; a failed one may still be
+		// parked in the substrate, so its copy is left to the GC.
 		st.Msg.Data = nil
+		if st.Err == nil {
+			f.j.dropPayload()
+		}
 	}
 	f.j.sess.opDone(f.j.opID, st)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -75,18 +76,18 @@ func TestProxyPingPong(t *testing.T) {
 	}
 }
 
-// TestProxyRecvRecycles: the proxy plane's receive payloads circulate
-// through the segment-buffer pool. The daemon returns its receive copy
-// once the op-done frame is encoded, and the client hands the receiver
-// a pooled copy of the frame's data, so a receiver that returns it with
-// PutBuf leaves nothing to the GC: after 100 sends of 64 KiB and both
-// sessions closed, at most 4 pool buffers are still out.
-func TestProxyRecvRecycles(t *testing.T) {
-	const world, msgs, size = 2, 100, 64 << 10
+// proxyTraffic sends msgs proxy messages of size bytes from rank 0 to
+// rank 1 of a fresh two-rank proxy group, the receiver returning each
+// payload with PutBuf, and closes both sessions. It returns the pool
+// buffers still out (gets minus retained puts) and the heap bytes the
+// process allocated meanwhile.
+func proxyTraffic(t *testing.T, group string, msgs, size int) (out int64, heap uint64) {
+	t.Helper()
+	const world = 2
 	srv := newTestServer(t, Config{DrainTimeout: 2 * time.Second})
 	var sess [world]*Session
 	for r := range sess {
-		s, err := Dial(srv.Addr(), SessionOpts{World: world, Group: "recycle", ProxyRank: r})
+		s, err := Dial(srv.Addr(), SessionOpts{World: world, Group: group, ProxyRank: r})
 		if err != nil {
 			t.Fatalf("Dial rank %d: %v", r, err)
 		}
@@ -97,6 +98,8 @@ func TestProxyRecvRecycles(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	before := perf.Read()
 	for i := 0; i < msgs; i++ {
 		done := make(chan comm.Status, 1)
@@ -114,10 +117,40 @@ func TestProxyRecvRecycles(t *testing.T) {
 		s.Close()
 	}
 	d := perf.Read().Delta(before)
-	out := int64(d.BufGets) - int64(d.BufRecycled) // a buffer got before the window may return in it
-	t.Logf("pool: %d gets, %d puts, %d retained, %d outstanding", d.BufGets, d.BufPuts, d.BufRecycled, out)
+	runtime.ReadMemStats(&m1)
+	out = int64(d.BufGets) - int64(d.BufRecycled) // a buffer got before the window may return in it
+	heap = m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("pool: %d gets, %d puts, %d retained, %d outstanding; %d heap bytes allocated",
+		d.BufGets, d.BufPuts, d.BufRecycled, out, heap)
+	return out, heap
+}
+
+// TestProxyRecvRecycles: the proxy plane's receive payloads circulate
+// through the segment-buffer pool. The daemon returns its receive copy
+// once the op-done frame is encoded, and the client hands the receiver
+// a pooled copy of the frame's data, so a receiver that returns it with
+// PutBuf leaves nothing to the GC: after 100 sends of 64 KiB and both
+// sessions closed, at most 4 pool buffers are still out.
+func TestProxyRecvRecycles(t *testing.T) {
+	const msgs = 100
+	if out, _ := proxyTraffic(t, "recycle", msgs, 64<<10); out > 4 {
+		t.Errorf("%d pool buffers outstanding after %d proxy messages: the receive path leaves them to the GC", out, msgs)
+	}
+}
+
+// TestProxySendRecycles is the send-side twin: the daemon copies each
+// proxy send's payload out of its request frame into a pooled buffer
+// that the job returns once the send completes, so 100 sends of 64 KiB
+// leave at most 4 pool buffers out and allocate well under one payload
+// per send on the heap.
+func TestProxySendRecycles(t *testing.T) {
+	const msgs, size = 100, 64 << 10
+	out, heap := proxyTraffic(t, "recycle-send", msgs, size)
 	if out > 4 {
-		t.Errorf("%d of %d pool buffers outstanding after %d proxy messages: the receive path leaves them to the GC", out, d.BufGets, msgs)
+		t.Errorf("%d pool buffers outstanding after %d proxy sends: the send path leaves them to the GC", out, msgs)
+	}
+	if heap > msgs*size/2 {
+		t.Errorf("%d heap bytes allocated over %d proxy sends of %d B: the send path copies into plain allocations", heap, msgs, size)
 	}
 }
 

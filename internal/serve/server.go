@@ -133,7 +133,7 @@ func (s *Server) backendFor(key backendKey) (*backend, error) {
 	}
 	if b := s.backends[key]; b != nil {
 		b.mu.Lock()
-		b.refs++
+		b.refs.Retain()
 		b.mu.Unlock()
 		return b, nil
 	}
@@ -142,7 +142,7 @@ func (s *Server) backendFor(key backendKey) (*backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.refs = 1
+	b.refs.Init(1)
 	s.backends[key] = b
 	s.all = append(s.all, b)
 	s.stBackends.Add(1)
@@ -160,7 +160,7 @@ func (s *Server) evictBackend(b *backend) {
 	s.mu.Unlock()
 	b.mu.Lock()
 	b.evicted = true
-	idle := b.refs == 0
+	idle := b.refs.Count() == 0
 	b.mu.Unlock()
 	if idle {
 		// Never tear down from an executor goroutine (shutdown waits on
@@ -174,8 +174,7 @@ func (s *Server) evictBackend(b *backend) {
 // degraded, evicted backend is torn down at zero references.
 func (s *Server) releaseBackend(b *backend) {
 	b.mu.Lock()
-	b.refs--
-	idle := b.refs == 0 && b.evicted
+	idle := b.refs.Release("serve.backend") && b.evicted
 	b.mu.Unlock()
 	if idle {
 		go b.shutdown()
@@ -422,10 +421,14 @@ func (s *session) handleFrame(typ byte, payload []byte) bool {
 		s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: "duplicate hello"}))
 		return false
 	case cfIsend:
+		// The job owns a pooled copy of the payload (the frame is
+		// recycled as soon as this returns) until the send completes.
 		m := msg.(isendMsg)
+		data := comm.GetBuf(len(m.Data))
+		copy(data, m.Data)
 		s.handleProxyOp(m.ID, &job{
 			kind: jobIsend, sess: s, opID: m.ID, peer: m.Dst, tag: m.Tag,
-			msg: comm.Msg{Data: append([]byte(nil), m.Data...), Size: m.Size},
+			msg: comm.Msg{Data: data, Size: m.Size},
 		})
 	case cfIrecv:
 		m := msg.(irecvMsg)
@@ -562,13 +565,16 @@ func (s *session) handleReduce(payload []byte, ft bool) bool {
 	return true
 }
 
-// handleProxyOp queues one point-to-point op on the bound rank.
+// handleProxyOp queues one point-to-point op on the bound rank. A
+// rejected send's payload goes back to the pool at once.
 func (s *session) handleProxyOp(id uint64, j *job) {
 	if s.proxyRank < 0 {
+		j.dropPayload()
 		s.send(encodeErr(errMsg{ID: id, Code: CodeBadRequest, Msg: "session is not rank-bound"}))
 		return
 	}
 	if s.shutdown.Load() || s.draining.Load() {
+		j.dropPayload()
 		s.send(encodeErr(errMsg{ID: id, Code: CodeShutdown, Msg: "session draining"}))
 		return
 	}
@@ -576,6 +582,7 @@ func (s *session) handleProxyOp(id uint64, j *job) {
 	// Same increment-then-re-check as admit: beginShutdown racing this
 	// admission must either be observed here or observe the increment.
 	if s.draining.Load() {
+		j.dropPayload()
 		s.pending.Add(-1)
 		s.maybeDrained()
 		s.send(encodeErr(errMsg{ID: id, Code: CodeShutdown, Msg: "session draining"}))
@@ -584,6 +591,7 @@ func (s *session) handleProxyOp(id uint64, j *job) {
 	s.srv.stProxyOps.Add(1)
 	j.t0 = metrics.Clock()
 	if err := s.be.submitProxy(s.proxyRank, j); err != nil {
+		j.dropPayload()
 		s.pending.Add(-1)
 		s.maybeDrained()
 		s.send(encodeErr(errMsg{ID: id, Code: codeOf(err), Msg: err.Error()}))

@@ -86,7 +86,7 @@ func (s *Server) StatusReport() StatusReport {
 			Key:         b.key.String(),
 			Gen:         b.gen,
 			World:       b.n,
-			Refs:        b.refs,
+			Refs:        b.refs.Count(),
 			Evicted:     b.evicted,
 			TokensInUse: len(b.admit),
 			TokenPool:   cap(b.admit),

@@ -1,4 +1,4 @@
-//go:build !race
+//go:build !race && !pooldebug
 
 package simmpi_test
 
@@ -23,7 +23,8 @@ import (
 // their send and receive callbacks once per state, so what is left per
 // transfer is mostly the requests in flight at the peak: every rank posts
 // its receive windows at once. (Excluded under -race, which instruments
-// allocations.)
+// allocations, and under pooldebug, whose quarantine holds released
+// records back from reuse.)
 func TestFlatAllreduceAllocs(t *testing.T) {
 	const ranks, size = 512, 1 << 20
 	p := netmodel.Cori(16)

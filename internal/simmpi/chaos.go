@@ -6,9 +6,12 @@ import (
 	"adapt/internal/comm"
 	"adapt/internal/faults"
 	"adapt/internal/fec"
+	"adapt/internal/pool"
 	"adapt/internal/progress"
 	"adapt/internal/trace"
 )
+
+const xmitKind = "simmpi.xmit"
 
 // This file is the chaos transport: the delivery paths used when a fault
 // plan is installed on the world (World.InstallFaults). Every logical
@@ -72,7 +75,7 @@ type xmit struct {
 	size     int           // bytes on the wire (0 for control legs)
 	start    time.Duration // when the first attempt left
 	attempts int
-	refs     int
+	ref      pool.Ref
 
 	delivered, acked, failed bool
 	// firstLost records whether attempt 0 drew a drop or corrupt verdict
@@ -89,28 +92,36 @@ type xmit struct {
 	retryFn, ackFn, placedFn func()
 }
 
+// newXmitList builds the World's xmit free-list.
+func newXmitList(w *World) pool.List[xmit] {
+	return pool.List[xmit]{
+		New: func() *xmit {
+			x := &xmit{w: w}
+			x.retryFn, x.ackFn = x.retry, x.ack
+			return x
+		},
+		Reset: func(x *xmit) {
+			x.attempts, x.delivered, x.acked, x.failed, x.firstLost = 0, false, false, false, false
+			x.msg, x.data, x.req, x.sender, x.group = comm.Msg{}, nil, nil, nil, nil
+		},
+	}
+}
+
 // newXmit draws a record for one reliable transmission, numbers it and
 // takes the initiating call's reference.
 func (w *World) newXmit(leg xmitLeg, src, dst int, tag comm.Tag, size int, msg comm.Msg) *xmit {
-	var x *xmit
-	if n := len(w.xmitFree); n > 0 {
-		x = w.xmitFree[n-1]
-		w.xmitFree = w.xmitFree[:n-1]
-	} else {
-		x = &xmit{w: w}
-		x.retryFn, x.ackFn = x.retry, x.ack
-		w.xmitMade++
-	}
+	x := w.xmits.Get()
 	w.xmitSeq++
 	x.leg, x.src, x.dst, x.tag, x.id, x.size, x.msg = leg, src, dst, tag, w.xmitSeq, size, msg
-	x.start, x.refs = w.K.Now(), 1
+	x.start = w.K.Now()
+	x.ref.Init(1)
 	return x
 }
 
 // release drops one reference; the last returns the record (and an
 // eager snapshot it still holds) to the free-list.
 func (x *xmit) release() {
-	if x.refs--; x.refs > 0 {
+	if !x.ref.Release(xmitKind) {
 		return
 	}
 	if x.data != nil {
@@ -122,10 +133,7 @@ func (x *xmit) release() {
 	if x.sender != nil {
 		x.sender.Release()
 	}
-	w := x.w
-	x.attempts, x.delivered, x.acked, x.failed, x.firstLost = 0, false, false, false, false
-	x.msg, x.data, x.req, x.sender, x.group = comm.Msg{}, nil, nil, nil, nil
-	w.xmitFree = append(w.xmitFree, x)
+	x.w.xmits.Put(x)
 }
 
 // try sends one attempt: draw its verdict, put its copies on the wire
@@ -153,7 +161,7 @@ func (x *xmit) try() {
 			x.fly(attempt, v.Extra+w.Net.ControlLatency(x.src, x.dst), false)
 		}
 	}
-	x.refs++
+	x.ref.Retain()
 	w.K.Schedule(w.rec.RetryDelay(attempt, x.id), x.retryFn)
 }
 
@@ -162,9 +170,9 @@ func (x *xmit) try() {
 // control latency plus the rendezvous overhead.
 func (x *xmit) fly(attempt int, extra time.Duration, corrupt bool) {
 	w := x.w
-	cp := w.newWire()
+	cp := w.wires.Get()
 	cp.x, cp.n, cp.corrupt = x, attempt, corrupt
-	x.refs++
+	x.ref.Retain()
 	switch x.leg {
 	case legEager, legData:
 		w.K.Schedule(extra, cp.startFn)
@@ -175,6 +183,7 @@ func (x *xmit) fly(attempt int, extra time.Duration, corrupt bool) {
 
 // arrive handles a copy of attempt reaching dst.
 func (x *xmit) arrive(attempt int, corrupt bool) {
+	x.ref.Live(xmitKind)
 	defer x.release()
 	w := x.w
 	if w.crash.Dead(x.src) || w.crash.Dead(x.dst) {
@@ -206,12 +215,13 @@ func (x *xmit) arrive(attempt int, corrupt bool) {
 // ackBack flies an acknowledgement back to the sender; the first to
 // arrive stops the retransmit chain.
 func (x *xmit) ackBack() {
-	x.refs++
+	x.ref.Retain()
 	x.w.K.Schedule(x.w.Net.ControlLatency(x.dst, x.src), x.ackFn)
 }
 
 // ack is an acknowledgement reaching the sender.
 func (x *xmit) ack() {
+	x.ref.Live(xmitKind)
 	if !x.acked && !x.failed {
 		x.acked = true
 		if x.leg == legEager {
@@ -230,6 +240,7 @@ func (x *xmit) ack() {
 
 // retry is the retransmit timer.
 func (x *xmit) retry() {
+	x.ref.Live(xmitKind)
 	defer x.release()
 	w := x.w
 	switch {
@@ -298,7 +309,7 @@ func (x *xmit) deliver() {
 		if x.placedFn == nil {
 			x.placedFn = x.placed // bound on the record's first data leg
 		}
-		x.refs++
+		x.ref.Retain()
 		w.Net.DeliverFrom(x.src, x.dst, x.msg.Size, x.req.Space, x.placedFn)
 	}
 }
@@ -307,6 +318,7 @@ func (x *xmit) deliver() {
 // The completion comes first: the record's reference is what keeps the
 // request from being recycled under a late CompleteIfLive.
 func (x *xmit) placed() {
+	x.ref.Live(xmitKind)
 	msg := x.msg
 	msg.Data, x.data = x.data, nil
 	x.req.CompleteIfLive(comm.Status{Source: x.src, Tag: x.tag, Msg: msg})
@@ -362,7 +374,7 @@ func (c *Comm) chaosEager(dst int, req *progress.Req, tag comm.Tag, msg comm.Msg
 	}
 	x.try()
 	if framed {
-		x.refs++ // the group's reference, dropped when it resolves
+		x.ref.Retain() // the group's reference, dropped when it resolves
 		w.fec.Add(c.rank, dst, x, shard)
 	}
 	x.release()

@@ -3,6 +3,7 @@ package simmpi
 import (
 	"adapt/internal/comm"
 	"adapt/internal/fec"
+	"adapt/internal/pool"
 	"adapt/internal/trace"
 )
 
@@ -70,17 +71,16 @@ type wire struct {
 	startFn, arriveFn func()
 }
 
-// newWire draws a wire record.
-func (w *World) newWire() *wire {
-	if n := len(w.wireFree); n > 0 {
-		cp := w.wireFree[n-1]
-		w.wireFree = w.wireFree[:n-1]
-		return cp
+// newWireList builds the World's wire free-list.
+func newWireList(w *World) pool.List[wire] {
+	return pool.List[wire]{
+		New: func() *wire {
+			cp := &wire{w: w}
+			cp.startFn, cp.arriveFn = cp.start, cp.arrive
+			return cp
+		},
+		Reset: func(cp *wire) { cp.x, cp.g = nil, nil },
 	}
-	cp := &wire{w: w}
-	cp.startFn, cp.arriveFn = cp.start, cp.arrive
-	w.wireMade++
-	return cp
 }
 
 // start puts the copy on the fabric.
@@ -96,8 +96,7 @@ func (cp *wire) start() {
 // arrive hands the copy to its transmission or settles the parity shard.
 func (cp *wire) arrive() {
 	w, x, g, n, corrupt := cp.w, cp.x, cp.g, cp.n, cp.corrupt
-	cp.x, cp.g = nil, nil
-	w.wireFree = append(w.wireFree, cp)
+	w.wires.Put(cp)
 	if x != nil {
 		x.arrive(n, corrupt)
 		return
@@ -110,7 +109,6 @@ func (cp *wire) arrive() {
 // sealFEC flies each parity shard of a sealed group as one
 // unacknowledged attempt under a KindFec tag.
 func (w *World) sealFEC(g *fec.Group[*xmit]) {
-	w.groupsOut++
 	for _, x := range g.Members {
 		x.group = g
 	}
@@ -124,7 +122,7 @@ func (w *World) sealFEC(g *fec.Group[*xmit]) {
 			g.ParityFate(j, false)
 			continue
 		}
-		cp := w.newWire()
+		cp := w.wires.Get()
 		cp.g, cp.n, cp.corrupt = g, j, v.Corrupt
 		w.K.Schedule(v.Extra, cp.startFn)
 	}
@@ -173,7 +171,6 @@ func (w *World) resolveFEC(g *fec.Group[*xmit]) {
 	for _, x := range g.Members {
 		x.release()
 	}
-	w.groupsOut--
 	w.fec.Recycle(g)
 }
 

@@ -2,12 +2,16 @@ package simmpi
 
 import (
 	"adapt/internal/comm"
+	"adapt/internal/pool"
 	"adapt/internal/progress"
 )
 
+const p2pKind = "simmpi.p2p"
+
 // p2p carries one fault-free point-to-point message through the
 // simulated protocol. A record serves one leg at a time and recycles
-// through the World's free-list once its terminal handlers have fired:
+// through the World's free-list once its terminal handlers have fired,
+// each of which holds one reference:
 //
 //	launch   a send lagged behind a flat rank's busy clock; fires launch
 //	eager    payload in flight to the receiver; fires sent and arrive
@@ -32,31 +36,38 @@ type p2p struct {
 	data     []byte        // the receiver-owned pooled copy (nil when elided)
 	send     *progress.Req // the sender's request
 	recv     *progress.Req // the matched receive (delivery leg)
-	pending  int           // terminal handlers still to fire
+	ref      pool.Ref      // terminal handlers still to fire
 
 	launchFn, sentFn, arriveFn, announceFn, grantFn, landFn, doneFn func()
 }
 
-// newP2P draws a record for one leg of a src→dst message. The caller
-// sets the requests, data and pending count its leg needs.
-func (w *World) newP2P(src, dst int, tag comm.Tag, msg comm.Msg) *p2p {
-	var x *p2p
-	if n := len(w.p2pFree); n > 0 {
-		x = w.p2pFree[n-1]
-		w.p2pFree = w.p2pFree[:n-1]
-	} else {
-		x = &p2p{w: w}
-		x.launchFn, x.sentFn, x.arriveFn = x.launch, x.sent, x.arrive
-		x.announceFn, x.grantFn, x.landFn, x.doneFn = x.announce, x.grant, x.land, x.done
+// newP2PList builds the World's p2p free-list.
+func newP2PList(w *World) pool.List[p2p] {
+	return pool.List[p2p]{
+		New: func() *p2p {
+			x := &p2p{w: w}
+			x.launchFn, x.sentFn, x.arriveFn = x.launch, x.sent, x.arrive
+			x.announceFn, x.grantFn, x.landFn, x.doneFn = x.announce, x.grant, x.land, x.done
+			return x
+		},
+		Reset: func(x *p2p) { x.msg, x.data, x.send, x.recv = comm.Msg{}, nil, nil, nil },
 	}
+}
+
+// newP2P draws a record for one leg of a src→dst message, held by the
+// given number of terminal handlers. The caller sets the requests and
+// data its leg needs.
+func (w *World) newP2P(src, dst int, tag comm.Tag, msg comm.Msg, handlers int32) *p2p {
+	x := w.p2ps.Get()
 	x.src, x.dst, x.tag, x.msg = src, dst, tag, msg
+	x.ref.Init(handlers)
 	return x
 }
 
 // finish retires one terminal handler; the last returns the record to
 // the free-list.
 func (x *p2p) finish() {
-	if x.pending--; x.pending > 0 {
+	if !x.ref.Release(p2pKind) {
 		return
 	}
 	if x.send != nil {
@@ -65,12 +76,12 @@ func (x *p2p) finish() {
 	if x.recv != nil {
 		x.recv.Release()
 	}
-	x.msg, x.data, x.send, x.recv = comm.Msg{}, nil, nil, nil
-	x.w.p2pFree = append(x.w.p2pFree, x)
+	x.w.p2ps.Put(x)
 }
 
 // launch runs a lagged send's protocol at the rank's issue time.
 func (x *p2p) launch() {
+	x.ref.Live(p2pKind)
 	c, req, dst, tag, msg := x.w.ranks[x.src], x.send, x.dst, x.tag, x.msg
 	x.send = nil // its reference moves on with the launch
 	x.finish()
@@ -80,6 +91,7 @@ func (x *p2p) launch() {
 // sent completes the sender's request: the first hop ended, so its
 // buffer is reusable.
 func (x *p2p) sent() {
+	x.ref.Live(p2pKind)
 	x.send.Complete(comm.Status{Source: x.src, Tag: x.tag, Msg: x.msg})
 	x.finish()
 }
@@ -87,6 +99,7 @@ func (x *p2p) sent() {
 // arrive hands an eager payload, now at the receiver's host boundary,
 // to the receiver's matching engine.
 func (x *p2p) arrive() {
+	x.ref.Live(p2pKind)
 	d, src, tag, msg, post := x.w.ranks[x.dst], x.src, x.tag, x.msg, x.send.PostID
 	msg.Data = x.data
 	x.finish()
@@ -97,6 +110,7 @@ func (x *p2p) arrive() {
 
 // announce hands a rendezvous RTS to the receiver's matching engine.
 func (x *p2p) announce() {
+	x.ref.Live(p2pKind)
 	d, send := x.w.ranks[x.dst], x.send
 	env := d.NewEnv(x.src, x.tag, x.msg, send)
 	env.PostID = send.PostID
@@ -109,6 +123,7 @@ func (x *p2p) announce() {
 // keeps its buffer until its request completes; the transfer snapshots
 // it into a pooled, receiver-owned copy at start time.
 func (x *p2p) grant() {
+	x.ref.Live(p2pKind)
 	if x.msg.Data != nil {
 		x.data = comm.GetBuf(len(x.msg.Data))
 		copy(x.data, x.msg.Data)
@@ -119,11 +134,13 @@ func (x *p2p) grant() {
 // land moves a payload at the receiver's host boundary into the receive
 // buffer's memory space.
 func (x *p2p) land() {
+	x.ref.Live(p2pKind)
 	x.w.Net.DeliverFrom(x.src, x.dst, x.msg.Size, x.recv.Space, x.doneFn)
 }
 
 // done completes the receive with the receiver-owned payload.
 func (x *p2p) done() {
+	x.ref.Live(p2pKind)
 	msg := x.msg
 	msg.Data = x.data
 	x.recv.Complete(comm.Status{Source: x.src, Tag: x.tag, Msg: msg})

@@ -31,6 +31,7 @@ import (
 	"adapt/internal/fec"
 	"adapt/internal/netmodel"
 	"adapt/internal/noise"
+	"adapt/internal/pool"
 	"adapt/internal/progress"
 	"adapt/internal/sim"
 	"adapt/internal/trace"
@@ -59,18 +60,16 @@ type World struct {
 
 	// Recycled transfer records: clean point-to-point legs (see p2p.go),
 	// reliable transmissions and wire copies (see chaos.go and fec.go).
-	p2pFree  []*p2p
-	xmitFree []*xmit
-	wireFree []*wire
-	// Pool accounting for the record-lifetime tests: records allocated,
-	// and FEC groups sealed but not yet handed back to the framer.
-	xmitMade, wireMade, groupsOut int
+	p2ps  pool.List[p2p]
+	xmits pool.List[xmit]
+	wires pool.List[wire]
 }
 
 // NewWorld builds the per-rank endpoints for platform p with the given
 // noise law on kernel k.
 func NewWorld(k *sim.Kernel, p *netmodel.Platform, spec noise.Spec) *World {
 	w := &World{K: k, Net: netmodel.NewNet(k, p), Spec: spec}
+	w.p2ps, w.xmits, w.wires = newP2PList(w), newXmitList(w), newWireList(w)
 	n := p.Topo.Size()
 	w.ranks = make([]*Comm, n)
 	for r := 0; r < n; r++ {
@@ -193,8 +192,8 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	if lag := c.sendLag(); lag > 0 {
 		// Flat mode with the rank's busy clock ahead of virtual time: the
 		// protocol launches when the rank would actually have issued it.
-		x := c.w.newP2P(c.rank, dst, tag, msg)
-		x.send, x.pending = req, 1
+		x := c.w.newP2P(c.rank, dst, tag, msg, 1)
+		x.send = req
 		c.w.K.Schedule(lag, x.launchFn)
 	} else {
 		c.launchSend(req, dst, tag, msg)
@@ -233,8 +232,8 @@ func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg
 	// Real payloads are snapshotted into a pooled buffer — the sender
 	// may reuse its buffer the moment the send completes, which is
 	// before the match — and the receiver owns the copy from here on.
-	x := c.w.newP2P(c.rank, dst, tag, msg)
-	x.send, x.pending = req, 2
+	x := c.w.newP2P(c.rank, dst, tag, msg, 2)
+	x.send = req
 	if msg.Data != nil {
 		x.data = comm.GetBuf(len(msg.Data))
 		copy(x.data, msg.Data)
@@ -249,8 +248,8 @@ func (c *Comm) sendRTS(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg) {
 		c.chaosRendezvous(dst, req, tag, msg)
 		return
 	}
-	x := c.w.newP2P(c.rank, dst, tag, msg)
-	x.send, x.pending = req, 1
+	x := c.w.newP2P(c.rank, dst, tag, msg, 1)
+	x.send = req
 	c.w.K.Schedule(c.w.Net.ControlLatency(c.rank, dst)+c.w.Net.P.RndvAlpha, x.announceFn)
 }
 
@@ -289,18 +288,18 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 		c.chaosGrant(req, src, tag, msg, sender)
 		return
 	}
-	x := c.w.newP2P(src, c.rank, tag, msg)
-	x.recv = req
 	if sender != nil {
 		// Rendezvous: grant (CTS) travels back, then the data flies (see
 		// p2p.grant); both requests complete before the record retires.
-		x.send, x.pending = sender, 2
+		x := c.w.newP2P(src, c.rank, tag, msg, 2)
+		x.recv, x.send = req, sender
 		c.w.K.Schedule(net.ControlLatency(c.rank, src)+net.P.RndvAlpha, x.grantFn)
 		return
 	}
 	// Eager payload already at the host boundary (and, when real, already a
 	// pooled copy owned by this rank — see launchSend).
-	x.data, x.pending = msg.Data, 1
+	x := c.w.newP2P(src, c.rank, tag, msg, 1)
+	x.recv, x.data = req, msg.Data
 	if wasUnexpected {
 		// Buffered copy-out penalty (paper §2.2.1: "memory allocation and
 		// data copying ... significant latency").
