@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify check test build race flake vet bench chaos crash fuzz scale
+.PHONY: verify check test build race flake vet bench fuzz scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
@@ -34,9 +34,17 @@ build:
 test:
 	$(GO) test ./...
 
-# The whole suite under the race detector.
+# The whole suite under the race detector (the fault-tolerant collectives'
+# FT tests among it), then the full-width conformance grids:
+# every collective × world sizes × payload units × segment counts × fault
+# plans, byte-compared against golden no-fault runs, and the fail-stop
+# survivor-set grids (crash@rank plans, detector, tree repair) on both
+# substrates with the clean-run detector-counter gate
+# (ADAPT_CONFORM_FULL widens every axis).
 race:
 	$(GO) test -race ./...
+	ADAPT_CONFORM_FULL=1 $(GO) test -race -v -run 'TestConformance|TestFault|TestDropAll|TestProperty|TestClean' ./internal/conform
+	ADAPT_CONFORM_FULL=1 $(GO) test -race -v -run 'TestCrash|TestCleanRunDetectorCountersZero' ./internal/conform
 
 # Flake hunt: every *Deterministic*, soak and golden test, fifty times
 # over, and the conformance grids that run on live goroutines and sockets
@@ -75,19 +83,6 @@ bench:
 # Rows (events/s, peak RSS, ranks/GB) merge into BENCH_kernel.json.
 scale:
 	SCALE_LADDER=1k,10k,100k,1m SCALE_COLLS=bcast,reduce,allreduce ./scripts/scale.sh
-
-# Full-width conformance grid: every collective × world sizes × payload
-# units × segment counts × fault plans, byte-compared against golden
-# no-fault runs (ADAPT_CONFORM_FULL widens every axis).
-chaos:
-	ADAPT_CONFORM_FULL=1 $(GO) test -race -v -run 'TestConformance|TestFault|TestDropAll|TestProperty|TestClean' ./internal/conform
-
-# Fail-stop conformance under the race detector: survivor-set grids for
-# the fault-tolerant collectives (crash@rank plans, detector, tree
-# repair) on both substrates, plus the clean-run detector-counter gate.
-crash:
-	ADAPT_CONFORM_FULL=1 $(GO) test -race -v -run 'TestCrash|TestCleanRunDetectorCountersZero' ./internal/conform
-	$(GO) test -race -run 'TestBcastFT|TestReduceFT|TestFTDeterministicSchedule' ./internal/core
 
 # Short fuzz passes over the tag-matching predicate, the fault-plan
 # parser, the unified matching core, the daemon's framed codec in both

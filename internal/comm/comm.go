@@ -1,6 +1,9 @@
 package comm
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Status describes a completed operation. For receives, Source/RecvTag/Msg
 // are filled in from the matched message; for sends they echo the posted
@@ -63,7 +66,19 @@ type Comm interface {
 	// Isend starts a non-blocking send.
 	Isend(dst int, tag Tag, msg Msg) Request
 	// Irecv posts a non-blocking receive for a message matching (src, tag).
+	// The matched payload arrives in a buffer the substrate hands over:
+	// the receiver owns Status.Msg.Data and may PutBuf it.
 	Irecv(src int, tag Tag) Request
+	// IrecvInto posts a receive whose payload lands directly in buf (an
+	// MPI posted buffer): a matched eager copy or rendezvous pull writes
+	// there, not into a pooled buffer. buf belongs to the substrate from
+	// the call until the request completes; the caller must neither read
+	// nor write it meanwhile. On success Status.Msg.Data aliases
+	// buf[:Status.Msg.Size] (nil when the payload was elided), so the
+	// caller must not PutBuf it. A matched message longer than buf
+	// completes the receive with a *TruncateError and leaves buf's
+	// contents unspecified. A nil buf is a plain Irecv.
+	IrecvInto(src int, tag Tag, buf []byte) Request
 
 	// Wait blocks until r completes, firing any ready callbacks meanwhile.
 	Wait(r Request) Status
@@ -121,4 +136,18 @@ type DeviceComm interface {
 	AsyncCopy(n int, from, to MemSpace) Request
 	// DefaultSpace reports where this rank's payload buffers live.
 	DefaultSpace() MemSpace
+}
+
+// TruncateError is the status error of an IrecvInto receive whose
+// matched message is longer than its posted buffer (MPI_ERR_TRUNCATE).
+// It names the receiving rank, the sending peer and the matched tag.
+type TruncateError struct {
+	Rank, Peer int
+	Tag        Tag
+	Size, Cap  int // the message's length and the posted buffer's
+}
+
+func (e *TruncateError) Error() string {
+	return fmt.Sprintf("comm: rank %d: %d-byte message from rank %d (tag %v) overflows its %d-byte receive buffer",
+		e.Rank, e.Size, e.Peer, e.Tag, e.Cap)
 }

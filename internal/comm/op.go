@@ -233,6 +233,18 @@ func wordBytes[T float64 | int64](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
+// Float64sWire returns v's wire bytes without copying: on a
+// little-endian host, a byte view of v's backing array (ok true), which
+// aliases v and must only be read while v is live and unchanged. A
+// big-endian host has no such view and gets ok false; encode with
+// PutFloat64s instead.
+func Float64sWire(v []float64) (b []byte, ok bool) {
+	if !hostLittleEndian {
+		return nil, false
+	}
+	return wordBytes(v), true
+}
+
 // PutFloat64s writes v into b as little-endian float64s; len(b) must be
 // at least 8*len(v).
 func PutFloat64s(b []byte, v []float64) {

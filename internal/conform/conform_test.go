@@ -18,7 +18,7 @@ import (
 )
 
 // The grid: world shapes × payload sizes × segment counts × fault plans.
-// ADAPT_CONFORM_FULL=1 widens every axis (make chaos).
+// ADAPT_CONFORM_FULL=1 widens every axis (make race runs it so).
 
 func full() bool { return os.Getenv("ADAPT_CONFORM_FULL") != "" }
 

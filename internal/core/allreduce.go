@@ -17,41 +17,68 @@ import (
 // Contrast with coll.Allreduce (reduce, then broadcast, sequentially) and
 // coll.AllreduceRing (the bandwidth-optimal ring). The fused tree version
 // wins when segment counts are large enough to overlap the two phases.
+//
+// A rank's whole state is one allocation: the operation handle, the
+// per-segment progress and the send streams live inline (for the usual
+// handful of segments and streams), and the receive and send handlers
+// are method values bound once.
 type allreduceState struct {
+	op  Op // the handle StartAllreduce returns
 	c   comm.Comm
-	t   *trees.Tree
 	opt Options
 
-	segs []comm.Segment
+	parent   int   // -1 at the root
+	children []int // t.Children[me]
 
-	// Up (reduce) direction.
-	needed   []int // child contributions outstanding per segment
-	children []int
-	upPost   []int // per-child next segment to post a receive for
-	up       *childStream
-	upFn     func(comm.Status) // s.onContribution, bound once
+	ns, total int
+	space     comm.MemSpace
+	outData   []byte // the result, folded and received in place (nil when elided)
 
-	// Down (broadcast) direction.
-	downStreams []*childStream
-	downPost    int               // next segment to post a down-receive for (non-root)
-	downFn      func(comm.Status) // s.onDownSegment, bound once
+	// state[seg] counts the child contributions still to fold: 0 once
+	// the segment is folded (ready to send up, or at the root to send
+	// down), downMark once a non-root rank has received it back (ready
+	// to send down). A segment's fold precedes its return from above,
+	// since the parent sends it down only after folding this rank's part.
+	state    []int32
+	downMark int32
+
+	// streams[i] sends down to children[i] and posts its up receives;
+	// streams[len(children)] sends up to the parent.
+	streams  []arStream
+	downPost int // next segment to post a down-receive for (non-root)
+
+	upFn, downFn func(comm.Status) // onContribution, onDownSegment
 
 	upRecvPending   int
 	upSendPending   int
 	downRecvPending int
 	downSendPending int
 
-	outData []byte
-	total   int
-	space   comm.MemSpace
+	inlState   [4]int32
+	inlStreams [4]arStream
+}
+
+// arStream is one peer's ordered send pipeline (see childStream): it
+// issues segments in index order within the send window once state says
+// they are ready. A down stream also keeps its child's up-receive
+// cursor.
+type arStream struct {
+	s        *allreduceState
+	rank     int
+	up       bool
+	next     int // next segment to issue
+	inflight int
+	post     int               // down stream: next up-receive segment to post
+	sentFn   func(comm.Status) // onSent, bound once
 }
 
 // Allreduce folds every rank's contribution under opt.Op and delivers the
 // result to all ranks, as one fused pipeline over tree t. contrib.Data,
 // when present, is the result buffer on every rank (MPI_IN_PLACE): the
-// root and intermediate ranks fold into it, and every non-root rank's
-// down segments overwrite it, so pass a private copy that no other rank
-// or later call reads. The returned Msg's Data is contrib.Data.
+// root and intermediate ranks fold into it, and every non-root rank
+// receives the down segments straight into it, so pass a private copy
+// that no other rank or later call reads. The returned Msg's Data is
+// contrib.Data.
 func Allreduce(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) comm.Msg {
 	return StartAllreduce(c, t, contrib, opt).Wait()
 }
@@ -63,44 +90,65 @@ func StartAllreduce(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *
 		panic(fmt.Sprintf("core: tree size %d != communicator size %d", t.Size(), c.Size()))
 	}
 	end := traceStart(c, comm.KindAllreduce, opt, t.Root, contrib.Size)
-	s := newAllreduceState(c, t, contrib, opt)
-	return end(&Op{
-		c: c,
-		pending: func() bool {
-			return s.upRecvPending > 0 || s.upSendPending > 0 ||
-				s.downRecvPending > 0 || s.downSendPending > 0
-		},
-		result: func() comm.Msg {
-			return comm.Msg{Data: s.outData, Size: s.total, Space: s.space}
-		},
-	})
+	return end(&newAllreduceState(c, t, contrib, opt).op)
+}
+
+func (s *allreduceState) pending() bool {
+	return s.upRecvPending > 0 || s.upSendPending > 0 ||
+		s.downRecvPending > 0 || s.downSendPending > 0
+}
+
+func (s *allreduceState) result() comm.Msg {
+	return comm.Msg{Data: s.outData, Size: s.total, Space: s.space}
 }
 
 func newAllreduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *allreduceState {
 	me := c.Rank()
 	s := &allreduceState{
-		c: c, t: t, opt: opt,
-		segs:     comm.Segments(contrib, opt.SegSize),
+		c: c, opt: opt,
+		parent:   t.Parent[me],
 		children: t.Children[me],
+		ns:       comm.NumSegments(contrib.Size, opt.SegSize),
 		total:    contrib.Size,
 		space:    contrib.Space,
+		// The result overwrites the contribution in place on every rank:
+		// the root folds into it, and a non-root rank receives each down
+		// segment into it. That cannot clobber bytes still to be sent up:
+		// down segment k leaves the parent only after the parent has
+		// received this rank's up segment k, and by then every substrate
+		// is done reading that send's payload (snapshotted at Isend, or
+		// pulled or written out to complete the parent's receive).
+		outData: contrib.Data,
 	}
-	s.upFn, s.downFn = s.onContribution, s.onDownSegment
-	ns := len(s.segs)
-	s.needed = make([]int, ns)
-	for i := range s.needed {
-		s.needed[i] = len(s.children)
+	s.op = Op{c: c, st: s}
+	ns, nch := s.ns, len(s.children)
+	s.state = s.inlState[:0]
+	if ns > len(s.inlState) {
+		s.state = make([]int32, 0, ns)
 	}
-	s.upPost = make([]int, len(s.children))
-	s.upRecvPending = ns * len(s.children)
-	s.downSendPending = ns * len(s.children)
-	downTag, downSent := opt.tagger(comm.KindAllreduce), func() { s.downSendPending-- }
+	for range ns {
+		s.state = append(s.state, int32(nch))
+	}
+	nst := nch
+	if s.parent != -1 {
+		nst++
+	}
+	s.streams = s.inlStreams[:0]
+	if nst > len(s.inlStreams) {
+		s.streams = make([]arStream, 0, nst)
+	}
 	for _, ch := range s.children {
-		s.downStreams = append(s.downStreams, newChildStream(c, ch, opt.SendWindow, downTag, downSent))
+		s.streams = append(s.streams, arStream{s: s, rank: ch})
 	}
-	if p := t.Parent[me]; p != -1 {
-		s.up = newChildStream(c, p, opt.SendWindow, opt.tagger(comm.KindReduce),
-			func() { s.upSendPending-- })
+	if nch > 0 {
+		s.upFn = s.onContribution
+	}
+	s.upRecvPending = ns * nch
+	s.downSendPending = ns * nch
+	if s.parent != -1 {
+		s.streams = append(s.streams, arStream{s: s, rank: s.parent, up: true})
+		s.downMark = -1
+		s.downFn = s.onDownSegment
 		s.upSendPending = ns
 		s.downRecvPending = ns
 		// Post the down-direction receive window immediately: the root may
@@ -109,95 +157,133 @@ func newAllreduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options
 			s.postDownRecv()
 		}
 	}
-	// The result overwrites the contribution in place on every rank: the
-	// root folds into it, and a non-root rank copies each down segment
-	// over it. That copy cannot clobber bytes still to be sent up: down
-	// segment k leaves the parent only after the parent has received
-	// this rank's up segment k, and by then every substrate is done
-	// reading that send's payload (snapshotted at Isend, or pulled or
-	// written out to complete the parent's receive).
-	s.outData = contrib.Data
+	for i := range s.streams {
+		s.streams[i].sentFn = s.streams[i].onSent
+	}
 
 	// Up-direction receive windows.
 	for ci := range s.children {
-		for i := 0; i < opt.RecvWindow && s.upPost[ci] < ns; i++ {
+		for i := 0; i < opt.RecvWindow && s.streams[ci].post < ns; i++ {
 			s.postUpRecv(ci)
 		}
 	}
-	// Leaf segments are immediately ready to travel up.
-	for seg := range s.needed {
-		if s.needed[seg] == 0 {
-			s.segFolded(seg)
-		}
+	// A leaf's segments are all ready to travel up at once.
+	if nch == 0 {
+		s.segFolded()
 	}
 	return s
 }
 
-func (s *allreduceState) postUpRecv(ci int) {
-	seg := s.upPost[ci]
-	s.upPost[ci]++
-	s.c.OnComplete(s.c.Irecv(s.children[ci], s.opt.TagOf(comm.KindReduce, seg)), s.upFn)
+// seg returns segment i of the result: its bytes in place (nil when
+// elided), size and memory space.
+func (s *allreduceState) seg(i int) comm.Msg {
+	off := i * s.opt.SegSize
+	n := min(s.opt.SegSize, s.total-off)
+	m := comm.Msg{Size: n, Space: s.space}
+	if s.outData != nil {
+		m.Data = s.outData[off : off+n]
+	}
+	return m
 }
 
+func (s *allreduceState) postUpRecv(ci int) {
+	cs := &s.streams[ci]
+	seg := cs.post
+	cs.post++
+	s.c.OnComplete(s.c.Irecv(cs.rank, s.opt.TagOf(comm.KindReduce, seg)), s.upFn)
+}
+
+// onContribution folds a child's segment into the result. The receive
+// lands in a scratch buffer of the substrate's: the fold reads both.
 func (s *allreduceState) onContribution(st comm.Status) {
 	ci, seg := childIndex(s.children, st.Source), st.Tag.Seg()
 	s.upRecvPending--
-	if s.upPost[ci] < len(s.segs) {
+	if s.streams[ci].post < s.ns {
 		s.postUpRecv(ci)
 	}
 	if st.Msg.Data != nil {
-		if s.segs[seg].Msg.Data != nil {
-			s.opt.Op.Apply(s.segs[seg].Msg.Data, st.Msg.Data, s.opt.Datatype)
+		if s.outData != nil {
+			s.opt.Op.Apply(s.seg(seg).Data, st.Msg.Data, s.opt.Datatype)
 		}
 		// Folded (or dropped): the receiver-owned buffer is dead.
 		comm.PutBuf(st.Msg.Data)
 	}
 	s.c.Compute(s.opt.ReduceCost(st.Msg.Size), comm.ComputeReduce)
-	s.needed[seg]--
-	if s.needed[seg] == 0 {
-		s.segFolded(seg)
+	if s.state[seg]--; s.state[seg] == 0 {
+		s.segFolded()
 	}
 }
 
-// segFolded: this rank's fold of the segment is complete. Non-roots ship
+// segFolded: this rank's fold of a segment is complete. Non-roots ship
 // it to the parent; the root turns it around immediately — the fusion.
-func (s *allreduceState) segFolded(seg int) {
-	if s.up != nil {
-		s.up.offer(seg, s.segs[seg].Msg)
-		s.up.pump()
+func (s *allreduceState) segFolded() {
+	if s.parent != -1 {
+		s.streams[len(s.children)].pump()
 		return
 	}
-	s.turnaround(seg, s.segs[seg].Msg)
+	s.turnaround()
 }
 
+// postDownRecv posts the next down receive, straight into the result
+// segment it delivers.
 func (s *allreduceState) postDownRecv() {
 	seg := s.downPost
 	s.downPost++
-	s.c.OnComplete(s.c.Irecv(s.t.Parent[s.c.Rank()], s.opt.TagOf(comm.KindAllreduce, seg)), s.downFn)
+	tag := s.opt.TagOf(comm.KindAllreduce, seg)
+	var r comm.Request
+	if s.outData != nil {
+		r = s.c.IrecvInto(s.parent, tag, s.seg(seg).Data)
+	} else {
+		r = s.c.Irecv(s.parent, tag)
+	}
+	s.c.OnComplete(r, s.downFn)
 }
 
+// onDownSegment: a fully reduced segment arrived from the parent, in
+// place in the result; pass it on to the children.
 func (s *allreduceState) onDownSegment(st comm.Status) {
 	seg := st.Tag.Seg()
 	s.downRecvPending--
-	if s.downPost < len(s.segs) {
+	if s.downPost < s.ns {
 		s.postDownRecv()
 	}
-	sg := s.segs[seg]
-	fwd := comm.Msg{Size: st.Msg.Size, Space: sg.Msg.Space}
-	if st.Msg.Data != nil {
-		copy(s.outData[sg.Offset:], st.Msg.Data)
-		// Children are fed aliases of the result, so the receiver-owned
-		// segment buffer is dead: recycle it.
-		comm.PutBuf(st.Msg.Data)
-		fwd.Data = s.outData[sg.Offset : sg.Offset+st.Msg.Size]
-	}
-	s.turnaround(seg, fwd)
+	s.state[seg] = s.downMark
+	s.turnaround()
 }
 
-// turnaround hands a fully reduced segment to the down-direction streams.
-func (s *allreduceState) turnaround(seg int, msg comm.Msg) {
-	for _, cs := range s.downStreams {
-		cs.offer(seg, msg)
-		cs.pump()
+// turnaround pumps the down-direction streams: a segment just became
+// ready to send down.
+func (s *allreduceState) turnaround() {
+	for i := range s.children {
+		s.streams[i].pump()
 	}
+}
+
+// pump issues ready segments in index order while the window has room.
+func (cs *arStream) pump() {
+	s := cs.s
+	kind := comm.KindAllreduce
+	if cs.up {
+		kind = comm.KindReduce
+	}
+	for cs.inflight < s.opt.SendWindow && cs.next < s.ns {
+		st := s.state[cs.next]
+		if cs.up && st > 0 || !cs.up && st != s.downMark {
+			return
+		}
+		idx := cs.next
+		cs.next++
+		cs.inflight++
+		s.c.OnComplete(s.c.Isend(cs.rank, s.opt.TagOf(kind, idx), s.seg(idx)), cs.sentFn)
+	}
+}
+
+func (cs *arStream) onSent(comm.Status) {
+	cs.inflight--
+	if cs.up {
+		cs.s.upSendPending--
+	} else {
+		cs.s.downSendPending--
+	}
+	cs.pump()
 }

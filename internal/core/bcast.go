@@ -95,10 +95,13 @@ type bcastState struct {
 	nextPost    int // next segment index to post an Irecv for
 	recvPending int // segments not yet received
 	sendPending int // (child, segment) transfers not yet completed
-	// assembled payload (allocated lazily, only for real data)
-	total   int
-	space   comm.MemSpace
-	outData []byte
+	// assembled payload (allocated lazily, only for real data). Segments
+	// from intoFrom on were posted into it directly (IrecvInto); earlier
+	// ones arrive in pooled buffers and are copied in.
+	total    int
+	space    comm.MemSpace
+	outData  []byte
+	intoFrom int
 }
 
 // Bcast performs the ADAPT event-driven broadcast (paper §2.2.1, Figure 4)
@@ -150,34 +153,47 @@ func newBcastState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *bcast
 }
 
 // postRecv posts the next receive in the window and arms its callback.
+// Once the result buffer exists, the segment lands in it directly.
 func (s *bcastState) postRecv() {
 	seg := s.nextPost
 	s.nextPost++
-	s.c.OnComplete(s.c.Irecv(s.parent, s.opt.TagOf(s.kind, seg)), s.recvFn)
+	tag := s.opt.TagOf(s.kind, seg)
+	var r comm.Request
+	if s.outData != nil {
+		sg := s.segs[seg]
+		r = s.c.IrecvInto(s.parent, tag, s.outData[sg.Offset:sg.Offset+sg.Msg.Size])
+	} else {
+		r = s.c.Irecv(s.parent, tag)
+	}
+	s.c.OnComplete(r, s.recvFn)
 }
 
-// onSegment handles the arrival of one segment from the parent: keep the
-// receive window full, record the payload, and hand the segment to every
-// child's independent stream.
+// onSegment handles the arrival of one segment from the parent: record
+// the payload, keep the receive window full, and hand the segment to
+// every child's independent stream.
 func (s *bcastState) onSegment(st comm.Status) {
 	seg := st.Tag.Seg()
 	s.recvPending--
-	if s.nextPost < len(s.segs) {
-		s.postRecv()
-	}
 	sg := s.segs[seg]
 	fwd := comm.Msg{Size: st.Msg.Size, Space: sg.Msg.Space}
 	if st.Msg.Data != nil {
 		if s.outData == nil {
-			// Every byte is overwritten by some segment before the result
-			// is read, so a dirty pooled buffer is fine.
+			// The first real segment: later receives post straight into
+			// the result. Every byte is overwritten by some segment before
+			// the result is read, so a dirty pooled buffer is fine.
 			s.outData = comm.GetBuf(s.total)
+			s.intoFrom = s.nextPost
 		}
-		copy(s.outData[sg.Offset:], st.Msg.Data)
-		// Children are fed aliases of the assembled result, so the
-		// receiver-owned segment buffer is dead: recycle it.
-		comm.PutBuf(st.Msg.Data)
+		if seg < s.intoFrom {
+			copy(s.outData[sg.Offset:], st.Msg.Data)
+			// Children are fed aliases of the assembled result, so the
+			// receiver-owned segment buffer is dead: recycle it.
+			comm.PutBuf(st.Msg.Data)
+		}
 		fwd.Data = s.outData[sg.Offset : sg.Offset+st.Msg.Size]
+	}
+	if s.nextPost < len(s.segs) {
+		s.postRecv()
 	}
 	sg.Msg = fwd
 	for _, cs := range s.children {

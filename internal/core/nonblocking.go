@@ -19,24 +19,44 @@ import (
 // in flight concurrently as long as their Options.Seq differ.
 
 // Op is a handle to an in-flight non-blocking collective on one rank.
+// Its progress and result come from the pending and result functions,
+// or, when those are nil, from st (a state machine that embeds its Op
+// and so costs no closures).
 type Op struct {
 	c       comm.Comm
 	pending func() bool
 	result  func() comm.Msg
+	st      opState
+}
+
+// opState is a collective state machine that reports its own progress.
+type opState interface {
+	pending() bool
+	result() comm.Msg
+}
+
+func (o *Op) isPending() bool {
+	if o.pending != nil {
+		return o.pending()
+	}
+	return o.st.pending()
 }
 
 // Done reports whether the rank's share of the collective has completed.
 // It fires ready callbacks opportunistically but never blocks.
-func (o *Op) Done() bool { return !o.pending() }
+func (o *Op) Done() bool { return !o.isPending() }
 
 // Wait drives the progress engine until the collective completes and
 // returns its result (the received message for a broadcast, the folded
 // message at the root for a reduction).
 func (o *Op) Wait() comm.Msg {
-	for o.pending() {
+	for o.isPending() {
 		o.c.Progress()
 	}
-	return o.result()
+	if o.result != nil {
+		return o.result()
+	}
+	return o.st.result()
 }
 
 // StartBcast begins a non-blocking ADAPT broadcast. The returned handle's

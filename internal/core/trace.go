@@ -31,6 +31,9 @@ func traceStart(c comm.Comm, kind comm.CollKind, opt Options, root, size int) fu
 	return func(op *Op) *Op {
 		trace.SetCause(c, prev)
 		inner := op.pending
+		if inner == nil {
+			inner = op.st.pending
+		}
 		ended := false
 		op.pending = func() bool {
 			p := inner()

@@ -8,6 +8,7 @@ import (
 	"adapt/internal/comm"
 	"adapt/internal/faults"
 	"adapt/internal/fec"
+	"adapt/internal/pool"
 	"adapt/internal/progress"
 )
 
@@ -57,13 +58,22 @@ type fecSender struct {
 }
 
 // txGroup is a sealed group awaiting the receiver's ack. Its members are
-// the roster; its shards, the framer-owned true-bytes snapshots.
+// the roster; its shards, the framer-owned true-bytes snapshots. It
+// holds two references, under fecSender.mu: the sent table's, dropped
+// when the group resolves (ack, give-up or shutdown), and the armed
+// retransmit timer's, dropped by a Stop that wins or else by the timer's
+// own last firing. The last one hands the group back to the framer for
+// reuse, so a timer that fires after a lost Stop still finds its own
+// group, never a reissued one.
 type txGroup struct {
 	*fec.Group[fecMeta]
 	attempts int  // transmissions spent (initial send is attempt 0)
 	fellBack bool // timer fired at least once: the ARQ path ran
 	timer    *time.Timer
+	ref      pool.Ref
 }
+
+const txGroupKind = "nettransport.txGroup"
 
 func newFecSender(c *Comm) *fecSender {
 	rec := c.cfg.chaosRec
@@ -89,16 +99,36 @@ func (f *fecSender) send(dst int, meta fecMeta, payload []byte) {
 // seal ships a closed group's parity, then parks the group awaiting the
 // receiver's ack under the retransmit timer.
 func (f *fecSender) seal(fg *fec.Group[fecMeta]) {
-	g := &txGroup{Group: fg}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		g.Release()
+		f.framer.Recycle(fg)
 		return
 	}
+	g := &txGroup{Group: fg}
+	g.ref.Init(2)
 	f.sent[g.ID] = g
 	f.transmitParityLocked(g, 0)
 	g.timer = time.AfterFunc(f.rec.RetryDelay(0, g.ID), func() { f.expire(g) })
+}
+
+// dropLocked releases one reference to g; the last returns the group
+// to the framer. Caller holds f.mu.
+func (f *fecSender) dropLocked(g *txGroup) {
+	if g.ref.Release(txGroupKind) {
+		f.framer.Recycle(g.Group)
+	}
+}
+
+// resolveLocked takes a group out of the sent table: its timer's
+// reference goes too if Stop wins, and the table's goes now. Caller
+// holds f.mu.
+func (f *fecSender) resolveLocked(g *txGroup) {
+	delete(f.sent, g.ID)
+	if g.timer.Stop() {
+		f.dropLocked(g)
+	}
+	f.dropLocked(g)
 }
 
 // transmitParityLocked ships each parity shard as one fecpar frame under
@@ -146,7 +176,11 @@ func (c *Comm) enqueueAfter(dst int, extra time.Duration, fr outFrame) {
 func (f *fecSender) expire(g *txGroup) {
 	c := f.c
 	f.mu.Lock()
-	if f.closed || f.sent[g.ID] != g {
+	g.ref.Live(txGroupKind)
+	if f.sent[g.ID] != g {
+		// Resolved (or shut down) while this firing raced a Stop: the
+		// timer's reference is all that is left to drop.
+		f.dropLocked(g)
 		f.mu.Unlock()
 		return
 	}
@@ -158,13 +192,16 @@ func (f *fecSender) expire(g *txGroup) {
 	}
 	g.attempts++
 	if g.attempts >= f.rec.MaxAttempts {
+		// The tombstone is the sender's final word — group control
+		// traffic, not subject to injection. Its roster is encoded before
+		// the group, fired timer and table entry both, goes back.
+		dst, hdr := g.Dst, encodeFecDead(g.ID, g.attempts, g.Members)
 		delete(f.sent, g.ID)
-		g.Release()
+		f.dropLocked(g)
+		f.dropLocked(g)
 		f.mu.Unlock()
 		c.inj.NoteTimeout()
-		// The tombstone is the sender's final word — group control
-		// traffic, not subject to injection.
-		c.sched.enqueue(g.Dst, outFrame{hdr: encodeFecDead(g.ID, g.attempts, g.Members)})
+		c.sched.enqueue(dst, outFrame{hdr: hdr})
 		return
 	}
 	for i, meta := range g.Members {
@@ -181,9 +218,7 @@ func (f *fecSender) expire(g *txGroup) {
 func (f *fecSender) onAck(gid uint64) {
 	f.mu.Lock()
 	if g := f.sent[gid]; g != nil {
-		delete(f.sent, gid)
-		g.timer.Stop()
-		g.Release()
+		f.resolveLocked(g)
 	}
 	f.mu.Unlock()
 }
@@ -196,12 +231,10 @@ func (f *fecSender) shutdown() {
 	defer f.mu.Unlock()
 	f.closed = true
 	for _, g := range f.framer.Stop() {
-		g.Release()
+		f.framer.Recycle(g)
 	}
-	for gid, g := range f.sent {
-		delete(f.sent, gid)
-		g.timer.Stop()
-		g.Release()
+	for _, g := range f.sent {
+		f.resolveLocked(g)
 	}
 }
 

@@ -244,3 +244,45 @@ func TestNetFECElidedPayloads(t *testing.T) {
 		t.Fatalf("received %d of 20", received)
 	}
 }
+
+// Resolved FEC groups go back to the sender's framer for reuse: after a
+// stream of eager sends has been acknowledged and the groups' idle
+// flushes have fired, the framer holds no group beyond the one link's
+// open group. (A framer that is never handed its groups back counts
+// every group it ever opened, one per K members.)
+func TestNetFECGroupsRecycle(t *testing.T) {
+	const sends = 64
+	w := fecWorld(t, "seed=3; link 0->1: drop=0.01", netRec(), fec.Config{K: 4, M: 1})
+	defer w.Close()
+	w.Run(func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			for i := 0; i < sends; i++ {
+				c.Send(1, ptag(i), comm.Bytes(netPayload(i)))
+			}
+		case 1:
+			for i := 0; i < sends; i++ {
+				if st := c.Recv(0, ptag(i)); st.Err != nil {
+					t.Errorf("segment %d failed: %v", i, st.Err)
+				}
+			}
+		}
+	})
+	f := w.Rank(0).fecTx
+	// Acks and idle flushes land on their own goroutines; wait for them.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		f.mu.Lock()
+		unacked := len(f.sent)
+		f.mu.Unlock()
+		out := f.framer.Outstanding()
+		if unacked == 0 && out <= 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d groups outstanding at the framer (%d unacked) after %d sends, want at most 1 (the open group)",
+				out, unacked, sends)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -203,7 +203,7 @@ func (l *epollLoop) drop(cs *connState, err error) {
 // decoder resources. The fd itself stays open — teardown owns closing.
 func (l *epollLoop) deregister(cs *connState) {
 	syscall.EpollCtl(l.epfd, syscall.EPOLL_CTL_DEL, cs.fd, nil)
-	cs.abort()
+	l.c.abort(cs)
 }
 
 // stop terminates the loop via the wake pipe and waits for it to exit;

@@ -59,20 +59,20 @@ func (l *threadLoop) read(cs *connState) {
 				perr = c.drainStaged(cs)
 			}
 			if perr != nil {
-				cs.abort()
+				c.abort(cs)
 				c.ioError(cs, perr)
 				return
 			}
 		}
 		if err != nil {
 			if cs.draining {
-				cs.abort()
+				c.abort(cs)
 				return // clean Bye shutdown
 			}
 			if errors.Is(err, io.EOF) && cs.midFrame() {
 				err = io.ErrUnexpectedEOF // cut inside a frame, not at a boundary
 			}
-			cs.abort()
+			c.abort(cs)
 			c.ioError(cs, err)
 			return
 		}

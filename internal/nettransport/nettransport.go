@@ -340,7 +340,8 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 		return
 	}
 	if !env.Rdv {
-		req.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Msg: env.Msg})
+		msg, err := req.Land(env.Src, env.Tag, env.Msg)
+		req.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Msg: msg, Err: err})
 		return
 	}
 	key := pullKey{src: env.Src, xid: env.Xid}
@@ -398,18 +399,61 @@ func (c *Comm) onCTS(src int, xid uint64) {
 		}})
 }
 
+// dataDest picks where a rendezvous payload frame of plen bytes from
+// src is read to, once its fixed fields are in: straight into the
+// matched receive's posted buffer (IrecvInto) when the payload fits,
+// else a pooled buffer. A payload landing in a posted buffer claims its
+// pull first — the I/O loop then owns the receive until the frame
+// finishes (onData) or the connection dies under it (abortPull), so no
+// death sweep can hand the buffer back to its owner mid-read. Runs on
+// the I/O loop goroutine.
+func (c *Comm) dataDest(cs *connState, plen int) (dst []byte, pooled bool) {
+	key := pullKey{src: cs.rank, xid: cs.xid}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pl := c.pulls[key]; pl != nil && pl.hasData && plen <= len(pl.req.Posted()) {
+		delete(c.pulls, key)
+		cs.pull = pl
+		return pl.req.Posted()[:plen], false
+	}
+	return comm.GetBuf(plen), true
+}
+
+// abortPull returns a claimed pull whose payload frame was cut off by
+// the connection's death to the pull table, failing it at once if the
+// sender is already down (the death sweep that would have failed it
+// may have run while it was claimed). Runs on the I/O loop goroutine.
+func (c *Comm) abortPull(cs *connState) {
+	pl := cs.pull
+	if pl == nil {
+		return
+	}
+	cs.pull = nil
+	key := pullKey{src: cs.rank, xid: cs.xid}
+	c.mu.Lock()
+	c.pulls[key] = pl
+	if c.crash.Down(cs.rank) {
+		c.failPullLocked(key)
+	}
+	c.mu.Unlock()
+}
+
 // onData resolves a rendezvous payload frame. Runs on the I/O loop
-// goroutine; the payload buffer is pooled and owned by the receiver from
-// here on.
-func (c *Comm) onData(src int, xid uint64, payload []byte) {
-	key := pullKey{src: src, xid: xid}
+// goroutine. A payload read into a posted buffer comes with its claimed
+// pull; a pooled one is owned by the receiver from here on.
+func (c *Comm) onData(cs *connState, payload []byte) {
+	src := cs.rank
+	if pl := cs.pull; pl != nil {
+		cs.pull = nil
+		pl.req.Complete(comm.Status{Source: src, Tag: pl.tag, Msg: comm.Msg{Data: payload, Size: pl.size}})
+		return
+	}
+	key := pullKey{src: src, xid: cs.xid}
 	c.mu.Lock()
 	pl := c.pulls[key]
 	if pl == nil {
 		c.mu.Unlock()
-		if payload != nil {
-			comm.PutBuf(payload)
-		}
+		comm.PutBuf(payload)
 		return
 	}
 	delete(c.pulls, key)
@@ -420,10 +464,13 @@ func (c *Comm) onData(src int, xid uint64, payload []byte) {
 			payload = []byte{} // zero-byte payload, not elided
 		}
 		msg.Data = payload
-	} else if payload != nil {
+	} else {
 		comm.PutBuf(payload)
 	}
-	pl.req.Complete(comm.Status{Source: src, Tag: pl.tag, Msg: msg})
+	// A plain receive owns the pooled copy; a posted buffer too short
+	// for it fails the receive.
+	msg, err := pl.req.Land(src, pl.tag, msg)
+	pl.req.Complete(comm.Status{Source: src, Tag: pl.tag, Msg: msg, Err: err})
 }
 
 // Send performs a blocking send: for rendezvous-size messages it returns

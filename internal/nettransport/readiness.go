@@ -81,6 +81,7 @@ type connState struct {
 
 	payload  []byte // destination for stagePayload; pooled for eager/data
 	pooledPl bool
+	pull     *rdvPull // data frame read into its receive's posted buffer
 	plen     int
 	got      int
 
@@ -270,7 +271,7 @@ func (c *Comm) parseFixed(cs *connState) error {
 			return fmt.Errorf("nettransport: rts frame with %d payload bytes", plen)
 		}
 		if plen > 0 {
-			cs.armPayload(comm.GetBuf(plen), true, plen)
+			cs.armPayload(comm.GetBuf(plen), true)
 			return nil
 		}
 		return c.finishFrame(cs)
@@ -285,7 +286,7 @@ func (c *Comm) parseFixed(cs *connState) error {
 				cs.gk, cs.gm, cs.gidx, cs.body)
 		}
 		if plen > 0 {
-			cs.armPayload(comm.GetBuf(plen), true, plen)
+			cs.armPayload(comm.GetBuf(plen), true)
 			return nil
 		}
 		return c.finishFrame(cs)
@@ -300,7 +301,7 @@ func (c *Comm) parseFixed(cs *connState) error {
 			return fmt.Errorf("nettransport: fec tombstone roster %d bytes for k=%d", plen, cs.gk)
 		}
 		if plen > 0 {
-			cs.armPayload(make([]byte, plen), false, plen)
+			cs.armPayload(make([]byte, plen), false)
 			return nil
 		}
 		return c.finishFrame(cs)
@@ -310,7 +311,7 @@ func (c *Comm) parseFixed(cs *connState) error {
 	case frameData:
 		cs.xid = binary.LittleEndian.Uint64(fix[:])
 		if plen > 0 {
-			cs.armPayload(comm.GetBuf(plen), true, plen)
+			cs.armPayload(c.dataDest(cs, plen))
 			return nil
 		}
 		return c.finishFrame(cs)
@@ -321,7 +322,7 @@ func (c *Comm) parseFixed(cs *connState) error {
 			return fmt.Errorf("nettransport: commit mask %d entries in %d-byte body", cnt, plen+12)
 		}
 		if plen > 0 {
-			cs.armPayload(make([]byte, plen), false, plen)
+			cs.armPayload(make([]byte, plen), false)
 			return nil
 		}
 		return c.finishFrame(cs)
@@ -330,8 +331,8 @@ func (c *Comm) parseFixed(cs *connState) error {
 	}
 }
 
-func (cs *connState) armPayload(dst []byte, pooled bool, plen int) {
-	cs.payload, cs.pooledPl, cs.plen, cs.got = dst, pooled, plen, 0
+func (cs *connState) armPayload(dst []byte, pooled bool) {
+	cs.payload, cs.pooledPl, cs.plen, cs.got = dst, pooled, len(dst), 0
 	cs.stage = stagePayload
 }
 
@@ -379,7 +380,7 @@ func (c *Comm) finishFrame(cs *connState) error {
 	case frameCTS:
 		c.onCTS(cs.rank, cs.xid)
 	case frameData:
-		c.onData(cs.rank, cs.xid, payload)
+		c.onData(cs, payload)
 	case frameCommit:
 		survivors := make([]bool, len(payload))
 		for i, v := range payload {
@@ -417,8 +418,10 @@ func (c *Comm) finishFrame(cs *connState) error {
 }
 
 // abort releases decoder resources when the connection dies mid-frame
-// and marks it deregistered.
-func (cs *connState) abort() {
+// and marks it deregistered; a rendezvous payload cut off on its way
+// into a posted buffer hands its receive back to the pull table.
+func (c *Comm) abort(cs *connState) {
+	c.abortPull(cs)
 	if cs.payload != nil && cs.pooledPl {
 		comm.PutBuf(cs.payload)
 	}

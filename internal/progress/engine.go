@@ -126,7 +126,9 @@ type Req struct {
 	Tag   comm.Tag
 	Space comm.MemSpace
 
-	// Send-side state the substrates thread through the protocol.
+	// Send-side state the substrates thread through the protocol. A
+	// receive keeps its posted buffer (IrecvInto) in Msg.Data instead,
+	// so the field costs receive-heavy worlds nothing extra.
 	Dst int
 	Msg comm.Msg // rendezvous send payload (referenced until granted)
 	Xid uint64   // rendezvous transfer id (nettransport)
@@ -400,6 +402,13 @@ func (e *Engine) StartSend(dst int, tag comm.Tag, size int) *Req {
 // a hit the envelope is consumed through OnMatch before PostRecv
 // returns.
 func (e *Engine) PostRecv(src int, tag comm.Tag, space comm.MemSpace) *Req {
+	return e.PostRecvInto(src, tag, space, nil)
+}
+
+// PostRecvInto is PostRecv with a posted buffer: the substrate lands
+// the matched payload in buf (see Req.Dest and Req.Land). A nil buf is
+// a plain PostRecv.
+func (e *Engine) PostRecvInto(src int, tag comm.Tag, space comm.MemSpace, buf []byte) *Req {
 	var post uint64
 	if tb := e.b.Trace(); tb != nil {
 		post = tb.Add(trace.Record{At: e.b.Now(), Rank: e.b.Rank, Kind: trace.RecvPost,
@@ -408,6 +417,7 @@ func (e *Engine) PostRecv(src int, tag comm.Tag, space comm.MemSpace) *Req {
 	e.lock()
 	req := e.newReq()
 	req.Src, req.Tag, req.Space, req.PostID = src, tag, space, post
+	req.Msg.Data = buf
 	for i, env := range e.unexpected {
 		if req.matches(env) {
 			e.unexpected = removeAt(e.unexpected, i)
@@ -427,6 +437,67 @@ func (e *Engine) PostRecv(src int, tag comm.Tag, space comm.MemSpace) *Req {
 // space.
 func (e *Engine) Irecv(src int, tag comm.Tag) comm.Request {
 	return e.PostRecv(src, tag, comm.MemDefault)
+}
+
+// IrecvInto posts a receive matching (src, tag) whose payload lands in
+// buf (comm.Comm.IrecvInto).
+func (e *Engine) IrecvInto(src int, tag comm.Tag, buf []byte) comm.Request {
+	return e.PostRecvInto(src, tag, comm.MemDefault, buf)
+}
+
+// Posted returns the buffer an IrecvInto receive was posted with, nil
+// for a plain receive.
+func (r *Req) Posted() []byte { return r.Msg.Data }
+
+// fit checks a matched message of size bytes from src against the
+// receive's posted buffer.
+func (r *Req) fit(src int, tag comm.Tag, size int) error {
+	if buf := r.Msg.Data; buf != nil && size > len(buf) {
+		return &comm.TruncateError{Rank: r.eng.b.Rank, Peer: src, Tag: tag, Size: size, Cap: len(buf)}
+	}
+	return nil
+}
+
+// Dest returns where the payload of msg, matched from src and still in
+// the sender's buffer (a rendezvous pull), is to be copied: the posted
+// buffer cut to the payload's length, or, for a plain receive, a fresh
+// pooled buffer the receiver will own. An elided payload has no
+// destination (nil). A message longer than the posted buffer is a
+// *comm.TruncateError naming this rank, src and tag.
+func (r *Req) Dest(src int, tag comm.Tag, msg comm.Msg) ([]byte, error) {
+	if err := r.fit(src, tag, msg.Size); err != nil {
+		return nil, err
+	}
+	switch {
+	case msg.Data == nil:
+		return nil, nil
+	case r.Msg.Data != nil:
+		return r.Msg.Data[:len(msg.Data)], nil
+	}
+	return comm.GetBuf(len(msg.Data)), nil
+}
+
+// Land moves a matched message whose payload the substrate already
+// holds as an owned pooled copy (an eager snapshot) into the posted
+// buffer, recycling the copy, and returns the message to complete the
+// receive with. A plain receive takes the copy over unchanged. A
+// message longer than the posted buffer is a *comm.TruncateError; its
+// copy is recycled and the returned message keeps only its size.
+func (r *Req) Land(src int, tag comm.Tag, msg comm.Msg) (comm.Msg, error) {
+	buf := r.Msg.Data
+	if buf == nil {
+		return msg, nil
+	}
+	if err := r.fit(src, tag, msg.Size); err != nil {
+		comm.PutBuf(msg.Data)
+		return comm.Msg{Size: msg.Size, Space: msg.Space}, err
+	}
+	if msg.Data != nil {
+		copy(buf, msg.Data)
+		comm.PutBuf(msg.Data)
+		msg.Data = buf[:len(msg.Data)]
+	}
+	return msg, nil
 }
 
 // Recv performs a blocking receive.

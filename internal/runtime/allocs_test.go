@@ -18,11 +18,13 @@ import (
 // allreduce on a 4-rank live runtime world — the rank goroutines, the
 // collective's state, requests and envelopes — after warm-up runs have
 // filled the segment pool. Eager (16 float64) and rendezvous (8192
-// float64) sizes both measure 105 allocations on go1.24/amd64; the
-// bound leaves room for scheduling noise, not for a per-segment
-// allocation. (Excluded under -race, which instruments allocations.)
+// float64) sizes both measure 45 allocations on go1.24/amd64, of which
+// the collective's own state is one block per rank plus its handlers
+// bound once; the bound leaves room for scheduling noise, not for a
+// per-segment or per-stream allocation. (Excluded under -race, which
+// instruments allocations.)
 func TestLiveAllreduceAllocs(t *testing.T) {
-	const n, bound = 4, 128
+	const n, bound = 4, 64
 	tree := trees.Binomial(n, 1)
 	for _, elems := range []int{16, 8192} {
 		t.Run(fmt.Sprint(elems), func(t *testing.T) {

@@ -220,18 +220,23 @@ func (c *Comm) deliver(env *progress.Env) {
 // envelopes it pulls the payload and releases the sender.
 func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool) {
 	msg := env.Msg
+	var err error
 	if env.Rts != nil {
-		// Pull the payload out of the sender's buffer; after the sender's
-		// request completes the sender may scribble on it. The pooled copy
-		// is owned by the receiver.
-		if msg.Data != nil {
-			buf := comm.GetBuf(len(msg.Data))
-			copy(buf, msg.Data)
-			msg.Data = buf
+		// Pull the payload out of the sender's buffer, straight into the
+		// posted buffer (IrecvInto) or a pooled copy the receiver owns;
+		// after the sender's request completes the sender may scribble on
+		// its buffer.
+		var dst []byte
+		if dst, err = req.Dest(env.Src, env.Tag, msg); err == nil && dst != nil {
+			copy(dst, msg.Data)
 		}
+		msg.Data = dst
 		env.Rts.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Msg: env.Msg})
+	} else {
+		// An eager payload is already a pooled copy the receiver owns.
+		msg, err = req.Land(env.Src, env.Tag, msg)
 	}
-	req.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Msg: msg})
+	req.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Msg: msg, Err: err})
 }
 
 // Send performs a blocking send: for rendezvous-size messages it returns

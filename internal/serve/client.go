@@ -31,7 +31,10 @@ type Session struct {
 	id   uint64
 	gen  uint64
 
-	wmu sync.Mutex // serializes frame writes
+	wmu    sync.Mutex // serializes frame writes; guards head and iov
+	head   [reduceHeadLen]byte
+	iovArr [2][]byte
+	iov    net.Buffers // a view of iovArr, consumed by each write
 
 	mu      sync.Mutex
 	calls   map[uint64]chan callRes // collective requests in flight
@@ -192,21 +195,7 @@ func (s *Session) handleFrame(typ byte, payload []byte) (keep bool, fatal error)
 		if s.rc == nil {
 			return false, protoErrf("op-done on service session")
 		}
-		st := comm.Status{Source: m.Source, Tag: m.Tag}
-		if m.HasData {
-			// The receiver owns delivered data, as on every substrate: a
-			// pooled copy it may PutBuf, so the frame goes back at once.
-			data := comm.GetBuf(len(m.Data))
-			if data == nil {
-				data = []byte{} // empty but present, as sent
-			}
-			copy(data, m.Data)
-			st.Msg = comm.Bytes(data)
-			st.Msg.Size = m.Size
-		} else {
-			st.Msg = comm.Sized(m.Size)
-		}
-		s.rc.complete(m.ID, st)
+		s.rc.land(m)
 	case byeMsg:
 		s.byeOnce.Do(func() { close(s.byeCh) })
 	default:
@@ -295,11 +284,31 @@ func (s *Session) start(typ byte, vals []float64) (*Call, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.writeFrame(encodeReduce(typ, id, vals)); err != nil {
+	if err := s.writeReduce(typ, id, vals); err != nil {
 		s.tryComplete(id, callRes{}) // retract registration
 		return nil, err
 	}
 	return &Call{s: s, id: id, ch: ch}, nil
+}
+
+// writeReduce puts one reduce request on the socket. On a little-endian
+// host vals already are the wire bytes: the head and a byte view of
+// vals go out in one vectored write, with no frame buffer and no copy.
+// A big-endian host encodes the frame (encodeReduce); the bytes on the
+// wire are the same either way.
+func (s *Session) writeReduce(typ byte, id uint64, vals []float64) error {
+	body, ok := comm.Float64sWire(vals)
+	if !ok {
+		return s.writeFrame(encodeReduce(typ, id, vals))
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	putReduceHead(s.head[:], typ, id, len(vals))
+	s.iovArr = [2][]byte{s.head[:], body}
+	s.iov = s.iovArr[:]
+	_, err := s.iov.WriteTo(s.conn)
+	s.iovArr[1] = nil // the caller's values, no longer ours
+	return err
 }
 
 // Wait blocks for the call's outcome: summed elems float64s (and for FT

@@ -26,7 +26,7 @@ type fuser struct {
 type fusePart struct {
 	raw     []byte // world*elems contributions, rank-major little-endian float64s
 	body    []byte // the pooled frame payload raw aliases, owned by the part
-	deliver func(out []byte, mask []bool, err error)
+	deliver func(out []byte, mask []bool, hold *resultHold, err error)
 }
 
 type fuseBatch struct {
@@ -84,10 +84,11 @@ func (f *fuser) flush(elems int) {
 // rejection fails every part in the batch with the typed Overloaded
 // error.
 //
-// Each rank's result overwrites its contribution, so the buffers are
-// recycled only after every part's result frame is encoded.
-// A failed job leaves them to the GC: a surviving rank may still hold
-// its slice.
+// Each rank's result overwrites its contribution, and each part's
+// result frame sends its slice of rank 0's result from where it lies,
+// so the buffers are recycled only after the last part's frame is
+// written (a resultHold with one reference per part). A failed job
+// leaves them to the GC: a surviving rank may still hold its slice.
 func (b *backend) submitFused(bt *fuseBatch) {
 	k := len(bt.parts)
 	sz := bt.elems * 8
@@ -125,21 +126,21 @@ func (b *backend) submitFused(bt *fuseBatch) {
 		kind: jobAllreduce,
 		in:   in,
 		deliver: func(out []byte, mask []bool, err error) {
-			for i, part := range bt.parts {
-				if err != nil {
-					part.deliver(nil, nil, err)
-					continue
+			if err != nil {
+				for _, part := range bt.parts {
+					part.deliver(nil, nil, nil, err)
 				}
-				part.deliver(out[i*sz:(i+1)*sz], mask, nil)
+				return
 			}
-			if err == nil {
-				release()
+			hold := newResultHold(k, release)
+			for i, part := range bt.parts {
+				part.deliver(out[i*sz:(i+1)*sz], mask, hold, nil)
 			}
 		},
 	}
 	if err := b.submitService(j); err != nil {
 		for _, part := range bt.parts {
-			part.deliver(nil, nil, err)
+			part.deliver(nil, nil, nil, err)
 		}
 		release() // refused before any rank saw the job
 	}

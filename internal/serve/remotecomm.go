@@ -64,6 +64,32 @@ func (c *RemoteComm) complete(id uint64, st comm.Status) {
 	}
 }
 
+// land completes a receive from its sfOpDone frame (session reader
+// goroutine). The frame is recycled as soon as this returns, so the
+// payload is copied out: into the receive's posted buffer (IrecvInto),
+// or into a pooled copy the receiver owns and may PutBuf, as on every
+// substrate.
+func (c *RemoteComm) land(m opDoneMsg) {
+	c.mu.Lock()
+	r := c.ops[m.ID]
+	delete(c.ops, m.ID)
+	c.mu.Unlock()
+	if r == nil {
+		return
+	}
+	st := comm.Status{Source: m.Source, Tag: m.Tag, Msg: comm.Sized(m.Size)}
+	if m.HasData {
+		st.Msg.Data = m.Data
+	}
+	dst, err := r.Dest(m.Source, m.Tag, st.Msg)
+	if dst == nil && err == nil && m.HasData {
+		dst = []byte{} // empty but present, as sent
+	}
+	copy(dst, m.Data)
+	st.Msg.Data, st.Err = dst, err
+	r.CompleteIfLive(st)
+}
+
 // failed is the status a failed op completes with. Like every
 // substrate's, it names the posted source (this rank for a send) and
 // tag, which callbacks bound once per collective decode.
@@ -92,13 +118,14 @@ func (c *RemoteComm) fail(err error) {
 }
 
 // startOp registers a new remote op with its peer (source for a receive,
-// destination for a send) and tag, and ships its frame.
-func (c *RemoteComm) startOp(isSend bool, peer int, tag comm.Tag, frame func(id uint64) []byte) comm.Request {
+// destination for a send), tag and a receive's posted buffer, and ships
+// its frame.
+func (c *RemoteComm) startOp(isSend bool, peer int, tag comm.Tag, buf []byte, frame func(id uint64) []byte) comm.Request {
 	r := c.eng.StartOp(isSend)
 	if isSend {
 		r.Dst = peer
 	} else {
-		r.Src = peer
+		r.Src, r.Msg.Data = peer, buf
 	}
 	r.Tag = tag
 	c.mu.Lock()
@@ -119,7 +146,7 @@ func (c *RemoteComm) startOp(isSend bool, peer int, tag comm.Tag, frame func(id 
 
 // Isend starts a non-blocking remote send.
 func (c *RemoteComm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
-	return c.startOp(true, dst, tag, func(id uint64) []byte {
+	return c.startOp(true, dst, tag, nil, func(id uint64) []byte {
 		return encodeIsend(isendMsg{
 			ID: id, Dst: dst, Tag: tag, Size: msg.Size,
 			HasData: msg.Data != nil, Data: msg.Data,
@@ -129,7 +156,13 @@ func (c *RemoteComm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 
 // Irecv posts a non-blocking remote receive.
 func (c *RemoteComm) Irecv(src int, tag comm.Tag) comm.Request {
-	return c.startOp(false, src, tag, func(id uint64) []byte {
+	return c.IrecvInto(src, tag, nil)
+}
+
+// IrecvInto posts a non-blocking remote receive whose payload lands in
+// buf when its op-done frame arrives.
+func (c *RemoteComm) IrecvInto(src int, tag comm.Tag, buf []byte) comm.Request {
+	return c.startOp(false, src, tag, buf, func(id uint64) []byte {
 		return encodeIrecv(irecvMsg{ID: id, Src: src, Tag: tag})
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"adapt/internal/comm"
 	"adapt/internal/metrics"
 	"adapt/internal/perf"
+	"adapt/internal/pool"
 )
 
 // Stats is a snapshot of the server's lifetime counters.
@@ -238,7 +239,7 @@ type session struct {
 	be        *backend
 	proxyRank int
 
-	out        chan []byte // encoded frames for the writer goroutine
+	out        chan outFrame // encoded frames for the writer goroutine
 	gone       chan struct{}
 	goneOnce   sync.Once
 	pending    atomic.Int32
@@ -259,21 +260,87 @@ func newSession(s *Server, id uint64, conn net.Conn) *session {
 		srv:       s,
 		conn:      conn,
 		proxyRank: -1,
-		out:       make(chan []byte, outCap),
+		out:       make(chan outFrame, outCap),
 		gone:      make(chan struct{}),
 		drained:   make(chan struct{}),
 	}
 }
+
+// outFrame is one frame queued for the session writer: a pooled head
+// and, for a result, a borrowed body sent straight after it from where
+// it lies (rank 0's result bytes inside the job's buffers), whose hold
+// is dropped once the frame is on the socket. A zero outFrame is the
+// writer's stop sentinel.
+type outFrame struct {
+	head []byte
+	body []byte
+	hold *resultHold
+}
+
+// release recycles the head and drops the body's hold.
+func (f outFrame) release() {
+	releaseFrame(f.head)
+	f.hold.drop()
+}
+
+// resultHold keeps a finished allreduce job's buffers alive until the
+// last result frame borrowing from them is written: one reference per
+// request in the (possibly fused) job. Result frames of one fused job
+// go out through different sessions' writers, hence the lock.
+type resultHold struct {
+	mu      sync.Mutex
+	ref     pool.Ref
+	release func()
+}
+
+func newResultHold(parts int, release func()) *resultHold {
+	h := &resultHold{release: release}
+	h.ref.Init(int32(parts))
+	return h
+}
+
+// drop releases one frame's reference; the last returns the buffers.
+// A nil hold (a body the GC owns) is a no-op.
+func (h *resultHold) drop() {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	last := h.ref.Release("serve.resultHold")
+	h.mu.Unlock()
+	if last {
+		h.release()
+	}
+}
+
+// maxWriteBatch caps the frames the session writer gathers into one
+// vectored write.
+const maxWriteBatch = 32
 
 // send hands an encoded frame to the writer, which takes ownership:
 // the writer recycles the pooled frame once it is on the socket, so
 // the caller must not touch it afterwards. A frame for a session that
 // is already gone (the client vanished mid-flight) is recycled here.
 func (s *session) send(frame []byte) {
+	s.sendFrame(outFrame{head: frame})
+}
+
+// sendFrame queues f for the writer, or releases it if the session is
+// gone.
+func (s *session) sendFrame(f outFrame) {
 	select {
-	case s.out <- frame:
+	case s.out <- f:
 	case <-s.gone:
-		releaseFrame(frame)
+		f.release()
+	}
+}
+
+// stop queues the writer's stop sentinel: everything queued before it
+// flushes, then the connection is cut to unblock the reader.
+func (s *session) stop() {
+	select {
+	case s.out <- outFrame{}:
+	case <-s.gone:
 	}
 }
 
@@ -294,7 +361,7 @@ func (s *session) beginShutdown() {
 		select {
 		case <-s.drained:
 			s.send(encodeBye())
-			s.send(nil)
+			s.stop()
 		case <-s.gone:
 		}
 	}()
@@ -318,40 +385,7 @@ func (s *session) run() {
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		// write puts one frame on the socket and recycles it; false ends
-		// the writer (the nil sentinel, or a dead connection).
-		write := func(frame []byte) bool {
-			if frame == nil {
-				// Sentinel: everything queued before it has flushed;
-				// cut the connection to unblock the reader.
-				s.conn.Close()
-				return false
-			}
-			_, err := s.conn.Write(frame)
-			releaseFrame(frame)
-			return err == nil
-		}
-		for {
-			select {
-			case frame := <-s.out:
-				if !write(frame) {
-					return
-				}
-			case <-s.gone:
-				// Flush anything queued before teardown — a session-fatal
-				// rejection must reach the client, not race the close.
-				for {
-					select {
-					case frame := <-s.out:
-						if !write(frame) {
-							return
-						}
-					default:
-						return
-					}
-				}
-			}
-		}
+		s.writer()
 	}()
 
 	s.reader()
@@ -366,6 +400,76 @@ func (s *session) run() {
 		s.srv.releaseBackend(s.be)
 	}
 	s.srv.dropSession(s)
+}
+
+// writer puts queued frames on the socket until the stop sentinel, a
+// dead connection, or teardown. Every frame already queued when it
+// wakes goes out in one vectored write (up to maxWriteBatch), and each
+// is released once written. After teardown it flushes what is still
+// queued — a session-fatal rejection must reach the client, not race
+// the close.
+func (s *session) writer() {
+	batch := make([]outFrame, 0, maxWriteBatch)
+	iovs := make([][]byte, 0, 2*maxWriteBatch)
+	var iov net.Buffers
+	// flush writes batch and releases it; false ends the writer (the
+	// stop sentinel, or a dead connection).
+	flush := func() bool {
+		iov = iovs[:0]
+		stop := false
+		for _, f := range batch {
+			if f.head == nil {
+				stop = true
+				break
+			}
+			iov = append(iov, f.head)
+			if len(f.body) > 0 {
+				iov = append(iov, f.body)
+			}
+		}
+		var err error
+		if len(iov) > 0 {
+			_, err = iov.WriteTo(s.conn)
+		}
+		clear(iovs[:cap(iovs)])
+		for i, f := range batch {
+			f.release()
+			batch[i] = outFrame{}
+		}
+		batch = batch[:0]
+		if stop {
+			s.conn.Close()
+		}
+		return !stop && err == nil
+	}
+	// gather appends what is queued behind the first frame.
+	gather := func() {
+		for len(batch) < maxWriteBatch {
+			select {
+			case f := <-s.out:
+				batch = append(batch, f)
+			default:
+				return
+			}
+		}
+	}
+	for {
+		select {
+		case f := <-s.out:
+			batch = append(batch, f)
+			gather()
+			if !flush() {
+				return
+			}
+		case <-s.gone:
+			for {
+				gather()
+				if len(batch) == 0 || !flush() {
+					return
+				}
+			}
+		}
+	}
 }
 
 // reader consumes client frames until Close handshake, EOF, or a fatal
@@ -493,12 +597,15 @@ func (s *session) admit(id uint64) bool {
 }
 
 // respond delivers one request's outcome and credits the session's
-// in-flight budget.
-func (s *session) respond(id uint64, out []byte, mask []bool, err error) {
+// in-flight budget. A result's bytes go out as the frame's body where
+// they lie; hold, when non-nil, keeps them alive until written.
+func (s *session) respond(id uint64, out []byte, mask []bool, hold *resultHold, err error) {
 	if err != nil {
 		s.send(encodeErr(errMsg{ID: id, Code: codeOf(err), Msg: err.Error()}))
+		hold.drop()
 	} else {
-		s.send(encodeResult(resultMsg{ID: id, Mask: mask, Data: out}))
+		s.sendFrame(outFrame{head: encodeResultHead(resultMsg{ID: id, Mask: mask, Data: out}),
+			body: out, hold: hold})
 	}
 	s.srv.stResponses.Add(1)
 	s.pending.Add(-1)
@@ -542,7 +649,9 @@ func (s *session) handleReduce(payload []byte, ft bool) bool {
 	mReqBytes.Add(uint64(len(m.Raw)))
 	elems := vals / s.be.n
 	id := m.ID
-	deliver := func(out []byte, mask []bool, err error) { s.respond(id, out, mask, err) }
+	deliver := func(out []byte, mask []bool, hold *resultHold, err error) {
+		s.respond(id, out, mask, hold, err)
+	}
 	// Latency brackets only exist while telemetry is on: a zero Clock
 	// start means no closure, no timestamp, nothing recorded.
 	if t0 := metrics.Clock(); t0 != 0 {
@@ -551,13 +660,15 @@ func (s *session) handleReduce(payload []byte, ft bool) bool {
 			h = mLatReduceFT
 		}
 		inner := deliver
-		deliver = func(out []byte, mask []bool, err error) {
+		deliver = func(out []byte, mask []bool, hold *resultHold, err error) {
 			h.ObserveSince(t0)
-			inner(out, mask, err)
+			inner(out, mask, hold, err)
 		}
 	}
 	if ft {
-		s.be.submitFT(m.Raw, elems, deliver)
+		s.be.submitFT(m.Raw, elems, func(out []byte, mask []bool, err error) {
+			deliver(out, mask, nil, err)
+		})
 		releaseFrame(payload)
 	} else {
 		s.be.fuse.add(fusePart{raw: m.Raw, body: payload, deliver: deliver}, elems)
@@ -644,7 +755,7 @@ func (s *session) handleClose() {
 	}
 	s.send(encodeBye())
 	// Let the writer flush the tail before run() tears the conn down.
-	s.send(nil)
+	s.stop()
 }
 
 // codeOf extracts the wire code from a typed error (Internal otherwise).

@@ -162,12 +162,25 @@ type reduceMsg struct {
 	Raw []byte
 }
 
+// reduceHeadLen is a reduce request's bytes before its values: length
+// prefix, type, request id and element count.
+const reduceHeadLen = 17
+
+// putReduceHead writes a reduce request's head for n values into h.
+func putReduceHead(h []byte, typ byte, id uint64, n int) {
+	binary.LittleEndian.PutUint32(h, uint32(13+8*n))
+	h[4] = typ
+	binary.LittleEndian.PutUint64(h[5:], id)
+	binary.LittleEndian.PutUint32(h[13:], uint32(n))
+}
+
+// encodeReduce builds a whole reduce request frame in a pooled buffer:
+// the head, then vals as little-endian float64s. A little-endian client
+// writes the same bytes without it (Session.start).
 func encodeReduce(typ byte, id uint64, vals []float64) []byte {
-	f := newFrame(typ, 12+8*len(vals))
-	f = binary.LittleEndian.AppendUint64(f, id)
-	f = binary.LittleEndian.AppendUint32(f, uint32(len(vals)))
-	f = f[:17+8*len(vals)]
-	comm.PutFloat64s(f[17:], vals)
+	f := comm.GetBuf(reduceHeadLen + 8*len(vals))
+	putReduceHead(f, typ, id, len(vals))
+	comm.PutFloat64s(f[reduceHeadLen:], vals)
 	return f
 }
 
@@ -301,10 +314,14 @@ type resultMsg struct {
 	Data []byte // raw little-endian float64 payload
 }
 
-func encodeResult(m resultMsg) []byte {
+// encodeResultHead builds a result frame up to its payload in a pooled
+// buffer; the frame's length prefix counts m.Data, which the writer
+// sends straight after it from where it lies.
+func encodeResultHead(m resultMsg) []byte {
 	// The mask length is a uint32: survivor masks are world-sized and
 	// worlds may be as large as maxWireWorld, which outgrows a byte.
-	p := newFrame(sfResult, 16+len(m.Mask)+len(m.Data))
+	p := newFrame(sfResult, 16+len(m.Mask))
+	binary.LittleEndian.PutUint32(p, uint32(17+len(m.Mask)+len(m.Data)))
 	p = binary.LittleEndian.AppendUint64(p, m.ID)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(m.Mask)))
 	for _, alive := range m.Mask {
@@ -314,8 +331,7 @@ func encodeResult(m resultMsg) []byte {
 			p = append(p, 0)
 		}
 	}
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(m.Data)))
-	return append(p, m.Data...)
+	return binary.LittleEndian.AppendUint32(p, uint32(len(m.Data)))
 }
 
 func parseResult(p []byte) (resultMsg, error) {

@@ -85,6 +85,7 @@ type xmit struct {
 
 	msg    comm.Msg      // the message as the sender posted it
 	data   []byte        // eager: the snapshot feeding every attempt; data leg: the receiver's copy
+	err    error         // data leg: the receive's truncation error
 	req    *progress.Req // eager and RTS: the send; CTS and data: the matched receive
 	sender *progress.Req // CTS and data: the rendezvous sender's request
 	group  *fec.Group[*xmit]
@@ -102,7 +103,7 @@ func newXmitList(w *World) pool.List[xmit] {
 		},
 		Reset: func(x *xmit) {
 			x.attempts, x.delivered, x.acked, x.failed, x.firstLost = 0, false, false, false, false
-			x.msg, x.data, x.req, x.sender, x.group = comm.Msg{}, nil, nil, nil, nil
+			x.msg, x.data, x.err, x.req, x.sender, x.group = comm.Msg{}, nil, nil, nil, nil, nil
 		},
 	}
 }
@@ -299,10 +300,10 @@ func (x *xmit) deliver() {
 		dx.try()
 		dx.release()
 	case legData:
-		// The sender keeps its buffer until its request completes;
-		// snapshot into a pooled, receiver-owned copy first.
-		if x.msg.Data != nil {
-			x.data = comm.GetBuf(len(x.msg.Data))
+		// The sender keeps its buffer until its request completes; copy
+		// the payload first, into the receive's posted buffer or a pooled,
+		// receiver-owned copy.
+		if x.data, x.err = x.req.Dest(x.src, x.tag, x.msg); x.data != nil {
 			copy(x.data, x.msg.Data)
 		}
 		x.sender.CompleteIfLive(comm.Status{Source: x.src, Tag: x.tag, Msg: x.msg})
@@ -321,7 +322,7 @@ func (x *xmit) placed() {
 	x.ref.Live(xmitKind)
 	msg := x.msg
 	msg.Data, x.data = x.data, nil
-	x.req.CompleteIfLive(comm.Status{Source: x.src, Tag: x.tag, Msg: msg})
+	x.req.CompleteIfLive(comm.Status{Source: x.src, Tag: x.tag, Msg: msg, Err: x.err})
 	x.release()
 }
 

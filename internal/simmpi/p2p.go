@@ -33,7 +33,8 @@ type p2p struct {
 	src, dst int
 	tag      comm.Tag
 	msg      comm.Msg      // the message as the sender posted it
-	data     []byte        // the receiver-owned pooled copy (nil when elided)
+	data     []byte        // the receiver's copy: pooled, or in the posted buffer (nil when elided)
+	err      error         // the receive's truncation error (delivery leg)
 	send     *progress.Req // the sender's request
 	recv     *progress.Req // the matched receive (delivery leg)
 	ref      pool.Ref      // terminal handlers still to fire
@@ -50,7 +51,7 @@ func newP2PList(w *World) pool.List[p2p] {
 			x.announceFn, x.grantFn, x.landFn, x.doneFn = x.announce, x.grant, x.land, x.done
 			return x
 		},
-		Reset: func(x *p2p) { x.msg, x.data, x.send, x.recv = comm.Msg{}, nil, nil, nil },
+		Reset: func(x *p2p) { x.msg, x.data, x.err, x.send, x.recv = comm.Msg{}, nil, nil, nil, nil },
 	}
 }
 
@@ -120,13 +121,16 @@ func (x *p2p) announce() {
 }
 
 // grant runs when the CTS reaches the sender: the data flies. The sender
-// keeps its buffer until its request completes; the transfer snapshots
-// it into a pooled, receiver-owned copy at start time.
+// keeps its buffer until its request completes; the transfer copies it
+// at start time, into the receive's posted buffer or a pooled,
+// receiver-owned copy. An elided payload has nothing to copy, so the
+// receive is not looked at until done.
 func (x *p2p) grant() {
 	x.ref.Live(p2pKind)
 	if x.msg.Data != nil {
-		x.data = comm.GetBuf(len(x.msg.Data))
-		copy(x.data, x.msg.Data)
+		if x.data, x.err = x.recv.Dest(x.src, x.tag, x.msg); x.data != nil {
+			copy(x.data, x.msg.Data)
+		}
 	}
 	x.w.Net.StartTransfer(x.src, x.dst, x.msg.Size, x.msg.Space, x.sentFn, x.landFn)
 }
@@ -138,11 +142,17 @@ func (x *p2p) land() {
 	x.w.Net.DeliverFrom(x.src, x.dst, x.msg.Size, x.recv.Space, x.doneFn)
 }
 
-// done completes the receive with the receiver-owned payload.
+// done completes the receive. A rendezvous payload already sits in its
+// destination; an eager one is the receiver-owned pooled copy, which
+// lands in the posted buffer now. An elided payload is only checked
+// against the posted buffer's length.
 func (x *p2p) done() {
 	x.ref.Live(p2pKind)
-	msg := x.msg
+	msg, err := x.msg, x.err
 	msg.Data = x.data
-	x.recv.Complete(comm.Status{Source: x.src, Tag: x.tag, Msg: msg})
+	if x.send == nil || x.msg.Data == nil {
+		msg, err = x.recv.Land(x.src, x.tag, msg)
+	}
+	x.recv.Complete(comm.Status{Source: x.src, Tag: x.tag, Msg: msg, Err: err})
 	x.finish()
 }
