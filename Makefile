@@ -62,27 +62,26 @@ vet:
 	@out="$$(gofmt -l internal cmd examples)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
-# The one target that runs the bench harness: microbenchmarks for the
-# simulation kernel and segment-buffer pool, the multi-collective
-# concurrency benchmark with its clean-run counters gate, the serving
-# layer (BENCH_serve.json + the adaptd clean-counters check) and the
-# obs section (adaptd -admin under adaptbench -serve load, scraped
-# mid-run by adaptctl -check -> BENCH_obs.json); writes BENCH_kernel.json,
-# BENCH_progress.json, BENCH_serve.json and BENCH_obs.json. Then the
+# Microbenchmarks; they write no files and gate nothing (every gate is a
+# test that runs in tier-1). The simulation kernel's dispatch and
+# self-scheduling, the segment-buffer pool, the multi-collective
+# concurrency benchmark on one shared progress engine, then the
 # telemetry gate-cost benchmarks: the metrics recording paths with the
 # gate off and on, and the kernel's dispatch cost with a dispatch
-# observer attached (the untraced path is in scripts/bench.sh).
+# observer attached.
 bench:
-	./scripts/bench.sh
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch$$|BenchmarkKernelSelfSchedule$$|BenchmarkSegmentPool$$|BenchmarkSegmentMake$$' -benchmem ./internal/sim ./internal/comm
+	$(GO) test -run '^$$' -bench 'BenchmarkMultiCollective' ./internal/progress
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkCounterDisabled|BenchmarkLatencyBracketDisabled' -benchmem ./internal/metrics
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatchObserved$$' -benchmem ./internal/sim
 
 # Million-rank kernel-scaling ladder: tree bcast/reduce and allreduce in
 # the goroutine-per-rank and flat rank drivers from 1k to 1M simulated
 # ranks, with the ≥100k-broadcast-under-8GB and flat-beats-proc gates.
-# Rows (events/s, peak RSS, ranks/GB) merge into BENCH_kernel.json.
+# Prints events/s, peak RSS and ranks/GB per cell; tier-1 runs the quick
+# 1k,10k broadcast ladder (TestQuickScaleLadder).
 scale:
-	SCALE_LADDER=1k,10k,100k,1m SCALE_COLLS=bcast,reduce,allreduce ./scripts/scale.sh
+	$(GO) run ./cmd/adaptbench -ranks 1k,10k,100k,1m -ranks-coll bcast,reduce,allreduce
 
 # Short fuzz passes over the tag-matching predicate, the fault-plan
 # parser, the unified matching core, the daemon's framed codec in both

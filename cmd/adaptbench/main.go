@@ -8,6 +8,7 @@
 //	adaptbench -exp all -j 8             # cells on 8 workers, same output
 //	adaptbench -exp fig9a -cpuprofile cpu.pprof -perf
 //	adaptbench -list
+//	adaptbench -ranks 1k,10k -ranks-coll bcast   # kernel-scaling ladder (make scale)
 //
 // Independent experiment cells (library × noise × size points) each own a
 // private deterministic simulation kernel, so -j N runs them on N workers
@@ -15,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -64,20 +64,11 @@ func run() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file when done")
 	traceFile := flag.String("trace", "", "write a Go execution trace to this file")
-	perfJSON := flag.String("perf-json", "", "write kernel/buffer-pool counters as JSON to this file when done")
 	ctrace := flag.String("ctrace", "", "capture causal event traces and write Chrome trace-event JSON (Perfetto) to this file")
 	ctraceCap := flag.Int("ctrace-cap", 500_000, "per-cell causal-trace record cap (0 = unbounded)")
 	ctraceReport := flag.Bool("ctrace-report", false, "print a critical-path/overlap report for the captured traces")
-	fecJSON := flag.String("fec-json", "", "run the FEC loss sweep, write it as JSON to this file, and fail unless the zero-retransmit gate holds")
-	serveAddr := flag.String("serve", "", "benchmark a running adaptd at this address instead of the simulated exhibits")
-	servePoints := flag.String("serve-points", "1x64,4x64,16x32", "comma-separated SESSIONSxREQUESTS load points for -serve")
-	serveWorld := flag.Int("serve-world", 4, "backend world size for -serve requests")
-	serveElems := flag.Int("serve-elems", 16, "per-rank elements for -serve requests")
-	servePipeline := flag.Int("serve-pipeline", 4, "in-flight requests per session for -serve")
-	serveAdmin := flag.String("serve-admin", "", "daemon admin address: fold its per-point perf window (statusz delta) into the -serve report")
 	adminAddr := flag.String("admin", "", "expose this process's own telemetry/pprof admin plane at this address")
 	ranksLadder := flag.String("ranks", "", `kernel-scaling ladder: comma-separated rank counts ("1k,10k,100k,1m") run through proc- and flat-mode collectives, reporting events/s, peak RSS, and ranks/GB`)
-	ranksJSON := flag.String("ranks-json", "", "write the -ranks ladder rows as a JSON array to this file")
 	ranksColls := flag.String("ranks-coll", "bcast,reduce,allreduce", "collectives for the -ranks ladder")
 	ranksCell := flag.String("ranks-cell", "", "internal: run one scale cell (mode/collective/ranks) in-process and print its JSON row")
 	flag.Parse()
@@ -90,7 +81,7 @@ func run() int {
 		return runScaleCell(*ranksCell)
 	}
 	if *ranksLadder != "" {
-		return runScaleLadder(os.Stdout, *ranksLadder, *ranksColls, *ranksJSON)
+		return runScaleLadder(os.Stdout, *ranksLadder, *ranksColls)
 	}
 	if *adminAddr != "" {
 		admin, err := metrics.ServeAdmin(*adminAddr, metrics.AdminOpts{})
@@ -100,55 +91,6 @@ func run() int {
 		}
 		defer admin.Close()
 		fmt.Fprintf(os.Stderr, "adaptbench: admin on %s\n", admin.Addr())
-	}
-	if *serveAddr != "" {
-		points, err := parseServePoints(*servePoints)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptbench:", err)
-			return 2
-		}
-		var w io.Writer = os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adaptbench:", err)
-				return 1
-			}
-			defer f.Close()
-			w = io.MultiWriter(os.Stdout, f)
-		}
-		if err := runServeBench(w, *serveAddr, *serveAdmin, points, *serveWorld, *serveElems, *servePipeline); err != nil {
-			fmt.Fprintln(os.Stderr, "adaptbench:", err)
-			return 1
-		}
-		return 0
-	}
-	if *fecJSON != "" {
-		var s bench.Scale
-		switch *scale {
-		case "full":
-			s = bench.Full()
-		case "quick":
-			s = bench.Quick()
-		default:
-			fmt.Fprintf(os.Stderr, "adaptbench: unknown scale %q\n", *scale)
-			return 2
-		}
-		rep := s.FECSweep()
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*fecJSON, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptbench:", err)
-			return 1
-		}
-		if err := rep.GateErr(); err != nil {
-			fmt.Fprintln(os.Stderr, "adaptbench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "adaptbench: wrote %s (gates pass)\n", *fecJSON)
-		return 0
 	}
 	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "adaptbench: -exp required (try -list)")
@@ -259,16 +201,6 @@ func run() int {
 	}
 	if *memProfile != "" {
 		if err := perf.WriteHeapProfile(*memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, "adaptbench:", err)
-			return 1
-		}
-	}
-	if *perfJSON != "" {
-		b, err := perf.Read().JSON()
-		if err == nil {
-			err = os.WriteFile(*perfJSON, b, 0o644)
-		}
-		if err != nil {
 			fmt.Fprintln(os.Stderr, "adaptbench:", err)
 			return 1
 		}

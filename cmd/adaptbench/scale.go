@@ -5,7 +5,7 @@ package main
 // goroutine-per-rank (proc) and struct-per-rank (flat) drivers, and
 // reports wall-clock event throughput, peak RSS, and ranks per GB of
 // memory. Each cell re-execs this binary so VmHWM measures exactly one
-// configuration. Rows land in BENCH_kernel.json via scripts/scale.sh.
+// configuration. make scale runs the full ladder.
 
 import (
 	"bufio"
@@ -37,7 +37,7 @@ const (
 )
 
 type scaleRow struct {
-	Name         string  `json:"name"` // ScaleFlatBcast/102400 — keyed like the microbench rows
+	Name         string  `json:"name"` // ScaleFlatBcast/102400
 	Mode         string  `json:"mode"`
 	Collective   string  `json:"collective"`
 	Ranks        int     `json:"ranks"`
@@ -199,9 +199,8 @@ func peakRSSKB() (int64, error) {
 }
 
 // runScaleLadder fans the rung × collective × mode grid out to child
-// processes, prints a table, enforces the scaling gates, and optionally
-// writes the rows as a JSON array.
-func runScaleLadder(w io.Writer, ladder, colls, jsonPath string) int {
+// processes, prints a table, and enforces the scaling gates.
+func runScaleLadder(w io.Writer, ladder, colls string) int {
 	var rungs []int
 	for _, s := range strings.Split(ladder, ",") {
 		r, err := parseRung(s)
@@ -256,50 +255,7 @@ func runScaleLadder(w io.Writer, ladder, colls, jsonPath string) int {
 		fmt.Fprintln(os.Stderr, "adaptbench: FAIL:", err)
 		return 1
 	}
-	if jsonPath != "" {
-		b, err := mergeScaleRows(jsonPath, rows)
-		if err == nil {
-			err = os.WriteFile(jsonPath, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptbench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "adaptbench: wrote %s\n", jsonPath)
-	}
 	return 0
-}
-
-// mergeScaleRows splices the fresh ladder rows into an existing JSON
-// array (e.g. BENCH_kernel.json next to the microbench rows), replacing
-// any stale Scale* rows from a previous run. A missing or empty file
-// yields just the new rows.
-func mergeScaleRows(path string, rows []scaleRow) ([]byte, error) {
-	var all []map[string]interface{}
-	if b, err := os.ReadFile(path); err == nil && len(bytes.TrimSpace(b)) > 0 {
-		if err := json.Unmarshal(b, &all); err != nil {
-			return nil, fmt.Errorf("existing %s is not a JSON array: %v", path, err)
-		}
-		keep := all[:0]
-		for _, m := range all {
-			if name, _ := m["name"].(string); !strings.HasPrefix(name, "Scale") {
-				keep = append(keep, m)
-			}
-		}
-		all = keep
-	}
-	for _, r := range rows {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return nil, err
-		}
-		var m map[string]interface{}
-		if err := json.Unmarshal(b, &m); err != nil {
-			return nil, err
-		}
-		all = append(all, m)
-	}
-	return json.MarshalIndent(all, "", "  ")
 }
 
 // scaleGates enforces the ladder's acceptance criteria: every ≥100k

@@ -9,13 +9,13 @@
 //	adaptctl -addr 127.0.0.1:7078             # one-shot status
 //	adaptctl -addr 127.0.0.1:7078 -watch 1s   # live view, redrawn per interval
 //	adaptctl -addr 127.0.0.1:7078 -metrics    # raw Prometheus exposition
-//	adaptctl -addr 127.0.0.1:7078 -check -out BENCH_obs.json
+//	adaptctl -addr 127.0.0.1:7078 -check      # observability gate
 //
-// -check is the observability bench gate (make bench): it scrapes the
-// plane under load and fails unless the Prometheus exposition parses,
+// -check scrapes the plane of a loaded daemon until it passes or
+// -timeout runs out, and fails unless the Prometheus exposition parses,
 // the serving-layer latency histogram is non-empty, /healthz reports
 // ready, and the trouble counters (overloads, rank failures, net
-// faults) are zero. The scrape evidence lands in -out as JSON.
+// faults) are zero. TestCheckObsGate holds it to a daemon under load.
 package main
 
 import (
@@ -43,8 +43,7 @@ func run() int {
 	watch := flag.Duration("watch", 0, "redraw the status view at this interval (0 = one shot)")
 	rawMetrics := flag.Bool("metrics", false, "dump the raw Prometheus exposition and exit")
 	check := flag.Bool("check", false, "run the observability gate against a loaded daemon")
-	out := flag.String("out", "", "write -check evidence JSON here")
-	timeout := flag.Duration("timeout", 10*time.Second, "-check retry deadline")
+	timeout := flag.Duration("timeout", 10*time.Second, "deadline for one scrape, or for the whole -check")
 	flag.Parse()
 	if *addr == "" {
 		fmt.Fprintln(os.Stderr, "adaptctl: -addr is required (the daemon's -admin address)")
@@ -53,7 +52,7 @@ func run() int {
 
 	switch {
 	case *rawMetrics:
-		body, err := get(*addr, "/metrics")
+		body, err := get(*addr, "/metrics", time.Now().Add(*timeout))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adaptctl: %v\n", err)
 			return 1
@@ -61,10 +60,17 @@ func run() int {
 		os.Stdout.Write(body)
 		return 0
 	case *check:
-		return runCheck(*addr, *out, *timeout)
+		res, err := runCheck(*addr, *timeout)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "adaptctl: %v\n", err)
+			return 1
+		}
+		fmt.Printf("adaptctl: check ok (%d exposition samples, %d requests observed, trouble 0)\n",
+			res.samples, res.requests)
+		return 0
 	case *watch > 0:
 		for {
-			st, healthy, err := scrape(*addr)
+			st, healthy, err := scrape(*addr, time.Now().Add(*timeout))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "adaptctl: %v\n", err)
 				return 1
@@ -75,7 +81,7 @@ func run() int {
 			time.Sleep(*watch)
 		}
 	default:
-		st, healthy, err := scrape(*addr)
+		st, healthy, err := scrape(*addr, time.Now().Add(*timeout))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adaptctl: %v\n", err)
 			return 1
@@ -85,8 +91,15 @@ func run() int {
 	}
 }
 
-func get(addr, path string) ([]byte, error) {
-	resp, err := http.Get("http://" + addr + path)
+// get fetches one admin path. The request, body read included, must
+// finish by deadline: a plane that accepts and never answers fails it.
+func get(addr, path string, deadline time.Time) ([]byte, error) {
+	left := time.Until(deadline)
+	if left <= 0 {
+		return nil, fmt.Errorf("GET %s: deadline passed", path)
+	}
+	client := http.Client{Timeout: left}
+	resp, err := client.Get("http://" + addr + path)
 	if err != nil {
 		return nil, err
 	}
@@ -102,16 +115,16 @@ func get(addr, path string) ([]byte, error) {
 }
 
 // scrape pulls one /statusz document plus the health bit.
-func scrape(addr string) (metrics.Statusz, bool, error) {
+func scrape(addr string, deadline time.Time) (metrics.Statusz, bool, error) {
 	var st metrics.Statusz
-	body, err := get(addr, "/statusz")
+	body, err := get(addr, "/statusz", deadline)
 	if err != nil {
 		return st, false, err
 	}
 	if err := json.Unmarshal(body, &st); err != nil {
 		return st, false, fmt.Errorf("bad /statusz JSON: %v", err)
 	}
-	_, herr := get(addr, "/healthz")
+	_, herr := get(addr, "/healthz", deadline)
 	return st, herr == nil, nil
 }
 
@@ -247,113 +260,81 @@ func parseExposition(text string) (samples int, err error) {
 	return samples, nil
 }
 
-// checkEvidence is the BENCH_obs.json document -check writes.
-type checkEvidence struct {
-	Addr            string                    `json:"addr"`
-	Pass            bool                      `json:"pass"`
-	Attempts        int                       `json:"attempts"`
-	Samples         int                       `json:"prom_samples"`
-	Healthy         bool                      `json:"healthy"`
-	Trouble         uint64                    `json:"trouble"`
-	UptimeSecs      float64                   `json:"uptime_secs"`
-	RequestLatency  []metrics.QuantileSummary `json:"request_latency"`
-	Failures        []string                  `json:"failures,omitempty"`
-	SessionsTotal   uint64                    `json:"sessions_total"`
-	RequestsServed  uint64                    `json:"requests_served"`
-	ResponsesServed uint64                    `json:"responses_served"`
+// checkResult is what one -check attempt saw.
+type checkResult struct {
+	samples  int    // well-formed exposition samples
+	requests uint64 // requests the daemon reports served
+	failures []string
 }
 
-// runCheck is the bench gate: retry until the plane shows a loaded,
-// healthy daemon or the deadline passes, then record the evidence.
-func runCheck(addr, outPath string, timeout time.Duration) int {
+// checkRetry is the pause between -check attempts.
+const checkRetry = 200 * time.Millisecond
+
+// runCheck retries until the plane shows a loaded, healthy daemon or
+// the deadline passes; every request is bounded by that deadline.
+func runCheck(addr string, timeout time.Duration) (checkResult, error) {
 	deadline := time.Now().Add(timeout)
-	var ev checkEvidence
-	ev.Addr = addr
-	for {
-		ev.Attempts++
-		ev = tryCheck(addr, ev)
-		if ev.Pass || time.Now().After(deadline) {
-			break
+	for attempts := 1; ; attempts++ {
+		res := tryCheck(addr, deadline)
+		if len(res.failures) == 0 {
+			return res, nil
 		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	if outPath != "" {
-		raw, _ := json.MarshalIndent(ev, "", "  ")
-		raw = append(raw, '\n')
-		if err := os.WriteFile(outPath, raw, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "adaptctl: write %s: %v\n", outPath, err)
-			return 1
+		if time.Until(deadline) < checkRetry {
+			return res, fmt.Errorf("check FAILED after %d attempts: %s",
+				attempts, strings.Join(res.failures, "; "))
 		}
+		time.Sleep(checkRetry)
 	}
-	if !ev.Pass {
-		fmt.Fprintf(os.Stderr, "adaptctl: check FAILED after %d attempts: %s\n",
-			ev.Attempts, strings.Join(ev.Failures, "; "))
-		return 1
-	}
-	fmt.Printf("adaptctl: check ok (%d exposition samples, %d requests observed, trouble 0)\n",
-		ev.Samples, ev.RequestsServed)
-	return 0
 }
 
-func tryCheck(addr string, ev checkEvidence) checkEvidence {
-	ev.Failures = nil
-	ev.Pass = false
-	ev.RequestLatency = nil
-
-	promBody, err := get(addr, "/metrics")
-	if err != nil {
-		ev.Failures = append(ev.Failures, fmt.Sprintf("/metrics: %v", err))
-		return ev
-	}
-	ev.Samples, err = parseExposition(string(promBody))
-	if err != nil {
-		ev.Failures = append(ev.Failures, err.Error())
-	} else if ev.Samples == 0 {
-		ev.Failures = append(ev.Failures, "exposition has no samples")
+func tryCheck(addr string, deadline time.Time) checkResult {
+	var res checkResult
+	fail := func(format string, args ...any) {
+		res.failures = append(res.failures, fmt.Sprintf(format, args...))
 	}
 
-	st, healthy, err := scrape(addr)
+	promBody, err := get(addr, "/metrics", deadline)
 	if err != nil {
-		ev.Failures = append(ev.Failures, err.Error())
-		return ev
+		fail("/metrics: %v", err)
+		return res
 	}
-	ev.Healthy = healthy
-	ev.UptimeSecs = st.UptimeSecs
+	res.samples, err = parseExposition(string(promBody))
+	if err != nil {
+		fail("%v", err)
+	} else if res.samples == 0 {
+		fail("exposition has no samples")
+	}
+
+	st, healthy, err := scrape(addr, deadline)
+	if err != nil {
+		fail("%v", err)
+		return res
+	}
 	if !healthy {
-		ev.Failures = append(ev.Failures, "/healthz not ready")
+		fail("/healthz not ready")
 	}
 
-	for _, h := range st.Histograms {
-		if h.Name == "adapt_serve_request_latency_ns" {
-			ev.RequestLatency = append(ev.RequestLatency, h)
-		}
-	}
 	loaded := false
-	for _, h := range ev.RequestLatency {
-		if h.Count > 0 && h.P50 > 0 && h.P999 >= h.P50 {
+	for _, h := range st.Histograms {
+		if h.Name == "adapt_serve_request_latency_ns" && h.Count > 0 && h.P50 > 0 && h.P999 >= h.P50 {
 			loaded = true
 		}
 	}
 	if !loaded {
-		ev.Failures = append(ev.Failures, "request latency quantiles empty (no load observed)")
+		fail("request latency quantiles empty (no load observed)")
 	}
 
-	ev.Trouble = st.Perf.ServeTrouble() + st.Perf.NetTrouble()
-	if ev.Trouble != 0 {
-		ev.Failures = append(ev.Failures, fmt.Sprintf("trouble counters nonzero (%d)", ev.Trouble))
+	if trouble := st.Perf.ServeTrouble() + st.Perf.NetTrouble(); trouble != 0 {
+		fail("trouble counters nonzero (%d)", trouble)
 	}
 
 	if rep := appReport(st); rep != nil {
-		ev.SessionsTotal = rep.SessionsTotal
-		ev.RequestsServed = rep.Requests
-		ev.ResponsesServed = rep.Responses
+		res.requests = rep.Requests
 		if rep.Requests == 0 {
-			ev.Failures = append(ev.Failures, "daemon reports zero requests")
+			fail("daemon reports zero requests")
 		}
 	} else {
-		ev.Failures = append(ev.Failures, "/statusz app section missing or not a StatusReport")
+		fail("/statusz app section missing or not a StatusReport")
 	}
-
-	ev.Pass = len(ev.Failures) == 0
-	return ev
+	return res
 }

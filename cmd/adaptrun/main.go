@@ -68,7 +68,7 @@ type workerReport struct {
 	Rank    int
 	Results []collResult
 	// Net-path counters for the launcher's aggregate line; Trouble must
-	// stay zero on a clean loopback run (scripts/bench.sh gates on it).
+	// stay zero on a clean loopback run (TestE2ECleanVerified gates on it).
 	FramesOut, BytesOut, FramesIn, BytesIn, Trouble uint64
 }
 

@@ -193,3 +193,12 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("csv = %q, want %q", buf.String(), want)
 	}
 }
+
+// TestFECSweepGate: across the quick loss sweep, an FEC run whose groups
+// all repaired retransmits nothing, and at least one run repairs real
+// losses that way.
+func TestFECSweepGate(t *testing.T) {
+	if err := Quick().FECSweep().GateErr(); err != nil {
+		t.Fatal(err)
+	}
+}

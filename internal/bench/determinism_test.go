@@ -155,3 +155,25 @@ func TestTraceSinkCapCountsDrops(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerNoObserverEffect: attaching the causal tracer must not
+// change what it observes. Table 1 at quick scale prints the same bytes
+// with and without a TraceSink.
+func TestTracerNoObserverEffect(t *testing.T) {
+	plain, err := RunTablesParallel("table1", Quick(), DefaultJobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Quick()
+	s.CTrace = &TraceSink{}
+	traced, err := RunTablesParallel("table1", s, DefaultJobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.CTrace.Runs()) == 0 {
+		t.Fatal("traced sweep captured no runs")
+	}
+	if got, want := renderTables(traced), renderTables(plain); !bytes.Equal(got, want) {
+		t.Fatalf("tracing changed table1:\n--- untraced ---\n%s\n--- traced ---\n%s", want, got)
+	}
+}

@@ -20,44 +20,43 @@ import (
 // coding (losses within the group's parity are reconstructed at the
 // receiver and cost no round trip). The sweep reports p50/p99 makespan
 // over a seed population, so the tail — where the RTO round trips live —
-// is visible next to the median. scripts/bench.sh serializes the result
-// into BENCH_fec.json through FECReport, whose gate re-asserts the
-// tentpole invariant inside the benchmark itself: across every FEC run
-// of the sweep, a run with no lost group must show zero retransmits, and
-// at least one run must have repaired real losses that way.
+// is visible next to the median. FECReport's gate re-asserts the
+// tentpole invariant inside the sweep itself (TestFECSweepGate holds it):
+// across every FEC run of the sweep, a run with no lost group must show
+// zero retransmits, and at least one run must have repaired real losses
+// that way.
 
 // FECRow is one (loss, mode) point of the sweep, aggregated over seeds.
 type FECRow struct {
-	Loss          float64 `json:"loss"`
-	Mode          string  `json:"mode"` // "arq" or "fec"
-	P50Ns         int64   `json:"p50_ns"`
-	P99Ns         int64   `json:"p99_ns"`
-	Drops         uint64  `json:"drops"`
-	Retries       uint64  `json:"retries"`
-	Reconstructed uint64  `json:"reconstructed"`
-	GroupsLost    uint64  `json:"groups_lost"`
+	Loss          float64
+	Mode          string // "arq" or "fec"
+	P50Ns         int64
+	P99Ns         int64
+	Drops         uint64
+	Retries       uint64
+	Reconstructed uint64
+	GroupsLost    uint64
 }
 
-// FECGate is the pass/fail summary scripts/bench.sh gates on.
+// FECGate is the sweep's pass/fail summary.
 type FECGate struct {
 	// ZeroRetransmitWithinParity: every FEC run whose groups all repaired
 	// retransmitted nothing.
-	ZeroRetransmitWithinParity bool `json:"zero_retransmit_within_parity"`
+	ZeroRetransmitWithinParity bool
 	// RepairExercised: at least one FEC run saw losses, reconstructed
 	// them, and retransmitted nothing — the claim is not vacuous.
-	RepairExercised bool `json:"repair_exercised"`
+	RepairExercised bool
 }
 
-// FECReport is the BENCH_fec.json payload.
+// FECReport is the aggregated sweep: one row per (loss, mode) point.
 type FECReport struct {
-	Exhibit  string   `json:"exhibit"`
-	Segments int      `json:"segments"`
-	SegBytes int      `json:"seg_bytes"`
-	Seeds    int      `json:"seeds"`
-	K        int      `json:"k"`
-	M        int      `json:"m"`
-	Gate     FECGate  `json:"gate"`
-	Rows     []FECRow `json:"rows"`
+	Segments int
+	SegBytes int
+	Seeds    int
+	K        int
+	M        int
+	Gate     FECGate
+	Rows     []FECRow
 }
 
 // fecCell is one simulated stream run.
@@ -130,7 +129,6 @@ func durPercentile(sorted []time.Duration, p float64) time.Duration {
 func (s Scale) FECSweep() FECReport {
 	seeds := s.fecSeeds()
 	rep := FECReport{
-		Exhibit:  "fec-loss-sweep",
 		Segments: fecSweepSegments,
 		SegBytes: fecSweepSegBytes,
 		Seeds:    seeds,
@@ -170,7 +168,7 @@ func (s Scale) FECSweep() FECReport {
 }
 
 // GateErr returns nil when the report's gates hold, or a descriptive
-// error for scripts/bench.sh to fail on.
+// error naming the gate that failed.
 func (r FECReport) GateErr() error {
 	if !r.Gate.ZeroRetransmitWithinParity {
 		return fmt.Errorf("bench: FEC run retransmitted with every group repaired (zero-retransmit gate)")

@@ -184,8 +184,8 @@ func TestFaultsActuallyInjected(t *testing.T) {
 	}
 }
 
-// TestCleanRunFaultCountersZero is the no-regression gate scripts/bench.sh
-// relies on: without an installed plan, the fault counters must not move.
+// TestCleanRunFaultCountersZero is the clean-run fault gate: without an
+// installed plan, the fault counters must not move.
 func TestCleanRunFaultCountersZero(t *testing.T) {
 	p := netmodel.Cori(1).WithTopo(hwloc.New(2, 1, 2))
 	size := 16 * 8 * p.Topo.Size()

@@ -354,9 +354,9 @@ func TestCrashScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestCleanRunDetectorCountersZero is the no-regression gate
-// scripts/bench.sh relies on: without crash rules armed, neither the
-// per-world detector counters nor the global perf counters may move.
+// TestCleanRunDetectorCountersZero is the clean-run detector gate:
+// without crash rules armed, neither the per-world detector counters
+// nor the global perf counters may move.
 func TestCleanRunDetectorCountersZero(t *testing.T) {
 	p := netmodel.Cori(1).WithTopo(hwloc.New(8, 1, 1))
 	n := p.Topo.Size()

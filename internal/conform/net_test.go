@@ -51,8 +51,8 @@ func TestConformanceGridTCP(t *testing.T) {
 		}
 	}
 	// A clean loopback link must not move the fault-path counters: no
-	// dial retries, no peer-down observations (scripts/bench.sh gates on
-	// the same invariant).
+	// dial retries, no peer-down observations (TestE2ECleanVerified in
+	// cmd/adaptrun gates on the same invariant across processes).
 	if d := perf.Read().NetTrouble() - before.NetTrouble(); d != 0 {
 		t.Errorf("clean TCP grid moved net trouble counters by %d", d)
 	}

@@ -11,7 +11,6 @@
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -33,7 +32,7 @@ var (
 	bufRecycle atomic.Uint64 // Puts retained for reuse (size-class match)
 
 	// Fault-injection / recovery path (internal/faults). All zero in a
-	// clean run — scripts/bench.sh enforces that as a no-regression gate.
+	// clean run — TestCleanRunFaultCountersZero (internal/conform) gates it.
 	faultDrops      atomic.Uint64 // messages (or acks) lost in flight
 	faultDups       atomic.Uint64 // duplicate copies injected
 	faultCorrupts   atomic.Uint64 // payloads damaged in flight (detected, discarded)
@@ -45,22 +44,23 @@ var (
 	// Erasure-coded segment stream (internal/fec + the transports' group
 	// framers). Encoded/reconstructed move only when FEC is enabled;
 	// group-lost counts the groups that fell past the parity budget and
-	// went back to the ARQ retransmit path. scripts/bench.sh asserts the
-	// loss-sweep exhibit moves the first two and that reconstructable
-	// loss leaves the retransmit counter at zero.
+	// went back to the ARQ retransmit path. TestFECSweepGate
+	// (internal/bench) asserts that the loss sweep repairs losses from
+	// parity and that reconstructable loss leaves the retransmit counter
+	// at zero.
 	fecEncoded       atomic.Uint64 // parity shards encoded and sent
 	fecReconstructed atomic.Uint64 // data segments rebuilt from parity
 	fecGroupLost     atomic.Uint64 // groups with more erasures than parity
 
 	// Fail-stop failure detection / tree repair. All zero in a clean run —
-	// scripts/bench.sh enforces zero detector false-positives as a gate.
+	// TestCleanRunDetectorCountersZero (internal/conform) gates it.
 	detectorSuspects atomic.Uint64 // suspicion leases expired
 	detectorConfirms atomic.Uint64 // deaths confirmed by the detector
 	treeRepairs      atomic.Uint64 // tree self-healing passes triggered
 
 	// TCP transport (internal/nettransport). Frame/byte counters move on
 	// every socket run; dial retries and peer-downs stay zero on a clean
-	// loopback link — scripts/bench.sh gates on that.
+	// loopback link — TestE2ECleanVerified (cmd/adaptrun) gates on that.
 	netFramesOut   atomic.Uint64 // frames written to peer sockets
 	netBytesOut    atomic.Uint64 // bytes written (headers + payload)
 	netFramesIn    atomic.Uint64 // frames read from peer sockets
@@ -70,7 +70,8 @@ var (
 
 	// Serving layer (internal/serve). Sessions/requests/fusing move on
 	// every daemon run; overloads, rank failures, and rank deaths stay
-	// zero on a clean unsaturated run — scripts/bench.sh gates on that.
+	// zero on a clean unsaturated run — TestServeLoadPointsClean
+	// (internal/serve) gates on that.
 	serveSessions   atomic.Uint64 // client sessions accepted
 	serveRequests   atomic.Uint64 // collective requests admitted
 	serveFusedBatch atomic.Uint64 // fused batches executed (>1 request)
@@ -257,15 +258,15 @@ func (s Snapshot) DetectorTotal() uint64 {
 }
 
 // NetTrouble sums the TCP transport's trouble counters: dial retries and
-// unclean connection losses. Zero on a healthy loopback run — the
-// bench.sh nettransport gate asserts exactly that.
+// unclean connection losses. Zero on a healthy loopback run —
+// TestE2ECleanVerified (cmd/adaptrun) asserts exactly that.
 func (s Snapshot) NetTrouble() uint64 {
 	return s.NetDialRetries + s.NetPeerDowns
 }
 
 // ServeTrouble sums the serving layer's trouble counters: admission
 // rejections, rank-failed requests, and rank deaths. Zero on a clean
-// unsaturated daemon run — the bench.sh serve gate asserts exactly that.
+// unsaturated daemon run — TestServeLoadPointsClean asserts exactly that.
 func (s Snapshot) ServeTrouble() uint64 {
 	return s.ServeOverloads + s.ServeRankFails + s.ServeRankDeaths
 }
@@ -350,8 +351,8 @@ func Reset() {
 
 // Delta returns the per-window counter movement between prev and s:
 // every monotonic counter field becomes s.field - prev.field, so a
-// periodic scraper (the admin /statusz window, adaptbench -serve
-// points) reports rates instead of process-lifetime totals. HeapPeak
+// periodic scraper (the admin /statusz window, perfbench's layer
+// spans) reports rates instead of process-lifetime totals. HeapPeak
 // is a high-water mark, not a counter — the current value carries
 // over. A counter that went backwards (perf.Reset between snapshots)
 // reports the current value rather than a wrapped difference.
@@ -376,16 +377,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		f.SetUint(cur - old)
 	}
 	return out
-}
-
-// JSON renders the snapshot as indented JSON (adaptbench -perf-json),
-// one stable machine-readable document per run for scripts and CI.
-func (s Snapshot) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // Fprint renders the snapshot as a small human-readable report.

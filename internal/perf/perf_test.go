@@ -153,9 +153,11 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSON: a snapshot survives the JSON round trip that
+// /statusz readers such as adaptctl decode it through.
 func TestSnapshotJSON(t *testing.T) {
 	s := Snapshot{KernelRuns: 3, EventsDispatched: 42, HeapPeak: 7, BufGets: 5, BufHits: 4}
-	b, err := s.JSON()
+	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +167,5 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if back != s {
 		t.Fatalf("round trip mismatch: %+v != %+v", back, s)
-	}
-	if b[len(b)-1] != '\n' {
-		t.Fatal("JSON output not newline-terminated")
 	}
 }

@@ -18,8 +18,8 @@ import (
 // scheduler drives N communicators × M concurrent broadcasts per
 // iteration while the other ranks run blocking waits. It reports
 // throughput ("ops/s": collective completions per wall second) and tail
-// latency ("p99-ns": 99th-percentile per-operation completion time),
-// which scripts/bench.sh captures into BENCH_progress.json.
+// latency ("p99-ns": 99th-percentile per-operation completion time);
+// make bench runs it.
 func BenchmarkMultiCollective(b *testing.B) {
 	for _, cfg := range []struct{ comms, ops int }{
 		{1, 4},

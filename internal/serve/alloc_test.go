@@ -32,8 +32,8 @@ func TestServeAllocsPerRequest(t *testing.T) {
 		elems int
 		bound uint64 // bytes per request
 	}{
-		{8192, 128 << 10},
-		{16, 12 << 10},
+		{8192, 96 << 10},
+		{16, 9 << 10},
 	} {
 		vals := contrib(world, c.elems, 1)
 		run := func(n int) {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"adapt/internal/perf"
 )
 
 // contrib builds a world*elems rank-major lattice contribution whose
@@ -403,5 +405,94 @@ func TestManySessionsConcurrent(t *testing.T) {
 	if st.Sessions != nSess || st.Requests != nSess*nReq {
 		t.Fatalf("stats: %d sessions / %d requests, want %d / %d",
 			st.Sessions, st.Requests, nSess, nSess*nReq)
+	}
+}
+
+// TestServeLoadPointsClean is the serving layer's clean-load gate: a
+// daemon configured as adaptd -fuse 200us takes three load points over
+// TCP (1x64, 4x64 and 16x32 sessions x requests, 4 requests in flight
+// per session, 4 ranks x 16 elements), every result is checked, and
+// after Close no request may have been rejected or failed and no
+// connection lost: ServeTrouble and NetTrouble stay zero.
+func TestServeLoadPointsClean(t *testing.T) {
+	const world, elems, inFlight = 4, 16, 4
+	before := perf.Read()
+	srv, err := New(Config{FuseWindow: 200 * time.Microsecond, DrainTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	session := func(saltBase, requests int) error {
+		sess, err := Dial(srv.Addr(), SessionOpts{World: world, Group: "load", ProxyRank: -1})
+		if err != nil {
+			return err
+		}
+		defer sess.Close()
+		type pending struct {
+			call *Call
+			salt int
+		}
+		var window []pending
+		finish := func(p pending) error {
+			out, _, err := p.call.Wait()
+			if err != nil {
+				return fmt.Errorf("salt %d: %w", p.salt, err)
+			}
+			for e, v := range out {
+				if want := wantSum(world, e, p.salt); v != want {
+					return fmt.Errorf("salt %d element %d: got %v, want %v", p.salt, e, v, want)
+				}
+			}
+			return nil
+		}
+		for i := 0; i < requests; i++ {
+			if len(window) == inFlight {
+				if err := finish(window[0]); err != nil {
+					return err
+				}
+				window = window[1:]
+			}
+			c, err := sess.StartAllreduce(contrib(world, elems, saltBase+i))
+			if err != nil {
+				return err
+			}
+			window = append(window, pending{c, saltBase + i})
+		}
+		for _, p := range window {
+			if err := finish(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	total := 0
+	for pi, pt := range []struct{ sessions, requests int }{{1, 64}, {4, 64}, {16, 32}} {
+		var wg sync.WaitGroup
+		errs := make(chan error, pt.sessions)
+		for s := 0; s < pt.sessions; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				if err := session(pi*100_000+s*1_000, pt.requests); err != nil {
+					errs <- fmt.Errorf("point %dx%d session %d: %w", pt.sessions, pt.requests, s, err)
+				}
+			}(s)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		total += pt.sessions * pt.requests
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := srv.Stats().Requests; got != uint64(total) {
+		t.Errorf("daemon admitted %d requests, want %d", got, total)
+	}
+	d := perf.Read().Delta(before)
+	if d.ServeTrouble() != 0 || d.NetTrouble() != 0 {
+		t.Errorf("clean load moved the trouble counters: %d overloads, %d rank fails, %d rank deaths, %d net",
+			d.ServeOverloads, d.ServeRankFails, d.ServeRankDeaths, d.NetTrouble())
 	}
 }

@@ -27,7 +27,8 @@ package simmpi
 // Scale: a flat rank is ~300 bytes of structs instead of a goroutine
 // stack, and dispatching its events costs no context switch — the
 // difference between 100k ranks thrashing the scheduler and 1M ranks in
-// one flat event loop (adaptbench -ranks; BENCH_kernel.json).
+// one flat event loop (adaptbench -ranks, make scale; the quick ladder
+// is TestQuickScaleLadder).
 //
 // Fault injection (chaos/crash) keeps the proc-mode requirement: the
 // crash machinery kills a rank by panicking its goroutine, which flat
