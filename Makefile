@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify check test build race flake vet bench fuzz scale
+.PHONY: verify check test build race pooldebug flake vet bench fuzz scale
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
@@ -15,15 +15,17 @@ CONCURRENT_PKGS = $$($(GO) list ./... | grep -E '^$(CONCURRENT)')
 OTHER_PKGS = $$($(GO) list ./... | grep -vE '^$(CONCURRENT)')
 
 # Pre-merge gate: static checks (vet + gofmt); the concurrent packages,
-# bench's parallel sweep and the live, TCP and daemon conformance grids
-# under the race detector; every other package (the conformance registry
-# and the simulator among them), and the golden tests and committed fuzz
-# corpora everywhere, under pooldebug; the flake hunt and a short fuzz
-# pass. make race keeps the whole suite under the race detector.
+# bench's parallel sweep (trimmed under -race) and the live, TCP and
+# daemon conformance grids under the race detector; every other package
+# (the conformance registry and the simulator among them) but bench's
+# trace sweep, and the golden tests and committed fuzz corpora
+# everywhere, under pooldebug; the flake hunt and a short fuzz pass.
+# make race keeps the whole suite under the race detector, make
+# pooldebug under the pooldebug checker.
 check: vet
 	$(GO) test -race $(CONCURRENT_PKGS)
 	$(GO) test -race -run 'TestParallelSweep|TestConformanceGrid(Daemon|TCP)$$|TestConformanceFECGrid(Live|TCP)$$|TestCrashGridTCP|TestEagerBoundary|TestSeqWrap|TestAllreduceBufferOwnership' ./internal/bench ./internal/conform
-	$(GO) test -tags pooldebug $(OTHER_PKGS)
+	$(GO) test -tags pooldebug -skip 'TestTraceSweepByteIdentical' $(OTHER_PKGS)
 	$(GO) test -tags pooldebug -run 'Golden|Fuzz' $(CONCURRENT_PKGS)
 	$(MAKE) flake
 	$(MAKE) fuzz FUZZTIME=5s
@@ -45,6 +47,12 @@ race:
 	$(GO) test -race ./...
 	ADAPT_CONFORM_FULL=1 $(GO) test -race -v -run 'TestConformance|TestFault|TestDropAll|TestProperty|TestClean' ./internal/conform
 	ADAPT_CONFORM_FULL=1 $(GO) test -race -v -run 'TestCrash|TestCleanRunDetectorCountersZero' ./internal/conform
+
+# The whole suite under the pooldebug checker, bench's trace sweep
+# included (check skips that one: it traces the fig7a sweep, whose
+# pooled records TestParallelSweepMatchesSerial already checks).
+pooldebug:
+	$(GO) test -tags pooldebug ./...
 
 # Flake hunt: every *Deterministic*, soak and golden test, fifty times
 # over, and the conformance grids that run on live goroutines and sockets

@@ -74,11 +74,17 @@ func renderTables(tables []*Table) []byte {
 
 // TestParallelSweepMatchesSerial: a -j 4 sweep must be bit-identical to
 // the serial sweep — every cell owns a private deterministic kernel and
-// the replay pass consumes results in serial call order.
+// the replay pass consumes results in serial call order. Under the race
+// detector it sweeps one node and one noise repetition: the race run is
+// after the sweep's worker handoff, which a small world exercises as
+// well as a large one.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	s := Quick()
 	s.CoriNodes = 2
 	s.NoiseReps = 2
+	if raceEnabled {
+		s.CoriNodes, s.NoiseReps = 1, 1
+	}
 	for _, id := range []string{"fig7a", "table1"} {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -12,10 +12,11 @@ package comm
 // rank stops executing instantly, its in-flight traffic is annihilated
 // (connection-teardown semantics), and after the Recovery policy's
 // ConfirmAfter lease expires every surviving rank receives a death
-// Notice via its out-of-band control plane. Notices are delivered to the
-// rank's notice queue and consumed, on the owner goroutine, with
-// TakeNotices; WaitEvent is the event-loop primitive that blocks until
-// either a completion callback fires or a notice arrives.
+// Notice via its out-of-band control plane. Notices are events: the
+// rank's progress drain hands each one, in delivery order, to the
+// watchers in flight (the FT collectives' state machines), from the same
+// owner context as completion callbacks. Nothing blocks on the control
+// plane itself.
 
 // NoticeKind discriminates control-plane notices.
 type NoticeKind uint8
@@ -27,16 +28,6 @@ const (
 	// Survivors set (root's decision, fanned out by the control plane).
 	NoticeCommit
 )
-
-func (k NoticeKind) String() string {
-	switch k {
-	case NoticeDeath:
-		return "death"
-	case NoticeCommit:
-		return "commit"
-	}
-	return "notice(?)"
-}
 
 // Notice is one out-of-band control-plane event delivered to a rank.
 type Notice struct {
@@ -51,7 +42,7 @@ type Notice struct {
 }
 
 // FailStop is the crash-model extension a substrate's Comm implements.
-// Like Comm itself, all methods except none are owner-goroutine-only.
+// Like Comm itself, every method is owner-goroutine-only.
 type FailStop interface {
 	// CrashesEnabled reports whether crash rules are armed in this world.
 	// When false the FT collectives run their fault-free fallback.
@@ -59,19 +50,17 @@ type FailStop interface {
 	// ConfirmedDead returns a fresh per-rank mask of detector-confirmed
 	// deaths as of now.
 	ConfirmedDead() []bool
-	// TakeNotices drains and returns this rank's pending notices, in
-	// delivery order.
-	TakeNotices() []Notice
-	// WaitEvent blocks until at least one completion callback has fired
-	// or at least one new notice has been delivered since the call began.
-	// Unlike Progress it is legal with no operation in flight — a rank may
-	// be waiting purely on the control plane.
-	WaitEvent()
+	// Watch subscribes fn to this rank's notices until stop is called:
+	// each notice reaches fn on the owner goroutine, in delivery order,
+	// once the callbacks queued before it have fired. The watch counts
+	// as one operation in flight, so a rank waiting purely on the control
+	// plane can still Progress.
+	Watch(fn func(Notice)) (stop func())
 	// CancelRecv retracts a posted, still-unmatched receive: the request
 	// is marked done and its callback will never fire. Returns false if
 	// the receive already matched (its completion callback still runs).
 	CancelRecv(r Request) bool
 	// Commit fans a NoticeCommit for (seq, survivors) out to every live
-	// rank's notice queue via the control plane. Root-only by convention.
+	// rank via the control plane. Root-only by convention.
 	Commit(seq int, survivors []bool)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"adapt/internal/comm"
-	"adapt/internal/faults"
 	"adapt/internal/trace"
 	"adapt/internal/trees"
 )
@@ -25,20 +24,24 @@ import (
 // message), and the root commits the survivor mask over the control
 // plane once every live rank has reported.
 func BcastFT(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) FTResult {
+	return StartBcastFT(c, t, msg, opt).WaitFT()
+}
+
+// StartBcastFT begins a non-blocking BcastFT; the handle's WaitFT yields
+// what BcastFT returns. Without crash rules armed it is StartBcast.
+func StartBcastFT(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *Op {
 	fs, ok := failStopOf(c)
 	if !ok {
-		return FTResult{Msg: Bcast(c, t, msg, opt), Survivors: allLive(c.Size())}
+		return StartBcast(c, t, msg, opt)
 	}
 	opt = opt.validate()
-	startID := trace.Emit(c, trace.Record{Kind: trace.CollStart, Peer: t.Root,
-		Tag: opt.TagOf(comm.KindBcast, 0), Size: msg.Size})
-	prev := trace.SetCause(c, startID)
+	end := traceStart(c, comm.KindBcast, opt, t.Root, msg.Size)
 	s := newBcastFT(c, fs, t, msg, opt)
-	trace.SetCause(c, prev)
-	res := s.run(msg)
-	trace.Emit(c, trace.Record{Kind: trace.CollEnd, Peer: t.Root,
-		Tag: opt.TagOf(comm.KindBcast, 0), Size: msg.Size, Link: startID})
-	return res
+	s.watch()
+	s.maybeDone()
+	s.maybeCommit()
+	s.step()
+	return end(&s.op)
 }
 
 // ftStream is one child's send pipeline in the FT broadcast: like
@@ -52,23 +55,12 @@ type ftStream struct {
 }
 
 // bcastFT is the per-rank fault-tolerant broadcast state machine. All
-// mutation happens on the owner goroutine (callbacks and the main loop).
+// mutation happens on the owner goroutine, in callbacks.
 type bcastFT struct {
-	c    comm.Comm
-	fs   comm.FailStop
-	t    *trees.Tree // original tree; healing always restarts from it
-	opt  Options
-	n    int
-	ns   int
-	rank int
+	ftBase
 
 	segs    []comm.Segment // geometry over the declared size
-	total   int
-	space   comm.MemSpace
-	outData []byte // staging: assembled payload (root: the source)
-
-	dead []bool // cumulative confirmed deaths processed so far
-	cur  *trees.Tree
+	outData []byte         // staging: assembled payload (root: the source)
 
 	have      []bool
 	haveCount int
@@ -83,39 +75,21 @@ type bcastFT struct {
 	// Send side.
 	streams  map[int]*ftStream
 	reqRecvs map[int]comm.Request // expected new child → redrive request recv
-	sentTo   map[int]bool         // live peers we sent payload to (FIN targets)
 
 	// Root bookkeeping.
 	doneRecvs map[int]comm.Request
 	doneFrom  []bool
-
-	// Teardown.
-	finRecvs   map[int]comm.Request
-	sendsOut   int // every in-flight send
-	dataOut    int // in-flight payload sends only (gates FIN emission)
-	doneSent   bool
-	finSent    bool
-	finishing  bool
-	committed  bool
-	commitMask []bool
-	abortErr   error
+	doneSent  bool
 }
 
 func newBcastFT(c comm.Comm, fs comm.FailStop, t *trees.Tree, msg comm.Msg, opt Options) *bcastFT {
 	s := &bcastFT{
-		c: c, fs: fs, t: t, opt: opt,
-		n: c.Size(), rank: c.Rank(),
-		total: msg.Size, space: msg.Space,
 		segs:        comm.Segments(comm.Msg{Size: msg.Size, Space: msg.Space}, opt.SegSize),
 		pendingRecv: make(map[int]comm.Request),
 		streams:     make(map[int]*ftStream),
 		reqRecvs:    make(map[int]comm.Request),
-		sentTo:      make(map[int]bool),
-		finRecvs:    make(map[int]comm.Request),
-		dead:        make([]bool, c.Size()),
-		cur:         t,
 	}
-	s.ns = len(s.segs)
+	s.ftBase = newFTBase(c, fs, t, msg, opt, s)
 	s.have = make([]bool, s.ns)
 	s.parent = t.Parent[s.rank]
 
@@ -152,43 +126,8 @@ func newBcastFT(c comm.Comm, fs comm.FailStop, t *trees.Tree, msg comm.Msg, opt 
 	return s
 }
 
-// run is the owner-goroutine main loop: notices are processed here, one
-// at a time, never inside completion callbacks.
-func (s *bcastFT) run(msg comm.Msg) FTResult {
-	// Deaths confirmed before this collective began were announced as
-	// notices to an earlier operation (or to nobody); replay them from the
-	// detector's cumulative mask so a back-to-back collective starts from
-	// the healed tree instead of waiting forever on a dead rank.
-	for r, d := range s.fs.ConfirmedDead() {
-		if d {
-			s.onDeath(r)
-		}
-	}
-	s.maybeDone()
-	s.maybeCommit()
-	for {
-		for _, nt := range s.fs.TakeNotices() {
-			s.onNotice(nt)
-		}
-		if s.finishing && !s.finSent && s.dataOut == 0 {
-			s.sendFins()
-		}
-		if s.finished() {
-			break
-		}
-		s.fs.WaitEvent()
-	}
-	if s.abortErr != nil {
-		return FTResult{Survivors: liveMask(s.dead), Err: s.abortErr}
-	}
-	out := comm.Msg{Size: s.total, Space: s.space}
-	if s.rank == s.t.Root {
-		out = msg
-	} else {
-		out.Data = s.outData
-	}
-	return FTResult{Msg: out, Survivors: s.commitMask}
-}
+func (s *bcastFT) payload() []byte { return s.outData }
+func (s *bcastFT) recvsOpen() bool { return len(s.pendingRecv) != 0 }
 
 // ---- receive side ----
 
@@ -207,7 +146,7 @@ func (s *bcastFT) postWindow() {
 		req := s.c.Irecv(s.parent, s.opt.TagOf(comm.KindBcast, seg))
 		s.pendingRecv[seg] = req
 		from := s.parent
-		s.c.OnComplete(req, func(st comm.Status) { s.onSeg(req, from, seg, st) })
+		s.on(req, func(st comm.Status) { s.onSeg(req, from, seg, st) })
 	}
 }
 
@@ -278,14 +217,8 @@ func (s *bcastFT) pumpChild(cs *ftStream) {
 		seg := cs.next
 		cs.next++
 		cs.inflight++
-		s.sendsOut++
-		s.dataOut++
-		s.sentTo[cs.rank] = true
-		r := s.c.Isend(cs.rank, s.opt.TagOf(comm.KindBcast, seg), s.segMsg(seg))
-		s.c.OnComplete(r, func(comm.Status) {
+		s.send(cs.rank, s.opt.TagOf(comm.KindBcast, seg), s.segMsg(seg), true, func() {
 			cs.inflight--
-			s.sendsOut--
-			s.dataOut--
 			s.pumpChild(cs)
 		})
 	}
@@ -296,7 +229,7 @@ func (s *bcastFT) pumpChild(cs *ftStream) {
 func (s *bcastFT) postDoneRecv(r int) {
 	req := s.c.Irecv(r, s.opt.TagOf(comm.KindDone, r))
 	s.doneRecvs[r] = req
-	s.c.OnComplete(req, func(st comm.Status) {
+	s.on(req, func(st comm.Status) {
 		delete(s.doneRecvs, r)
 		if st.Msg.Data != nil {
 			comm.PutBuf(st.Msg.Data)
@@ -312,9 +245,7 @@ func (s *bcastFT) maybeDone() {
 		return
 	}
 	s.doneSent = true
-	s.sendsOut++
-	r := s.c.Isend(s.t.Root, s.opt.TagOf(comm.KindDone, s.rank), comm.Sized(1))
-	s.c.OnComplete(r, func(comm.Status) { s.sendsOut-- })
+	s.send(s.t.Root, s.opt.TagOf(comm.KindDone, s.rank), comm.Sized(1), false, nil)
 }
 
 // maybeCommit (root only) commits once every live non-root rank has
@@ -329,29 +260,10 @@ func (s *bcastFT) maybeCommit() {
 			return
 		}
 	}
-	s.commitMask = liveMask(s.dead)
-	s.committed = true
-	// The fan-out counts as a send initiation: a root crashed exactly at
-	// its commit point dies here and the survivors abort.
-	s.fs.Commit(s.opt.Seq, s.commitMask)
-	s.teardown()
+	s.commit()
 }
 
 // ---- failure handling ----
-
-func (s *bcastFT) onNotice(nt comm.Notice) {
-	switch nt.Kind {
-	case comm.NoticeCommit:
-		if nt.Seq != s.opt.Seq || s.finishing {
-			return
-		}
-		s.committed = true
-		s.commitMask = nt.Survivors
-		s.teardown()
-	case comm.NoticeDeath:
-		s.onDeath(nt.Rank)
-	}
-}
 
 // onDeath processes one confirmed death: heal the tree, re-parent if
 // orphaned, adopt re-driven grandchildren.
@@ -362,11 +274,9 @@ func (s *bcastFT) onDeath(r int) {
 	if r == s.t.Root {
 		// The payload source is gone: unrecoverable by design.
 		s.dead[r] = true
-		s.abortErr = &faults.RankFailedError{Rank: r, Kind: comm.KindBcast, Seq: s.opt.Seq}
-		s.teardown()
+		s.abort(r, comm.KindBcast)
 		return
 	}
-	s.dead[r] = true
 	if req, ok := s.reqRecvs[r]; ok { // re-drive requests are eager: cancel-safe
 		s.fs.CancelRecv(req)
 		delete(s.reqRecvs, r)
@@ -375,25 +285,21 @@ func (s *bcastFT) onDeath(r int) {
 		s.fs.CancelRecv(req)
 		delete(s.doneRecvs, r)
 	}
-	if req, ok := s.finRecvs[r]; ok {
-		s.fs.CancelRecv(req)
-		delete(s.finRecvs, r)
-	}
+	s.forget(r)
 	delete(s.streams, r) // in-flight sends to it fail fast and drain
-	delete(s.sentTo, r)
 	if s.finishing {
 		if r == s.parent {
 			s.cancelParentRecvs()
 		}
 		return
 	}
-	s.cur = s.t.Heal(s.dead)
+	cur := s.t.Heal(s.dead)
 	if r == s.parent {
-		s.reparent(s.cur.Parent[s.rank])
+		s.reparent(cur.Parent[s.rank])
 	}
 	// Ranks whose healed parent is now us will announce themselves with a
 	// re-drive request; post its receive (idempotent across deaths).
-	for _, ch := range s.cur.Children[s.rank] {
+	for _, ch := range cur.Children[s.rank] {
 		if _, have := s.streams[ch]; have {
 			continue
 		}
@@ -427,10 +333,7 @@ func (s *bcastFT) reparent(np int) {
 	}
 	trace.Emit(s.c, trace.Record{Kind: trace.Redrive, Peer: np,
 		Tag: s.opt.TagOf(comm.KindRedrive, s.rank), Size: missing})
-	bits := packBits(s.expected)
-	s.sendsOut++
-	r := s.c.Isend(np, s.opt.TagOf(comm.KindRedrive, s.rank), comm.Bytes(bits))
-	s.c.OnComplete(r, func(comm.Status) { s.sendsOut-- })
+	s.send(np, s.opt.TagOf(comm.KindRedrive, s.rank), comm.Bytes(packBits(s.expected)), false, nil)
 	s.postWindow()
 }
 
@@ -446,7 +349,7 @@ func (s *bcastFT) cancelParentRecvs() {
 func (s *bcastFT) postReqRecv(ch int) {
 	req := s.c.Irecv(ch, s.opt.TagOf(comm.KindRedrive, ch))
 	s.reqRecvs[ch] = req
-	s.c.OnComplete(req, func(st comm.Status) {
+	s.on(req, func(st comm.Status) {
 		delete(s.reqRecvs, ch)
 		need := unpackBits(st.Msg.Data, s.ns)
 		if st.Msg.Data != nil {
@@ -487,44 +390,7 @@ func (s *bcastFT) teardown() {
 			// A live parent may still have payload in flight; wait for its
 			// FIN before cancelling, or a stranded rendezvous announcement
 			// would hang the parent's drain.
-			p := s.parent
-			req := s.c.Irecv(p, s.opt.finTag(s.n, p))
-			s.finRecvs[p] = req
-			s.c.OnComplete(req, func(st comm.Status) {
-				delete(s.finRecvs, p)
-				if st.Msg.Data != nil {
-					comm.PutBuf(st.Msg.Data)
-				}
-				s.cancelParentRecvs()
-			})
+			s.awaitFin(s.parent, s.cancelParentRecvs)
 		}
 	}
-}
-
-// sendFins tells every live peer we sent payload to that nothing more is
-// coming, releasing their leftover posted receives.
-func (s *bcastFT) sendFins() {
-	s.finSent = true
-	for ch := 0; ch < s.n; ch++ { // rank order keeps the send schedule deterministic
-		if !s.sentTo[ch] || s.dead[ch] {
-			continue
-		}
-		s.sendsOut++
-		r := s.c.Isend(ch, s.opt.finTag(s.n, s.rank), comm.Sized(1))
-		s.c.OnComplete(r, func(comm.Status) { s.sendsOut-- })
-	}
-}
-
-// finished reports whether the rank may return: teardown entered, all
-// sends drained, no data receives outstanding. Leftover FIN receives are
-// cancelled here (FIN senders are eager, so cancelling is safe).
-func (s *bcastFT) finished() bool {
-	if !s.finishing || s.sendsOut != 0 || !s.finSent || len(s.pendingRecv) != 0 {
-		return false
-	}
-	for r, req := range s.finRecvs {
-		s.fs.CancelRecv(req)
-		delete(s.finRecvs, r)
-	}
-	return true
 }

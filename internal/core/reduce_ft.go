@@ -2,7 +2,6 @@ package core
 
 import (
 	"adapt/internal/comm"
-	"adapt/internal/faults"
 	"adapt/internal/trace"
 	"adapt/internal/trees"
 )
@@ -24,47 +23,43 @@ import (
 // drain as sponges). Processing one death per restart keeps every rank's
 // epoch count identical — masks, tags, and trees stay in agreement.
 func ReduceFT(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) FTResult {
+	return StartReduceFT(c, t, contrib, opt).WaitFT()
+}
+
+// StartReduceFT begins a non-blocking ReduceFT; the handle's WaitFT
+// yields what ReduceFT returns. Without crash rules armed it is
+// StartReduce on a private copy of the contribution.
+func StartReduceFT(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *Op {
 	fs, ok := failStopOf(c)
 	if !ok {
-		priv := contrib
 		if contrib.Data != nil {
 			// Reduce folds in place; keep the caller's buffer pristine.
-			priv.Data = append([]byte(nil), contrib.Data...)
+			contrib.Data = append([]byte(nil), contrib.Data...)
 		}
-		return FTResult{Msg: Reduce(c, t, priv, opt), Survivors: allLive(c.Size())}
+		return StartReduce(c, t, contrib, opt)
 	}
 	opt = opt.validate()
-	startID := trace.Emit(c, trace.Record{Kind: trace.CollStart, Peer: t.Root,
-		Tag: opt.TagOf(comm.KindReduce, 0), Size: contrib.Size})
-	prev := trace.SetCause(c, startID)
-	s := newReduceFT(c, fs, t, contrib, opt)
-	trace.SetCause(c, prev)
-	res := s.run()
-	trace.Emit(c, trace.Record{Kind: trace.CollEnd, Peer: t.Root,
-		Tag: opt.TagOf(comm.KindReduce, 0), Size: contrib.Size, Link: startID})
-	return res
+	end := traceStart(c, comm.KindReduce, opt, t.Root, contrib.Size)
+	s := &reduceFT{openRecvs: make(map[comm.Request]int)}
+	s.ftBase = newFTBase(c, fs, t, contrib, opt, s)
+	if contrib.Data != nil {
+		s.base = append([]byte(nil), contrib.Data...)
+	}
+	s.startEpoch()
+	s.watch()
+	s.step()
+	return end(&s.op)
 }
 
 // reduceFT is the per-rank fault-tolerant reduce state machine. All
-// mutation happens on the owner goroutine.
+// mutation happens on the owner goroutine, in callbacks.
 type reduceFT struct {
-	c    comm.Comm
-	fs   comm.FailStop
-	t    *trees.Tree
-	opt  Options
-	n    int
-	ns   int
-	rank int
+	ftBase
 
 	base  []byte // pristine private copy of the local contribution
-	total int
-	space comm.MemSpace
-
-	dead  []bool
 	epoch int
 
 	// Current-epoch state (rebuilt by startEpoch).
-	cur      *trees.Tree
 	working  []byte // fold accumulator; stale epochs leak theirs (sends alias it)
 	segs     []comm.Segment
 	needed   []int
@@ -76,38 +71,19 @@ type reduceFT struct {
 	upFlight int
 	ready    int
 
-	// openRecvs spans epochs: stale receives stay posted as sponges for a
-	// live child's old in-flight sends, keyed by child for FIN cancel.
-	openRecvs map[int]map[comm.Request]bool
-
-	sentTo   map[int]bool // live parents sent to across epochs (FIN targets)
-	finRecvs map[int]comm.Request
-
-	sendsOut   int
-	dataOut    int
-	finSent    bool
-	finishing  bool
-	committed  bool
-	commitMask []bool
-	abortErr   error
+	// openRecvs (receive → child) spans epochs: stale receives stay
+	// posted as sponges for a live child's old in-flight sends until that
+	// child's FIN.
+	openRecvs map[comm.Request]int
 }
 
-func newReduceFT(c comm.Comm, fs comm.FailStop, t *trees.Tree, contrib comm.Msg, opt Options) *reduceFT {
-	s := &reduceFT{
-		c: c, fs: fs, t: t, opt: opt,
-		n: c.Size(), rank: c.Rank(),
-		total: contrib.Size, space: contrib.Space,
-		dead:      make([]bool, c.Size()),
-		openRecvs: make(map[int]map[comm.Request]bool),
-		sentTo:    make(map[int]bool),
-		finRecvs:  make(map[int]comm.Request),
+func (s *reduceFT) recvsOpen() bool { return len(s.openRecvs) != 0 }
+
+func (s *reduceFT) payload() []byte {
+	if s.rank == s.t.Root {
+		return s.working
 	}
-	if contrib.Data != nil {
-		s.base = append([]byte(nil), contrib.Data...)
-	}
-	s.ns = len(comm.Segments(comm.Msg{Size: s.total, Space: s.space}, opt.SegSize))
-	s.startEpoch()
-	return s
+	return nil
 }
 
 // epochOpt carries the epoch in the tag sequence so stale segments can
@@ -123,15 +99,15 @@ func (s *reduceFT) epochOpt() Options {
 func (s *reduceFT) startEpoch() {
 	trace.Emit(s.c, trace.Record{Kind: trace.Epoch, Peer: -1,
 		Tag: s.epochOpt().TagOf(comm.KindReduce, 0), Size: s.epoch})
-	s.cur = healed(s.t, s.dead)
+	cur := healed(s.t, s.dead)
 	s.working = nil
 	if s.base != nil {
 		s.working = comm.GetBuf(s.total)
 		copy(s.working, s.base)
 	}
 	s.segs = comm.Segments(comm.Msg{Data: s.working, Size: s.total, Space: s.space}, s.opt.SegSize)
-	s.children = s.cur.Children[s.rank]
-	s.parent = s.cur.Parent[s.rank]
+	s.children = cur.Children[s.rank]
+	s.parent = cur.Parent[s.rank]
 	s.needed = make([]int, s.ns)
 	for i := range s.needed {
 		s.needed[i] = len(s.children)
@@ -159,52 +135,14 @@ func (s *reduceFT) startEpoch() {
 	}
 }
 
-func (s *reduceFT) run() FTResult {
-	// Replay deaths confirmed before this collective began (their notices
-	// went to an earlier operation); see bcastFT.run.
-	for r, d := range s.fs.ConfirmedDead() {
-		if d {
-			s.onDeath(r)
-		}
-	}
-	for {
-		for _, nt := range s.fs.TakeNotices() {
-			s.onNotice(nt)
-		}
-		if s.finishing && !s.finSent && s.dataOut == 0 {
-			s.sendFins()
-		}
-		if s.finished() {
-			break
-		}
-		s.fs.WaitEvent()
-	}
-	if s.abortErr != nil {
-		return FTResult{Survivors: liveMask(s.dead), Err: s.abortErr}
-	}
-	out := comm.Msg{Size: s.total, Space: s.space}
-	if s.rank == s.t.Root {
-		out.Data = s.working
-	}
-	return FTResult{Msg: out, Survivors: s.commitMask}
-}
-
 // ---- receive side ----
 
-func (s *reduceFT) trackRecv(child int, req comm.Request) {
-	set := s.openRecvs[child]
-	if set == nil {
-		set = make(map[comm.Request]bool)
-		s.openRecvs[child] = set
-	}
-	set[req] = true
-}
-
-func (s *reduceFT) untrackRecv(child int, req comm.Request) {
-	if set, ok := s.openRecvs[child]; ok {
-		delete(set, req)
-		if len(set) == 0 {
-			delete(s.openRecvs, child)
+// cancelRecvs retracts every receive still open toward child. One that
+// already matched stays open until its callback lands (data or error).
+func (s *reduceFT) cancelRecvs(child int) {
+	for req, ch := range s.openRecvs {
+		if ch == child && s.fs.CancelRecv(req) {
+			delete(s.openRecvs, req)
 		}
 	}
 }
@@ -215,9 +153,9 @@ func (s *reduceFT) postRecv(ci int) {
 	child := s.children[ci]
 	epoch := s.epoch
 	req := s.c.Irecv(child, s.epochOpt().TagOf(comm.KindReduce, seg))
-	s.trackRecv(child, req)
-	s.c.OnComplete(req, func(st comm.Status) {
-		s.untrackRecv(child, req)
+	s.openRecvs[req] = child
+	s.on(req, func(st comm.Status) {
+		delete(s.openRecvs, req)
 		s.onContribution(epoch, ci, seg, st)
 	})
 }
@@ -259,12 +197,7 @@ func (s *reduceFT) segReady(seg int) {
 	s.ready++
 	if s.parent == -1 {
 		if s.ready == s.ns {
-			s.commitMask = liveMask(s.dead)
-			s.committed = true
-			// Counts as a send initiation: a root crashed at its commit
-			// point dies here and the survivors abort.
-			s.fs.Commit(s.opt.Seq, s.commitMask)
-			s.teardown()
+			s.commit()
 		}
 		return
 	}
@@ -289,13 +222,7 @@ func (s *reduceFT) pumpUp() {
 		seg := s.upNext
 		s.upNext++
 		s.upFlight++
-		s.sendsOut++
-		s.dataOut++
-		s.sentTo[s.parent] = true
-		r := s.c.Isend(s.parent, s.epochOpt().TagOf(comm.KindReduce, seg), msg)
-		s.c.OnComplete(r, func(comm.Status) {
-			s.sendsOut--
-			s.dataOut--
+		s.send(s.parent, s.epochOpt().TagOf(comm.KindReduce, seg), msg, true, func() {
 			if epoch == s.epoch {
 				s.upFlight--
 				s.pumpUp()
@@ -306,39 +233,16 @@ func (s *reduceFT) pumpUp() {
 
 // ---- failure handling ----
 
-func (s *reduceFT) onNotice(nt comm.Notice) {
-	switch nt.Kind {
-	case comm.NoticeCommit:
-		if nt.Seq != s.opt.Seq || s.finishing {
-			return
-		}
-		s.committed = true
-		s.commitMask = nt.Survivors
-		s.teardown()
-	case comm.NoticeDeath:
-		s.onDeath(nt.Rank)
-	}
-}
-
 func (s *reduceFT) onDeath(r int) {
 	if s.dead[r] {
 		return
 	}
-	s.dead[r] = true
 	// Receives from the dead rank can never match again, and annihilation
 	// guarantees no announcement of its is parked here: cancel them all.
-	for req := range s.openRecvs[r] {
-		s.fs.CancelRecv(req)
-	}
-	delete(s.openRecvs, r)
-	if req, ok := s.finRecvs[r]; ok {
-		s.fs.CancelRecv(req)
-		delete(s.finRecvs, r)
-	}
-	delete(s.sentTo, r)
+	s.cancelRecvs(r)
+	s.forget(r)
 	if r == s.t.Root {
-		s.abortErr = &faults.RankFailedError{Rank: r, Kind: comm.KindReduce, Seq: s.opt.Seq}
-		s.teardown()
+		s.abort(r, comm.KindReduce)
 		return
 	}
 	if s.finishing {
@@ -358,55 +262,21 @@ func (s *reduceFT) teardown() {
 	// (the root's fold transitively required them); what remains are stale
 	// sponges for old in-flight sends. Each live child FINs us when its
 	// sends have drained; only then is cancelling its leftovers safe.
+	open := make([]bool, s.n)
+	for _, child := range s.openRecvs {
+		open[child] = true
+	}
 	for child := 0; child < s.n; child++ { // rank order: posting receives is schedule-visible
-		if s.openRecvs[child] == nil {
+		if !open[child] {
 			continue
 		}
 		if s.dead[child] {
-			for req := range s.openRecvs[child] {
-				s.fs.CancelRecv(req)
-			}
-			delete(s.openRecvs, child)
+			s.cancelRecvs(child)
 			continue
 		}
-		if _, posted := s.finRecvs[child]; posted {
-			continue
+		if _, posted := s.finRecvs[child]; !posted {
+			ch := child
+			s.awaitFin(ch, func() { s.cancelRecvs(ch) })
 		}
-		ch := child
-		req := s.c.Irecv(ch, s.opt.finTag(s.n, ch))
-		s.finRecvs[ch] = req
-		s.c.OnComplete(req, func(st comm.Status) {
-			delete(s.finRecvs, ch)
-			if st.Msg.Data != nil {
-				comm.PutBuf(st.Msg.Data)
-			}
-			for r := range s.openRecvs[ch] {
-				s.fs.CancelRecv(r)
-			}
-			delete(s.openRecvs, ch)
-		})
 	}
-}
-
-func (s *reduceFT) sendFins() {
-	s.finSent = true
-	for p := 0; p < s.n; p++ { // rank order keeps the send schedule deterministic
-		if !s.sentTo[p] || s.dead[p] {
-			continue
-		}
-		s.sendsOut++
-		r := s.c.Isend(p, s.opt.finTag(s.n, s.rank), comm.Sized(1))
-		s.c.OnComplete(r, func(comm.Status) { s.sendsOut-- })
-	}
-}
-
-func (s *reduceFT) finished() bool {
-	if !s.finishing || !s.finSent || s.sendsOut != 0 || len(s.openRecvs) != 0 {
-		return false
-	}
-	for r, req := range s.finRecvs {
-		s.fs.CancelRecv(req)
-		delete(s.finRecvs, r)
-	}
-	return true
 }

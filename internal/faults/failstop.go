@@ -117,6 +117,18 @@ func (p *Plane) NoteSend(rank int) bool {
 	return true
 }
 
+// Doomed reports whether rank's next send initiation is its crash
+// point, without counting it.
+func (p *Plane) Doomed(rank int) bool {
+	if p == nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k, armed := p.after[rank]
+	return armed && !p.masks[maskDead][rank] && p.sends[rank] >= k
+}
+
 // Lost reports rank gone and arms its suspicion and confirmation leases,
 // in that order. Idempotent: it returns false when the rank was already
 // lost or the plane is stopped.

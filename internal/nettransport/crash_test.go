@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"adapt/internal/comm"
 	"adapt/internal/core"
@@ -112,4 +113,44 @@ func TestCrashFailsPendingRendezvous(t *testing.T) {
 	if !w.Crashed()[1] {
 		t.Fatal("rank 1 did not crash")
 	}
+}
+
+// TestCrashFailsMatchedPull: a receive that matches a rendezvous
+// announcement after its sender was lost, but before the death is
+// confirmed, must fail at once with a structured TimeoutError naming
+// the receiver, the dead peer and the tag — the grant would go nowhere
+// and no payload will ever stream. The confirmation lease is stretched
+// past the test so the receive is certain to land in that window.
+func TestCrashFailsMatchedPull(t *testing.T) {
+	const n = 2
+	tag := comm.MakeTag(comm.KindP2P, 1, 0)
+	longLease := func(c *config) { c.rec.ConfirmAfter = time.Hour }
+	w := newTestWorld(t, n, WithCrashes([]faults.Crash{{Rank: 1, AfterSends: 1}}), longLease)
+	announced := make(chan struct{})
+	w.Run(func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Probe(1, tag) // the announcement is parked here
+			close(announced)
+			for !c.crash.Down(1) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if c.crash.Confirmed(1) {
+				t.Fatal("death confirmed inside an hour-long lease")
+			}
+			st := c.Wait(c.Irecv(1, tag))
+			var te *faults.TimeoutError
+			if !errors.As(st.Err, &te) {
+				t.Fatalf("pull from a lost sender: got %v, want *faults.TimeoutError", st.Err)
+			}
+			if te.Rank != 0 || te.Peer != 1 || te.Tag != tag {
+				t.Errorf("error names rank %d, peer %d, tag %v; want 0, 1, %v", te.Rank, te.Peer, te.Tag, tag)
+			}
+		case 1:
+			c.Isend(0, tag, comm.Bytes(fill(DefaultEagerLimit*2, 3))) // announced, never granted
+			<-announced
+			c.Isend(0, tag, comm.Bytes([]byte{1})) // crash point
+			t.Error("rank 1 survived its crash point")
+		}
+	})
 }

@@ -228,9 +228,11 @@ type Engine struct {
 	seen           map[uint64]struct{} // delivered xids (DedupXids)
 	halted         bool                // fail-stop: this endpoint crashed
 
-	// Control-plane notice queue (comm.FailStop).
-	notices   []comm.Notice
-	noticeSeq uint64
+	// Control-plane notices (comm.FailStop) wait in notices until the
+	// callback queue is empty; the drain then hands each, in delivery
+	// order, to every watcher. watchers is owner-goroutine only.
+	notices  []comm.Notice
+	watchers []*func(comm.Notice)
 
 	// curCause is the rank's causal context: the record id of the latest
 	// event the rank has observed. Owner-goroutine only, except under
@@ -575,7 +577,7 @@ func (e *Engine) completeLocked(req *Req, st comm.Status) {
 	}
 	e.completedCount++
 	e.pendingOps--
-	if req.cb != nil {
+	if req.cb != nil && !e.halted {
 		e.cbQueue = append(e.cbQueue, req)
 	}
 }
@@ -621,8 +623,12 @@ func (e *Engine) drain() int {
 	for {
 		e.lock()
 		if e.cbHead == len(e.cbQueue) {
-			e.unlock()
-			return n
+			if len(e.notices) == 0 {
+				e.unlock()
+				return n
+			}
+			n += e.notify()
+			continue
 		}
 		// Swap in the spare buffer: callbacks queued while this batch
 		// fires land in the next batch, in completion order.
@@ -631,7 +637,12 @@ func (e *Engine) drain() int {
 		e.unlock()
 		for i, req := range batch {
 			batch[i] = nil
-			e.fire(req)
+			// A simulated rank that crashed in an earlier callback of this
+			// batch fires nothing more (the live substrates leave the
+			// goroutine at the crash instead).
+			if !e.b.SingleThreaded || !e.halted {
+				e.fire(req)
+			}
 		}
 		n += len(batch)
 		e.lock()
@@ -665,8 +676,12 @@ func (e *Engine) DrainWhile(ok func() bool) int {
 	for ok() {
 		e.lock()
 		if e.cbHead == len(e.cbQueue) {
-			e.unlock()
-			break
+			if len(e.notices) == 0 {
+				e.unlock()
+				break
+			}
+			n += e.notify()
+			continue
 		}
 		// Pop by head index; once empty the queue rewinds to its start,
 		// so its storage is reused instead of shrinking away.
@@ -800,7 +815,7 @@ func (e *Engine) OnComplete(r comm.Request, fn func(comm.Status)) {
 		panic(e.b.Prefix + ": request already has a callback")
 	}
 	req.cb = fn
-	if req.done {
+	if req.done && !e.halted {
 		// Already complete: queue the callback for the owner's next drain.
 		// No wake — the owner is the caller, and every wait loop drains
 		// before parking.
@@ -893,17 +908,18 @@ func (e *Engine) CancelRecv(r comm.Request) bool {
 }
 
 // Halt tears the matching engine down at this endpoint's fail-stop crash
-// point: posted receives die with the rank, queued callbacks never fire,
-// and later arrivals are refused. The swept queues come back so the
-// substrate can dispose of them — live rendezvous senders parked in the
-// unexpected queue must fail instead of waiting forever for a grant.
-func (e *Engine) Halt() (posted []*Req, unexpected []*Env) {
+// point: posted receives die with the rank, queued callbacks and notices
+// never fire, later completions queue none, and later arrivals are
+// refused. The swept unexpected queue comes back so the substrate can
+// dispose of it — live rendezvous senders parked there must fail instead
+// of waiting forever for a grant.
+func (e *Engine) Halt() (unexpected []*Env) {
 	e.lock()
 	e.halted = true
-	posted, unexpected = e.posted, e.unexpected
-	e.posted, e.unexpected, e.cbQueue, e.cbHead = nil, nil, nil, 0
+	unexpected = e.unexpected
+	e.posted, e.unexpected, e.cbQueue, e.cbHead, e.notices = nil, nil, nil, 0, nil
 	e.unlock()
-	return posted, unexpected
+	return unexpected
 }
 
 // DropUnexpected removes parked envelopes matching pred (a confirmed-
@@ -925,42 +941,53 @@ func (e *Engine) DropUnexpected(pred func(*Env) bool) []*Env {
 	return dropped
 }
 
-// PushNotice appends a control-plane notice and wakes the owner.
+// PushNotice queues a control-plane notice for the owner's next drain
+// and wakes the owner. Callable from any goroutine.
 func (e *Engine) PushNotice(n comm.Notice) {
 	e.lock()
 	e.notices = append(e.notices, n)
-	e.noticeSeq++
 	e.unlock()
 	e.wake()
 }
 
-// TakeNotices drains the pending control-plane notices.
-func (e *Engine) TakeNotices() []comm.Notice {
+// Watch subscribes fn to this endpoint's control-plane notices until
+// stop is called (stop is idempotent). A drain hands each notice to fn
+// once the callbacks queued before it have fired, in delivery order and
+// on the owner goroutine, like a completion callback. A watch counts as
+// one operation in flight, so an operation waiting only on the control
+// plane may still Progress. Owner-goroutine only.
+func (e *Engine) Watch(fn func(comm.Notice)) (stop func()) {
+	w := &fn
 	e.lock()
-	out := e.notices
-	e.notices = nil
+	e.pendingOps++
 	e.unlock()
-	return out
+	e.watchers = append(e.watchers, w)
+	return func() {
+		for i, x := range e.watchers {
+			if x == w {
+				e.watchers = removeAt(e.watchers, i)
+				e.lock()
+				e.pendingOps--
+				e.unlock()
+				return
+			}
+		}
+	}
 }
 
-// WaitEvent blocks until a completion callback fires or a new notice
-// arrives. Legal with no operation in flight (control-plane waits).
-func (e *Engine) WaitEvent() {
-	e.lock()
-	start := e.noticeSeq
+// notify hands the queued notices to the watchers and returns how many
+// there were. Called with the engine lock held, which it releases.
+func (e *Engine) notify() int {
+	nts := e.notices
+	e.notices = nil
 	e.unlock()
-	for {
-		if e.drain() > 0 {
-			return
+	for _, nt := range nts {
+		// A watcher may stop itself (or a new one start) while handling.
+		for _, w := range append([]*func(comm.Notice){}, e.watchers...) {
+			(*w)(nt)
 		}
-		e.lock()
-		advanced := e.noticeSeq > start
-		e.unlock()
-		if advanced {
-			return
-		}
-		e.b.Block()
 	}
+	return len(nts)
 }
 
 // TraceEmit implements trace.Emitter: it stamps the record with the

@@ -192,33 +192,7 @@ func (s *Scheduler) step() (remaining int, advanced bool) {
 }
 
 // Drive runs the scheduler until every operation completes.
-func (s *Scheduler) Drive() {
-	for {
-		remaining, advanced := s.step()
-		if remaining == 0 {
-			return
-		}
-		if advanced {
-			continue
-		}
-		mSchedStalls.Inc()
-		if s.allWired {
-			mSchedParks.Inc()
-			s.notifier.Wait()
-			continue
-		}
-		// Fallback: block on one unfinished operation's communicator. Its
-		// Progress both parks correctly on every substrate (including the
-		// simulator, whose procs cannot block on channels) and fires that
-		// communicator's callbacks; the next round rescans the rest.
-		for _, it := range s.items {
-			if it.Op != nil && it.DoneTick == 0 {
-				it.C.Progress()
-				break
-			}
-		}
-	}
-}
+func (s *Scheduler) Drive() { s.DriveUntil(func() bool { return false }) }
 
 // DriveUntil runs the scheduler until pred returns true (checked once
 // per tick) or every operation completes.

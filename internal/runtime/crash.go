@@ -54,8 +54,7 @@ func (w *World) noteSend(c *Comm) {
 	}
 	// Tear down the matching engine and release live senders parked in
 	// the unexpected queue.
-	_, unexpected := c.Halt()
-	for _, env := range unexpected {
+	for _, env := range c.Halt() {
 		c.refuse(env)
 	}
 	w.crash.Lost(c.rank)
@@ -63,7 +62,7 @@ func (w *World) noteSend(c *Comm) {
 }
 
 // noticeDeath is the detector's confirm action: every surviving rank
-// gets a NoticeDeath on its control-plane queue.
+// gets a NoticeDeath.
 func (w *World) noticeDeath(r int) {
 	for _, d := range w.ranks {
 		if !w.crash.Dead(d.rank) {

@@ -143,7 +143,7 @@ type backend struct {
 	gen   uint64
 	n     int
 	w     backendWorld
-	armed bool // fail-stop crash rules armed: serialized FT execution
+	armed bool // fail-stop crash rules armed: FT requests only, one at a time
 	tree  *trees.Tree
 
 	jobCh  []chan *job
@@ -280,15 +280,15 @@ func (b *backend) noteDead(rank int) {
 // executor is gone, so nothing else will ever drain them, and a leaked
 // job pins its admission token forever. Safe to drain without the lock:
 // dead[rank] is set under b.mu before this runs, so submitService will
-// never enqueue here again, and a rank is only confirmed dead once its
-// executor goroutine has exited (fail-stop crashes Goexit the executor
-// itself), so there is no competing consumer.
+// never enqueue here again, and the executor that consumed this channel
+// has exited (fail-stop crashes Goexit the executor itself; a peer's
+// confirmation of an in-process rank's death follows that exit).
 //
 // Plain allreduces cannot complete without the rank, so their queued
 // copies fail with a typed error (releasing the token via the deliver
-// wrapper). FT jobs are left to the surviving executors, which run the
-// collective over the healed tree and settle delivery through ftDone.
-// Proxy ops fail back onto their bound session.
+// wrapper). FT jobs are left to the surviving executors, whose state
+// machines replay the death, run over the healed tree and settle
+// delivery through ftDone. Proxy ops fail back onto their bound session.
 func (b *backend) sweepDead(rank int) {
 	for {
 		select {
@@ -341,11 +341,12 @@ func (b *backend) unbindProxy(r int, sess *session) {
 // The token releases at delivery, so queue depth bounds live work.
 //
 // Seq assignment and the whole per-rank fan-out happen atomically under
-// b.mu. Blocking FT execution depends on every rank's channel carrying
-// service jobs in one global order — each rank must reach the same
-// barrier before the same blocking collective, and two concurrent
-// submitters interleaving their fan-out loops would leave ranks blocked
-// in different collectives with disjoint tags, deadlocked. The same
+// b.mu, so every rank's channel carries service jobs in one global
+// order. Each executor admits jobs in channel order up to its
+// concurrency cap (1 on a crash-armed backend): if two concurrent
+// submitters interleaved their fan-out loops, one rank could hold job x
+// in flight while another holds job y, each waiting for a peer that
+// will not start that job until its own finishes — deadlocked. The same
 // lock keeps the dead[] check coherent with noteDead, whose queue sweep
 // only runs after dead[r] is set under b.mu.
 func (b *backend) submitService(j *job) error {
@@ -446,12 +447,7 @@ func (b *backend) submitFT(raw []byte, elems int, deliver func(out []byte, mask 
 func (b *backend) executor(r int) {
 	defer b.wg.Done()
 	defer b.rankExited(r)
-	c := b.w.rankComm(r)
-	if b.armed {
-		b.runBlocking(r, c)
-		return
-	}
-	b.runScheduled(r, c)
+	b.runScheduled(r, b.w.rankComm(r))
 }
 
 // rankExited distinguishes an orderly stop from a rank dying mid-work.
@@ -478,27 +474,6 @@ func (b *backend) take(r int) (*job, bool) {
 	}
 }
 
-// runBlocking serializes FT collectives — the crash-armed path, where a
-// rank may fail-stop mid-collective and the survivor set heals its tree.
-func (b *backend) runBlocking(r int, c comm.Comm) {
-	for {
-		j, ok := b.take(r)
-		if !ok {
-			return
-		}
-		switch j.kind {
-		case jobReduceFT:
-			res := core.ReduceFT(c, b.tree, comm.Bytes(j.in[r]), j.opts())
-			j.ftDone(r, res)
-		default:
-			j.once.Do(func() {
-				j.deliver(nil, nil, &RequestError{Code: CodeBadRequest,
-					Msg: "crash-armed group serves FT requests only"})
-			})
-		}
-	}
-}
-
 // flight is one in-progress operation on a scheduled executor.
 type flight struct {
 	j   *job
@@ -520,10 +495,16 @@ func (f flight) done() bool {
 func (b *backend) runScheduled(r int, c comm.Comm) {
 	sched := b.scheds[r]
 	maxConc := b.srv.cfg.MaxConcurrent
-	if b.key.proxy {
+	switch {
+	case b.key.proxy:
 		// A collective's own state machine bounds proxy ops; an external
 		// cap could park half its posts and deadlock it.
 		maxConc = 1 << 30
+	case b.armed:
+		// Survivor-set reductions must not overlap: ReduceFT tags epoch e
+		// of request seq as seq+e, so a restarted request would share its
+		// tags with the next request's first epoch.
+		maxConc = 1
 	}
 	var live []flight
 	for {
@@ -579,42 +560,18 @@ func (b *backend) runScheduled(r int, c comm.Comm) {
 	}
 }
 
-// startJob launches j on rank r. Blocking kinds drain the scheduled
-// work first; every rank sees the same channel order, so every rank
-// reaches the same barrier before the same blocking collective.
+// startJob launches j on rank r.
 func (b *backend) startJob(sched *progress.Scheduler, c comm.Comm, r int, j *job, live []flight) []flight {
 	switch j.kind {
-	case jobAllreduce:
-		op := core.StartAllreduce(c, b.tree, comm.Bytes(j.in[r]), j.opts())
+	case jobAllreduce, jobReduceFT:
+		var op *core.Op
+		if j.kind == jobAllreduce {
+			op = core.StartAllreduce(c, b.tree, comm.Bytes(j.in[r]), j.opts())
+		} else {
+			op = core.StartReduceFT(c, b.tree, comm.Bytes(j.in[r]), j.opts())
+		}
 		sched.Add(&progress.Scheduled{C: c, Op: op})
 		return append(live, flight{j: j, op: op})
-	case jobReduceFT:
-		for len(live) > 0 {
-			sched.DriveUntil(func() bool {
-				for _, f := range live {
-					if f.done() {
-						return true
-					}
-				}
-				return b.stopped()
-			})
-			kept := live[:0]
-			for _, f := range live {
-				if f.done() {
-					b.retire(r, f)
-				} else {
-					kept = append(kept, f)
-				}
-			}
-			live = kept
-			if b.stopped() && len(live) > 0 {
-				return live
-			}
-		}
-		sched.Compact()
-		res := core.ReduceFT(c, b.tree, comm.Bytes(j.in[r]), j.opts())
-		j.ftDone(r, res)
-		return live
 	case jobIsend:
 		req := c.Isend(j.peer, j.tag, j.msg)
 		sched.Add(&progress.Scheduled{C: c, Op: reqOp{req}})
@@ -634,7 +591,11 @@ func (b *backend) startJob(sched *progress.Scheduler, c comm.Comm, r int, j *job
 // retire reports a completed flight back to its job or session.
 func (b *backend) retire(r int, f flight) {
 	if f.op != nil {
-		f.j.rankDone(r, f.op.Wait())
+		if f.j.kind == jobReduceFT {
+			f.j.ftDone(r, f.op.WaitFT())
+		} else {
+			f.j.rankDone(r, f.op.Wait())
+		}
 		return
 	}
 	mLatProxy.ObserveSince(f.j.t0)

@@ -40,10 +40,9 @@ func newFuser(b *backend, window time.Duration, maxReqs int) *fuser {
 }
 
 // add enqueues one allreduce of elems float64s per rank. With fusing
-// off (or on a crash-armed backend, whose jobs serialize) the request
-// submits immediately as a batch of one.
+// off the request submits immediately as a batch of one.
 func (f *fuser) add(part fusePart, elems int) {
-	if f.window <= 0 || f.b.armed {
+	if f.window <= 0 {
 		f.b.submitFused(&fuseBatch{elems: elems, parts: []fusePart{part}})
 		return
 	}

@@ -11,10 +11,12 @@
 //     rank); repeat clients with the same key share one cached backend
 //     world and skip all setup.
 //   - Backends. A backend owns one world plus one long-lived executor
-//     goroutine per rank. Service backends run allreduce jobs as
-//     non-blocking collectives under a progress.Scheduler (many jobs in
-//     flight, fair round-robin); crash-armed backends run survivor-set
-//     FT collectives serially. Proxy backends apply raw point-to-point
+//     goroutine per rank. Every job — allreduce, survivor-set FT
+//     reduce, proxy op — runs as a non-blocking operation under the
+//     rank's progress.Scheduler (many jobs in flight, fair round-robin);
+//     a crash-armed backend admits one FT job at a time per rank, since
+//     a restarted FT reduction's epoch tags reach into the next
+//     request's. Proxy backends apply raw point-to-point
 //     operations for a daemon-backed comm.Comm adapter (RemoteComm), so
 //     the conformance grid runs its collectives through the daemon.
 //   - Fusing. Same-shape allreduces arriving within a fuse window merge

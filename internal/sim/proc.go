@@ -1,17 +1,9 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
-
-// ErrKilled is the sentinel a process body panics with to terminate
-// itself mid-execution (fail-stop crash injection). The Go wrapper
-// recovers it and retires the process as if its body had returned: the
-// kernel keeps running the other processes and does not count the killed
-// one as deadlocked. Any other panic value propagates unchanged.
-var ErrKilled = errors.New("sim: process killed")
 
 type procState uint8
 
@@ -61,19 +53,19 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.Schedule(0, func() {
 		go func() {
 			<-p.wake
-			func() {
-				defer func() {
-					if r := recover(); r != nil && r != ErrKilled {
-						panic(r)
-					}
-				}()
-				fn(p)
+			defer func() {
+				if r := recover(); r != nil {
+					panic(r)
+				}
+				// A body that returns and one that leaves through
+				// runtime.Goexit (a crashed rank) both retire cleanly: the
+				// kernel keeps running the other processes and does not
+				// count this one as deadlocked.
+				p.done = true
+				k.live--
+				k.yield <- struct{}{}
 			}()
-			// Reached on normal return AND on an ErrKilled unwind: either
-			// way the process retires cleanly and yields to the kernel.
-			p.done = true
-			k.live--
-			k.yield <- struct{}{}
+			fn(p)
 		}()
 		k.resume(p)
 	})

@@ -141,13 +141,21 @@ func (x *xmit) release() {
 // and arm the retry timer.
 func (x *xmit) try() {
 	w := x.w
-	if w.crash.Dead(x.src) {
-		// The sender crashed: its retry chain is abandoned silently
-		// (fail-stop teardown, nobody is waiting on this request).
-		return
-	}
 	attempt := x.attempts
 	x.attempts++
+	if w.crash.Dead(x.src) {
+		// The sender crashed: its retry chain is abandoned silently
+		// (fail-stop teardown, nobody is waiting on this request) — except
+		// where the live peer waits on it: a grant's rendezvous sender, a
+		// data leg's matched receiver. Their timer keeps running, sending
+		// nothing, until the death is confirmed or the budget runs out,
+		// and the waiting request fails.
+		if x.peerWaits() {
+			x.ref.Retain()
+			w.K.Schedule(w.rec.RetryDelay(attempt, x.id), x.retryFn)
+		}
+		return
+	}
 	v := w.inj.Message(x.src, x.dst, x.tag, x.id, attempt, w.K.Now(), x.size)
 	if v.Drop {
 		w.traceFault(trace.FaultDrop, x.src, x.dst, x.tag, x.size, x.id)
@@ -246,9 +254,9 @@ func (x *xmit) retry() {
 	w := x.w
 	switch {
 	case x.acked || x.failed:
-	case w.crash.Dead(x.src):
+	case w.crash.Dead(x.src) && !x.peerWaits():
 		// Dead sender: abandoned, not failed.
-	case x.attempts >= w.rec.MaxAttempts || w.crash.Confirmed(x.dst):
+	case x.attempts >= w.rec.MaxAttempts || w.crash.Confirmed(x.dst) || w.crash.Confirmed(x.src):
 		// Out of attempts — or fast-fail: the detector confirmed the peer
 		// dead, so further retries cannot succeed. Fail the operation now
 		// with the attempts spent so far.
@@ -326,6 +334,10 @@ func (x *xmit) placed() {
 	x.release()
 }
 
+// peerWaits reports whether a live rank waits on this leg from its
+// source: a rendezvous sender on the grant, a receiver on the data.
+func (x *xmit) peerWaits() bool { return x.leg == legCTS || x.leg == legData }
+
 // fail completes the leg's requests with err once every attempt went
 // unacknowledged (or the peer was confirmed dead).
 func (x *xmit) fail(err *faults.TimeoutError) {
@@ -333,8 +345,10 @@ func (x *xmit) fail(err *faults.TimeoutError) {
 	case legEager, legRTS:
 		x.req.CompleteIfLive(comm.Status{Source: x.src, Tag: x.tag, Msg: x.msg, Err: err})
 	case legCTS:
-		// A dead reverse link fails the receive.
+		// A dead reverse link fails the receive, and the send waiting
+		// for the grant.
 		x.req.CompleteIfLive(comm.Status{Source: x.dst, Tag: x.tag, Err: err})
+		x.sender.CompleteIfLive(comm.Status{Source: x.dst, Tag: x.tag, Msg: x.msg, Err: err})
 	case legData:
 		// A dead forward link fails both ends.
 		x.sender.CompleteIfLive(comm.Status{Source: x.src, Tag: x.tag, Msg: x.msg, Err: err})

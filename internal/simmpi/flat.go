@@ -30,9 +30,13 @@ package simmpi
 // one flat event loop (adaptbench -ranks, make scale; the quick ladder
 // is TestQuickScaleLadder).
 //
-// Fault injection (chaos/crash) keeps the proc-mode requirement: the
-// crash machinery kills a rank by panicking its goroutine, which flat
-// ranks do not have. SpawnFlat refuses a world with faults armed.
+// Crash plans run on flat ranks: a crash halts the rank's engine and
+// drops its sends, so a crashed flat rank simply never fires another
+// callback (see crash.go). Plans with message-fault rules (drops, dups,
+// delays, corruption) and FEC stay proc-mode only: transmissions are
+// numbered world-wide, so the drivers' different issue orders draw
+// different ARQ and FEC verdicts and flat results would not match proc
+// mode. SpawnFlat refuses such a world.
 
 // SpawnFlat registers one flat (goroutine-free) rank driver per rank.
 // body runs once per rank at virtual time zero, in kernel event
@@ -42,8 +46,8 @@ package simmpi
 // to execute the simulation; use OnIdle to observe per-rank completion
 // and chain phases.
 func (w *World) SpawnFlat(body func(c *Comm)) {
-	if w.inj != nil || w.crash != nil {
-		panic("simmpi: flat mode does not support fault injection (crash/chaos kill rank goroutines; flat ranks have none)")
+	if w.fec != nil || w.inj != nil && len(w.inj.Plan().Rules) > 0 {
+		panic("simmpi: flat mode supports crash-only fault plans (message-fault rules and FEC need proc mode)")
 	}
 	for _, c := range w.ranks {
 		c := c
@@ -87,7 +91,10 @@ func (c *Comm) armDrain() {
 // clock past now with work still queued, and report idleness.
 func (c *Comm) drainFlat() {
 	c.drainArmed = false
-	c.DrainWhile(func() bool { return c.busyUntil <= c.w.K.Now() })
+	c.DrainWhile(func() bool { return !c.dead && c.busyUntil <= c.w.K.Now() })
+	if c.dead {
+		return
+	}
 	if c.PendingCallbacks() > 0 || c.busyUntil > c.w.K.Now() {
 		// A callback's compute charge advanced the clock mid-drain: the
 		// remaining callbacks belong at the new horizon — and even with

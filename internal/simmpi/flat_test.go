@@ -250,8 +250,9 @@ func TestFlatBlockingPanics(t *testing.T) {
 	}
 }
 
-// TestFlatRejectsFaultInjection: the crash/chaos machinery requires
-// rank goroutines; arming faults and then spawning flat must refuse.
+// TestFlatRejectsFaultInjection: message-fault plans stay proc-mode
+// only (crash-only plans run flat: TestFlatMatchesProcModeUnderCrashes);
+// arming one and then spawning flat must refuse.
 func TestFlatRejectsFaultInjection(t *testing.T) {
 	defer func() {
 		if recover() == nil {

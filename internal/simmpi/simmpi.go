@@ -81,6 +81,9 @@ func NewWorld(k *sim.Kernel, p *netmodel.Platform, spec noise.Spec) *World {
 			Now:    k.Now,
 			Trace:  func() *trace.Buffer { return w.Trace },
 			Wake: func() {
+				if c.dead {
+					return // a crashed rank schedules nothing more
+				}
 				if c.flat {
 					c.armDrain()
 					return
@@ -92,6 +95,9 @@ func NewWorld(k *sim.Kernel, p *netmodel.Platform, spec noise.Spec) *World {
 			Block: func() {
 				if c.flat {
 					panic(fmt.Sprintf("simmpi: flat rank %d blocked — flat-mode drivers must stay nonblocking (use Start*/OnComplete/OnIdle)", c.rank))
+				}
+				if c.dead {
+					c.leave()
 				}
 				c.proc.Park()
 				c.noiseResume()
@@ -152,6 +158,7 @@ type Comm struct {
 
 	busyUntil time.Duration
 	noiseSrc  *noise.Source
+	dead      bool // crashed (see crash.go): sends drop, nothing fires
 
 	// Flat rank-scheduling mode (see flat.go): the rank is this struct,
 	// not a goroutine. busyUntil doubles as the rank's forward clock —
@@ -187,7 +194,9 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("simmpi: send to rank %d of %d", dst, c.Size()))
 	}
-	c.w.noteSend(c) // crash point: the rank may die initiating this send
+	if c.w.noteSend(c) { // crash point: the rank may die initiating this send
+		return c.StartOp(true)
+	}
 	req := c.StartSend(dst, tag, msg.Size)
 	if lag := c.sendLag(); lag > 0 {
 		// Flat mode with the rank's busy clock ahead of virtual time: the
@@ -323,7 +332,10 @@ func (c *Comm) Ssend(dst int, tag comm.Tag, msg comm.Msg) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("simmpi: ssend to rank %d of %d", dst, c.Size()))
 	}
-	c.w.noteSend(c) // crash point: the rank may die initiating this send
+	if c.w.noteSend(c) { // crash point: the rank may die initiating this send
+		c.leave()
+		return
+	}
 	req := c.StartSend(dst, tag, msg.Size)
 	c.sendRTS(req, dst, tag, msg)
 	c.Wait(req)
@@ -338,6 +350,10 @@ func (c *Comm) Compute(n int, kind comm.ComputeKind) {
 // compute span becomes the rank's causal context: whatever the handler
 // posts next depends on this work having finished.
 func (c *Comm) ComputeFor(d time.Duration) {
+	if c.dead {
+		c.leave() // blocking in proc mode; a crashed flat rank's clock stops
+		return
+	}
 	if tb := c.w.Trace; tb != nil {
 		if id := tb.Add(trace.Record{At: c.w.K.Now(), Rank: c.rank, Kind: trace.Compute,
 			Peer: -1, Dur: d, Parent: c.TraceSetCause(0)}); id != 0 {
