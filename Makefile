@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify check test build race pooldebug flake vet bench fuzz scale
+.PHONY: verify check test build race pooldebug flake vet bench fuzz scale cover
 
 # Tier-1 gate: everything must build and every test must pass.
 verify:
@@ -62,13 +62,16 @@ flake:
 	$(GO) test -count=50 -run 'TestConformanceGrid(Daemon|TCP)$$|TestConformanceFECGrid(Live|TCP)$$' ./internal/conform
 	$(GO) test -count=50 -run 'TestProxy' ./internal/serve
 
-# Static checks: go vet (also over the pooldebug-only files), and gofmt
-# must have nothing to reformat.
+# Static checks: go vet (also over the pooldebug-only files), gofmt
+# must have nothing to reformat, and the perfbench module (a module of
+# its own, so ./... skips it) must still build against the APIs it
+# calls.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags pooldebug ./...
 	@out="$$(gofmt -l internal cmd examples)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
+	cd perfbench && GOWORK=off $(GO) vet .
 
 # Microbenchmarks; they write no files and gate nothing (every gate is a
 # test that runs in tier-1). The simulation kernel's dispatch and
@@ -89,7 +92,7 @@ bench:
 # Prints events/s, peak RSS and ranks/GB per cell; tier-1 runs the quick
 # 1k,10k broadcast ladder (TestQuickScaleLadder).
 scale:
-	$(GO) run ./cmd/adaptbench -ranks 1k,10k,100k,1m -ranks-coll bcast,reduce,allreduce
+	$(GO) run ./cmd/adapt bench -ranks 1k,10k,100k,1m -ranks-coll bcast,reduce,allreduce
 
 # Short fuzz passes over the tag-matching predicate, the fault-plan
 # parser, the unified matching core, the daemon's framed codec in both
@@ -105,3 +108,25 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRequestFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzFEC -fuzztime $(FUZZTIME) ./internal/fec
+
+# Tier-1 statement coverage with the subprocesses included. The tests
+# that run built binaries (TestE2E*, TestQuickScaleLadder, TestExamples)
+# build them with -cover under coverage (internal/testbin), and those
+# binaries and their worker and cell children write their counters into
+# the test's coverage directory, here one shared COVERDIR/pods. The
+# in-process profile and the pods merge into COVERDIR/merged.out; the
+# target prints the per-package statement table, the total, and every
+# function still at 0% (DESIGN §6 says why each one stays).
+COVERDIR ?= $(CURDIR)/.cover
+cover:
+	rm -rf $(COVERDIR) && mkdir -p $(COVERDIR)/pods
+	$(GO) test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile=$(COVERDIR)/unit.out ./... \
+		-args -test.gocoverdir=$(COVERDIR)/pods > $(COVERDIR)/test.log || { cat $(COVERDIR)/test.log; exit 1; }
+	$(GO) tool covdata textfmt -i=$(COVERDIR)/pods -o $(COVERDIR)/pods.out
+	{ echo "mode: set"; awk 'FNR > 1 { k = $$1 " " $$2; if (!(k in c) || $$3 > c[k]) c[k] = $$3 } \
+		END { for (k in c) print k, c[k] }' $(COVERDIR)/unit.out $(COVERDIR)/pods.out | sort; } > $(COVERDIR)/merged.out
+	@awk 'NR > 1 { p = $$1; sub(/\/[^\/]*:.*/, "", p); n[p] += $$2; if ($$3 > 0) c[p] += $$2; N += $$2; if ($$3 > 0) C += $$2 } \
+		END { for (p in n) printf "%-32s %6d statements %6.1f%%\n", p, n[p], 100 * c[p] / n[p] | "sort"; close("sort"); \
+		printf "%-32s %6d statements %6.1f%%\n", "total", N, 100 * C / N }' $(COVERDIR)/merged.out
+	@echo "functions at 0%:"
+	@$(GO) tool cover -func=$(COVERDIR)/merged.out | awk '$$NF == "0.0%"'

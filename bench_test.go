@@ -1,14 +1,17 @@
 // Package adapt_test hosts the repository-level benchmark harness: one
 // testing.B benchmark per paper exhibit (Figures 7–11, Table 1), each
-// driving the same generator as `adaptbench` at the Quick scale, plus
+// driving the same generator as `adapt bench` at the Quick scale, plus
 // ablation benchmarks for the design decisions called out in DESIGN.md §5.
 //
 // Run everything:
 //
 //	go test -bench=. -benchmem
 //
-// Full paper-scale exhibits are generated by `go run ./cmd/adaptbench
-// -exp all` (minutes, not benchmark material).
+// Full paper-scale exhibits are generated by `go run ./cmd/adapt bench
+// -exp all` (minutes, not benchmark material). To profile one exhibit,
+// profile its benchmark:
+//
+//	go test -run '^$' -bench BenchmarkFig9a -cpuprofile cpu.pprof .
 package adapt_test
 
 import (

@@ -1,30 +1,26 @@
-// Command adaptctl is the terminal client for a running adaptd's admin
-// plane (adaptd -admin ADDR): it renders the daemon's live status —
-// sessions, backends with generations, request-latency quantiles,
-// per-link FEC health, perf counter windows — from one /statusz scrape,
-// or continuously.
+package main
+
+// adapt ctl is the terminal client for a running adaptd's admin plane
+// (adaptd -admin ADDR): it renders the daemon's live status (sessions,
+// backends with generations, request-latency quantiles, per-link FEC
+// health, perf counter windows) from one /statusz scrape, or
+// continuously.
 //
-// Usage:
-//
-//	adaptctl -addr 127.0.0.1:7078             # one-shot status
-//	adaptctl -addr 127.0.0.1:7078 -watch 1s   # live view, redrawn per interval
-//	adaptctl -addr 127.0.0.1:7078 -metrics    # raw Prometheus exposition
-//	adaptctl -addr 127.0.0.1:7078 -check      # observability gate
+//	adapt ctl -addr 127.0.0.1:7078             # one-shot status
+//	adapt ctl -addr 127.0.0.1:7078 -watch 1s   # live view, redrawn per interval
+//	adapt ctl -addr 127.0.0.1:7078 -check      # observability gate
 //
 // -check scrapes the plane of a loaded daemon until it passes or
 // -timeout runs out, and fails unless the Prometheus exposition parses,
 // the serving-layer latency histogram is non-empty, /healthz reports
 // ready, and the trouble counters (overloads, rank failures, net
 // faults) are zero. TestCheckObsGate holds it to a daemon under load.
-package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"regexp"
 	"sort"
 	"strings"
@@ -34,60 +30,42 @@ import (
 	"adapt/internal/serve"
 )
 
-func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	addr := flag.String("addr", "", "adaptd admin address (host:port), required")
-	watch := flag.Duration("watch", 0, "redraw the status view at this interval (0 = one shot)")
-	rawMetrics := flag.Bool("metrics", false, "dump the raw Prometheus exposition and exit")
-	check := flag.Bool("check", false, "run the observability gate against a loaded daemon")
-	timeout := flag.Duration("timeout", 10*time.Second, "deadline for one scrape, or for the whole -check")
-	flag.Parse()
+func runCtl(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("ctl", stderr)
+	addr := fs.String("addr", "", "adaptd admin address (host:port), required")
+	watch := fs.Duration("watch", 0, "redraw the status view at this interval (0 = one shot)")
+	check := fs.Bool("check", false, "run the observability gate against a loaded daemon")
+	timeout := fs.Duration("timeout", 10*time.Second, "deadline for one scrape, or for the whole -check")
+	if fs.Parse(args) != nil {
+		return 2
+	}
 	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "adaptctl: -addr is required (the daemon's -admin address)")
+		fmt.Fprintln(stderr, "adapt ctl: -addr is required (the daemon's -admin address)")
 		return 2
 	}
 
-	switch {
-	case *rawMetrics:
-		body, err := get(*addr, "/metrics", time.Now().Add(*timeout))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adaptctl: %v\n", err)
-			return 1
-		}
-		os.Stdout.Write(body)
-		return 0
-	case *check:
+	if *check {
 		res, err := runCheck(*addr, *timeout)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adaptctl: %v\n", err)
-			return 1
+			return failed(stderr, "ctl", err)
 		}
-		fmt.Printf("adaptctl: check ok (%d exposition samples, %d requests observed, trouble 0)\n",
+		fmt.Fprintf(stdout, "adapt ctl: check ok (%d exposition samples, %d requests observed, trouble 0)\n",
 			res.samples, res.requests)
 		return 0
-	case *watch > 0:
-		for {
-			st, healthy, err := scrape(*addr, time.Now().Add(*timeout))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "adaptctl: %v\n", err)
-				return 1
-			}
-			// Home the cursor and clear below: a flicker-free redraw.
-			fmt.Print("\x1b[H\x1b[J")
-			render(os.Stdout, *addr, st, healthy)
-			time.Sleep(*watch)
-		}
-	default:
+	}
+	for {
 		st, healthy, err := scrape(*addr, time.Now().Add(*timeout))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adaptctl: %v\n", err)
-			return 1
+			return failed(stderr, "ctl", err)
 		}
-		render(os.Stdout, *addr, st, healthy)
-		return 0
+		if *watch <= 0 {
+			render(stdout, *addr, st, healthy)
+			return 0
+		}
+		// Home the cursor and clear below: a flicker-free redraw.
+		fmt.Fprint(stdout, "\x1b[H\x1b[J")
+		render(stdout, *addr, st, healthy)
+		time.Sleep(*watch)
 	}
 }
 

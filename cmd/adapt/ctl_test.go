@@ -110,6 +110,8 @@ func TestCheckObsGate(t *testing.T) {
 		if res.samples == 0 || res.requests == 0 {
 			t.Fatalf("check passed on %d samples and %d requests", res.samples, res.requests)
 		}
+		want(t, []string{"ctl", "-addr", adminAddr, "-check"}, 0, "check ok")
+		want(t, []string{"ctl", "-addr", adminAddr}, 0, "adaptd @ "+adminAddr, "latency / size quantiles:")
 	})
 }
 
@@ -133,4 +135,5 @@ func TestCheckTimeoutHolds(t *testing.T) {
 	if took > timeout+time.Second {
 		t.Fatalf("check took %v against a %v deadline", took, timeout)
 	}
+	want(t, []string{"ctl", "-addr", strings.TrimPrefix(stall.URL, "http://"), "-timeout", "100ms"}, 1)
 }

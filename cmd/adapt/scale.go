@@ -1,11 +1,12 @@
 package main
 
-// The million-rank kernel-scaling ladder: adaptbench -ranks runs tree
+// The million-rank kernel-scaling ladder: adapt bench -ranks runs tree
 // broadcast/reduce and allreduce at growing rank counts, in both the
 // goroutine-per-rank (proc) and struct-per-rank (flat) drivers, and
 // reports wall-clock event throughput, peak RSS, and ranks per GB of
-// memory. Each cell re-execs this binary so VmHWM measures exactly one
-// configuration. make scale runs the full ladder.
+// memory. Each cell re-execs this binary (adapt bench -ranks-cell) so
+// VmHWM measures exactly one configuration. make scale runs the full
+// ladder.
 
 import (
 	"bufio"
@@ -72,31 +73,29 @@ func parseRung(s string) (int, error) {
 }
 
 // runScaleCell executes one "mode/collective/ranks" cell in-process and
-// prints its JSON row to stdout (the parent re-execed us for a clean
-// VmHWM). Exit status 1 on any failure.
-func runScaleCell(spec string) int {
+// prints its JSON row to stdout (the ladder re-execed this binary for a
+// clean VmHWM).
+func runScaleCell(stdout, stderr io.Writer, spec string) int {
 	parts := strings.Split(spec, "/")
 	if len(parts) != 3 {
-		fmt.Fprintf(os.Stderr, "adaptbench: bad -ranks-cell %q (want mode/collective/ranks)\n", spec)
+		fmt.Fprintf(stderr, "adapt bench: bad -ranks-cell %q (want mode/collective/ranks)\n", spec)
 		return 2
 	}
 	mode, coll := parts[0], parts[1]
 	ranks, err := strconv.Atoi(parts[2])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "adaptbench: bad -ranks-cell rank count %q\n", parts[2])
+		fmt.Fprintf(stderr, "adapt bench: bad -ranks-cell rank count %q\n", parts[2])
 		return 2
 	}
 	row, err := measureCell(mode, coll, ranks)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "adaptbench:", err)
-		return 1
+		return failed(stderr, "bench", err)
 	}
 	b, err := json.Marshal(row)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "adaptbench:", err)
-		return 1
+		return failed(stderr, "bench", err)
 	}
-	fmt.Println(string(b))
+	fmt.Fprintln(stdout, string(b))
 	return 0
 }
 
@@ -200,44 +199,40 @@ func peakRSSKB() (int64, error) {
 
 // runScaleLadder fans the rung × collective × mode grid out to child
 // processes, prints a table, and enforces the scaling gates.
-func runScaleLadder(w io.Writer, ladder, colls string) int {
+func runScaleLadder(w, stderr io.Writer, ladder, colls string) int {
 	var rungs []int
 	for _, s := range strings.Split(ladder, ",") {
 		r, err := parseRung(s)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptbench:", err)
+			fmt.Fprintln(stderr, "adapt bench:", err)
 			return 2
 		}
 		rungs = append(rungs, r)
 	}
 	self, err := os.Executable()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "adaptbench:", err)
-		return 1
+		return failed(stderr, "bench", err)
 	}
 	var rows []scaleRow
 	for _, ranks := range rungs {
 		for _, coll := range strings.Split(colls, ",") {
 			for _, mode := range []string{"proc", "flat"} {
 				if mode == "proc" && ranks > procRankCap {
-					fmt.Fprintf(os.Stderr, "adaptbench: skipping proc/%s/%d (goroutine stacks exceed the RSS budget past %d ranks)\n",
+					fmt.Fprintf(stderr, "adapt bench: skipping proc/%s/%d (goroutine stacks exceed the RSS budget past %d ranks)\n",
 						coll, ranks, procRankCap)
 					continue
 				}
 				spec := fmt.Sprintf("%s/%s/%d", mode, coll, ranks)
-				fmt.Fprintf(os.Stderr, "adaptbench: scale cell %s\n", spec)
-				out, err := exec.Command(self, "-ranks-cell", spec).Output()
+				fmt.Fprintf(stderr, "adapt bench: scale cell %s\n", spec)
+				cell := exec.Command(self, "bench", "-ranks-cell", spec)
+				cell.Stderr = stderr
+				out, err := cell.Output()
 				if err != nil {
-					if ee, ok := err.(*exec.ExitError); ok {
-						os.Stderr.Write(ee.Stderr)
-					}
-					fmt.Fprintf(os.Stderr, "adaptbench: cell %s failed: %v\n", spec, err)
-					return 1
+					return failed(stderr, "bench", fmt.Errorf("cell %s failed: %v", spec, err))
 				}
 				var row scaleRow
 				if err := json.Unmarshal(bytes.TrimSpace(out), &row); err != nil {
-					fmt.Fprintf(os.Stderr, "adaptbench: cell %s: bad row %q: %v\n", spec, out, err)
-					return 1
+					return failed(stderr, "bench", fmt.Errorf("cell %s: bad row %q: %v", spec, out, err))
 				}
 				rows = append(rows, row)
 			}
@@ -252,8 +247,7 @@ func runScaleLadder(w io.Writer, ladder, colls string) int {
 	}
 
 	if err := scaleGates(rows); err != nil {
-		fmt.Fprintln(os.Stderr, "adaptbench: FAIL:", err)
-		return 1
+		return failed(stderr, "bench", fmt.Errorf("FAIL: %v", err))
 	}
 	return 0
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adapt/internal/testbin"
 )
 
 func row(mode, coll string, ranks int, eventsPerSec float64, rssKB int64) scaleRow {
@@ -72,18 +74,15 @@ func TestScaleGates(t *testing.T) {
 	}
 }
 
-// TestQuickScaleLadder builds adaptbench and runs the quick ladder
-// (1k and 10k ranks, broadcast, both rank drivers), each cell in its
-// own child process, under the scaling gates.
+// TestQuickScaleLadder builds adapt and runs the quick ladder (1k and
+// 10k ranks, broadcast, both rank drivers), each cell in its own child
+// process, under the scaling gates.
 func TestQuickScaleLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process ladder skipped in -short")
 	}
-	bin := filepath.Join(t.TempDir(), "adaptbench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	out, err := exec.Command(bin, "-ranks", "1k,10k", "-ranks-coll", "bcast").CombinedOutput()
+	bin := filepath.Join(testbin.Build(t, "."), "adapt")
+	out, err := exec.Command(bin, "bench", "-ranks", "1k,10k", "-ranks-coll", "bcast").CombinedOutput()
 	if err != nil {
 		t.Fatalf("quick ladder failed: %v\n%s", err, out)
 	}

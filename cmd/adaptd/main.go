@@ -9,7 +9,7 @@
 //	adaptd -backend net -fuse 200us # TCP-loopback worlds, 200µs fuse window
 //	adaptd -chaos 'seed=11; all: drop=0.05' -perf
 //	adaptd -crash 2:0 -crash-group churn -backend net
-//	adaptd -admin 127.0.0.1:7078     # live telemetry plane (see adaptctl)
+//	adaptd -admin 127.0.0.1:7078     # live telemetry plane (see adapt ctl)
 //
 // The daemon prints exactly one "adaptd: listening on ADDR" line once
 // it accepts connections (scripts parse it), then serves until SIGINT

@@ -2,8 +2,8 @@
 // loopback: it spawns N worker copies of itself (one OS process per
 // rank), distributes the rendezvous address map through a coordinator
 // socket, runs the requested collectives from the conformance registry
-// on the nettransport substrate, and gathers per-rank results. With
-// -verify each final buffer is checked byte-for-byte against the
+// on the nettransport substrate, and gathers per-rank results. On a
+// clean run each final buffer is checked byte-for-byte against the
 // simulator's golden run of the same registry case.
 //
 // Examples:
@@ -62,6 +62,10 @@ var ftAliases = map[string]string{
 	"reduce": "ft/reduce-binomial",
 }
 
+// workerExitGrace bounds how long a finished run waits for its workers
+// to exit.
+const workerExitGrace = 10 * time.Second
+
 // workerReport is one rank's gob-encoded result payload, shipped back on
 // the control connection.
 type workerReport struct {
@@ -94,10 +98,8 @@ func launcherMain() int {
 	n := flag.Int("n", 4, "number of worker processes (ranks)")
 	colls := flag.String("coll", "bcast,reduce,allreduce", "comma-separated collectives (aliases or registry case names)")
 	size := flag.Int("size", 0, "payload bytes (0 = 128×ranks; must divide by 8×ranks)")
-	seg := flag.Int("seg", 0, "segment size in bytes (0 = library default)")
 	crash := flag.String("crash", "", "fail-stop rule RANK:AFTERSENDS, e.g. 2:1 (switches to FT collectives)")
 	timeout := flag.Duration("timeout", 60*time.Second, "bound on rendezvous and gather")
-	verify := flag.Bool("verify", true, "check buffers against the simulator's golden run")
 	perfStats := flag.Bool("perf", false, "print aggregate socket counters")
 	traceDir := flag.String("trace", "", "directory for per-worker Perfetto trace JSON")
 	flag.Parse()
@@ -152,7 +154,6 @@ func launcherMain() int {
 			"ADAPT_NET_COORD="+co.Addr(),
 			"ADAPT_NET_COLLS="+strings.Join(names, ","),
 			fmt.Sprintf("ADAPT_NET_SIZE=%d", *size),
-			fmt.Sprintf("ADAPT_NET_SEG=%d", *seg),
 			"ADAPT_NET_CRASH="+*crash,
 			"ADAPT_NET_TRACE="+*traceDir,
 		)
@@ -163,13 +164,22 @@ func launcherMain() int {
 		}
 		procs[r] = cmd
 	}
-	// Reap every worker on the way out so a failed run leaves no orphans.
+	// Reap every worker on the way out. After a completed gather the
+	// workers are still closing their endpoints and writing their traces,
+	// so they get until the grace deadline to exit; a worker still running
+	// then, or any worker of a failed run, is killed, so no run leaves
+	// orphans.
+	var grace time.Time
 	defer func() {
 		for _, p := range procs {
-			if p.ProcessState == nil {
+			exited := make(chan struct{})
+			go func() { p.Wait(); close(exited) }()
+			select {
+			case <-exited:
+			case <-time.After(time.Until(grace)):
 				p.Process.Kill()
+				<-exited
 			}
-			p.Wait()
 		}
 	}()
 
@@ -178,6 +188,7 @@ func launcherMain() int {
 		return 1
 	}
 	results := co.Gather(*timeout)
+	grace = time.Now().Add(workerExitGrace)
 
 	reports := make([]*workerReport, *n)
 	for _, res := range results {
@@ -191,13 +202,13 @@ func launcherMain() int {
 		}
 		reports[res.Rank] = &rep
 	}
-	return summarize(*n, *size, *seg, names, crashPlan, results, reports, *verify, *perfStats)
+	return summarize(*n, *size, names, crashPlan, results, reports, *perfStats)
 }
 
 // summarize validates the gathered reports and prints the outcome.
 // Returns the process exit code.
-func summarize(n, size, seg int, names []string, crashPlan *faults.Crash,
-	results []nettransport.WorkerResult, reports []*workerReport, verify, perfStats bool) int {
+func summarize(n, size int, names []string, crashPlan *faults.Crash,
+	results []nettransport.WorkerResult, reports []*workerReport, perfStats bool) int {
 	code := 0
 	deadRank := -1
 	if crashPlan != nil {
@@ -216,8 +227,8 @@ func summarize(n, size, seg int, names []string, crashPlan *faults.Crash,
 	}
 
 	var goldens map[string][][]byte
-	if verify && crashPlan == nil {
-		goldens = computeGoldens(n, size, seg, names)
+	if crashPlan == nil {
+		goldens = computeGoldens(n, size, names)
 	}
 	for i, name := range names {
 		ok := true
@@ -285,7 +296,7 @@ func summarize(n, size, seg int, names []string, crashPlan *faults.Crash,
 
 // computeGoldens runs each case on the simulator — the specification the
 // socket run must reproduce byte-for-byte.
-func computeGoldens(n, size, seg int, names []string) map[string][][]byte {
+func computeGoldens(n, size int, names []string) map[string][][]byte {
 	topo := hwloc.New(n, 1, 1)
 	p := netmodel.Cori(1).WithTopo(topo)
 	out := make(map[string][][]byte, len(names))
@@ -294,7 +305,7 @@ func computeGoldens(n, size, seg int, names []string) map[string][][]byte {
 		if !ok {
 			continue
 		}
-		opt := runOptions(seg, i)
+		opt := runOptions(i)
 		g := conform.RunCase(p, cs, opt, nil, faults.Recovery{})
 		if g.Err != nil {
 			fmt.Fprintf(os.Stderr, "adaptrun: golden %s: %v\n", name, g.Err)
@@ -311,7 +322,6 @@ func workerMain() int {
 	rank := envInt("ADAPT_NET_RANK")
 	n := envInt("ADAPT_NET_N")
 	size := envInt("ADAPT_NET_SIZE")
-	seg := envInt("ADAPT_NET_SEG")
 	names := strings.Split(os.Getenv("ADAPT_NET_COLLS"), ",")
 	crashPlan, err := parseCrash(os.Getenv("ADAPT_NET_CRASH"), n)
 	if err != nil {
@@ -348,7 +358,7 @@ func workerMain() int {
 	rep := workerReport{Rank: rank}
 	perfBase := perf.Read()
 	for i, name := range names {
-		opt := runOptions(seg, i)
+		opt := runOptions(i)
 		cr := collResult{Coll: name}
 		if crashPlan != nil {
 			cs, ok := findCrashCase(n, size, name)
@@ -420,11 +430,8 @@ func writeWorkerTrace(dir string, rank int, tb *trace.Buffer) {
 
 // runOptions builds the per-collective options; Seq advances per case so
 // back-to-back collectives never share tags.
-func runOptions(seg, idx int) core.Options {
+func runOptions(idx int) core.Options {
 	opt := core.DefaultOptions()
-	if seg > 0 {
-		opt.SegSize = seg
-	}
 	opt.Seq = idx + 1
 	return opt
 }

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adapt/internal/testbin"
+	"adapt/internal/trace"
 )
 
 // End-to-end: build the real binary and drive real OS processes over TCP
@@ -12,12 +17,7 @@ import (
 
 func buildAdaptrun(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "adaptrun")
-	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
+	return filepath.Join(testbin.Build(t, "."), "adaptrun")
 }
 
 func TestE2ECleanVerified(t *testing.T) {
@@ -78,5 +78,29 @@ func TestE2ECrashNonRootHeals(t *testing.T) {
 	text := string(out)
 	if strings.Count(text, "ok (4 ranks") != 2 {
 		t.Errorf("want both FT collectives ok on survivors:\n%s", text)
+	}
+}
+
+// TestE2ETraceFiles: -trace writes one Perfetto-loadable causal trace
+// per worker process.
+func TestE2ETraceFiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process e2e skipped in -short")
+	}
+	bin := buildAdaptrun(t)
+	dir := t.TempDir()
+	if out, err := exec.Command(bin, "-n", "2", "-coll", "bcast", "-trace", dir).CombinedOutput(); err != nil {
+		t.Fatalf("traced run failed: %v\n%s", err, out)
+	}
+	for r := 0; r < 2; r++ {
+		f, err := os.Open(filepath.Join(dir, fmt.Sprintf("rank%d.json", r)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := trace.ReadChrome(f)
+		f.Close()
+		if err != nil || len(runs) != 1 || len(runs[0].Records) == 0 {
+			t.Errorf("rank %d trace: %d runs, err %v; want one non-empty run", r, len(runs), err)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package asp
 
 import (
 	"math"
+	"math/rand"
 	"time"
 
 	"adapt/internal/comm"
@@ -44,8 +45,8 @@ func (r Result) Scaled(n int) Result {
 	}
 }
 
-// rowsOf returns the half-open row range owned by rank r.
-func rowsOf(n, p, r int) (lo, hi int) {
+// Rows returns the half-open range of the n rows that rank r of p owns.
+func Rows(n, p, r int) (lo, hi int) {
 	base := n / p
 	extra := n % p
 	lo = r*base + min(r, extra)
@@ -56,17 +57,10 @@ func rowsOf(n, p, r int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ownerOf returns the rank owning row k.
 func ownerOf(n, p, k int) int {
 	for r := 0; r < p; r++ {
-		lo, hi := rowsOf(n, p, r)
+		lo, hi := Rows(n, p, r)
 		if k >= lo && k < hi {
 			return r
 		}
@@ -82,7 +76,7 @@ func ownerOf(n, p, k int) int {
 func Run(c comm.Comm, cfg Config, dist [][]float64) Result {
 	p := c.Size()
 	me := c.Rank()
-	lo, _ := rowsOf(cfg.N, p, me)
+	lo, _ := Rows(cfg.N, p, me)
 	rowBytes := cfg.N * cfg.ElemSize
 	nl := localRows(cfg.N, p, me)
 
@@ -128,7 +122,7 @@ func Run(c comm.Comm, cfg Config, dist [][]float64) Result {
 }
 
 func localRows(n, p, r int) int {
-	lo, hi := rowsOf(n, p, r)
+	lo, hi := Rows(n, p, r)
 	return hi - lo
 }
 
@@ -149,4 +143,34 @@ func Sequential(dist [][]float64) {
 			}
 		}
 	}
+}
+
+// RandGraph builds a seeded random weighted digraph adjacency matrix:
+// each off-diagonal edge exists with probability 0.3 and weighs 1 to 10.
+func RandGraph(n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := range d[i] {
+			switch {
+			case i == j:
+				d[i][j] = 0
+			case rng.Float64() < 0.3:
+				d[i][j] = 1 + 9*rng.Float64()
+			default:
+				d[i][j] = math.Inf(1)
+			}
+		}
+	}
+	return d
+}
+
+// CopyMatrix returns a deep copy of d.
+func CopyMatrix(d [][]float64) [][]float64 {
+	out := make([][]float64, len(d))
+	for i := range d {
+		out[i] = append([]float64(nil), d[i]...)
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package asp
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -17,34 +16,6 @@ import (
 	"adapt/internal/trees"
 )
 
-// randGraph builds a random weighted digraph adjacency matrix.
-func randGraph(n int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		for j := range d[i] {
-			switch {
-			case i == j:
-				d[i][j] = 0
-			case rng.Float64() < 0.3:
-				d[i][j] = 1 + 9*rng.Float64()
-			default:
-				d[i][j] = math.Inf(1)
-			}
-		}
-	}
-	return d
-}
-
-func copyMatrix(d [][]float64) [][]float64 {
-	out := make([][]float64, len(d))
-	for i := range d {
-		out[i] = append([]float64(nil), d[i]...)
-	}
-	return out
-}
-
 // liveBcast is an ADAPT broadcast usable from the live runtime.
 func liveBcast(c comm.Comm, root int, msg comm.Msg, seq int) comm.Msg {
 	opt := core.DefaultOptions()
@@ -58,16 +29,16 @@ func liveBcast(c comm.Comm, root int, msg comm.Msg, seq int) comm.Msg {
 // Floyd–Warshall.
 func TestDistributedMatchesSequential(t *testing.T) {
 	const n, p = 48, 6
-	graph := randGraph(n, 7)
-	want := copyMatrix(graph)
+	graph := RandGraph(n, 7)
+	want := CopyMatrix(graph)
 	Sequential(want)
 
 	w := runtime.NewWorld(p)
 	var mu sync.Mutex
 	got := make([][]float64, n)
 	w.Run(func(c *runtime.Comm) {
-		lo, hi := rowsOf(n, p, c.Rank())
-		local := copyMatrix(graph[lo:hi])
+		lo, hi := Rows(n, p, c.Rank())
+		local := CopyMatrix(graph[lo:hi])
 		Run(c, Config{N: n, Iters: n, ElemSize: 8, WithData: true, Bcast: liveBcast}, local)
 		mu.Lock()
 		for i := lo; i < hi; i++ {
@@ -88,9 +59,9 @@ func TestRowsPartition(t *testing.T) {
 	for _, c := range []struct{ n, p int }{{48, 6}, {100, 7}, {5, 5}, {16384, 1024}} {
 		total := 0
 		for r := 0; r < c.p; r++ {
-			lo, hi := rowsOf(c.n, c.p, r)
+			lo, hi := Rows(c.n, c.p, r)
 			if hi < lo {
-				t.Fatalf("rowsOf(%d,%d,%d) inverted", c.n, c.p, r)
+				t.Fatalf("Rows(%d,%d,%d) inverted", c.n, c.p, r)
 			}
 			total += hi - lo
 			for k := lo; k < hi; k++ {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adapt/internal/netmodel"
 )
 
 func TestTableFormatting(t *testing.T) {
@@ -170,6 +172,27 @@ func TestExtensionExhibitsQuick(t *testing.T) {
 	s := Quick()
 	for _, id := range Extensions() {
 		id := id
+		t.Run(id, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Run(id, s, &buf); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), "== "+id) {
+				t.Fatalf("missing table header:\n%s", buf.String())
+			}
+		})
+	}
+}
+
+// TestPaperExhibitsTiny runs the paper exhibits the quick-scale shape
+// tests leave out on one node per platform and one message size.
+func TestPaperExhibitsTiny(t *testing.T) {
+	s := Scale{
+		CoriNodes: 1, Stampede2Nodes: 1, PSGNodes: 1,
+		NoiseReps: 1, Reps: 1,
+		Sizes: []int{64 * netmodel.KB}, GPUSizes: []int{1 * netmodel.MB},
+	}
+	for _, id := range []string{"fig7b", "fig8a", "fig8b", "fig9b", "fig11b"} {
 		t.Run(id, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := Run(id, s, &buf); err != nil {

@@ -63,7 +63,7 @@ func TestFig7aTrajectoryDeterminism(t *testing.T) {
 	}
 }
 
-// renderTables prints tables the way adaptbench does, for byte comparison.
+// renderTables prints tables the way adapt bench does, for byte comparison.
 func renderTables(tables []*Table) []byte {
 	var buf bytes.Buffer
 	for _, tb := range tables {

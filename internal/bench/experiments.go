@@ -30,12 +30,12 @@ type Scale struct {
 	ASPDim         int
 
 	// FaultPlan, when non-nil, adds a custom row to the ext-chaos exhibit
-	// (adaptbench -faults "seed=42; all: drop=0.1"); a plan with crash
-	// rules (adaptbench -faults "crash@3") lands in ext-crash instead.
+	// (adapt bench -faults "seed=42; all: drop=0.1"); a plan with crash
+	// rules (adapt bench -faults "crash@3") lands in ext-crash instead.
 	FaultPlan *faults.Plan
 
 	// CTrace, when non-nil, captures one causal event trace per
-	// experiment cell (adaptbench -ctrace; see internal/trace/analyze).
+	// experiment cell (adapt bench -ctrace; see internal/trace/analyze).
 	CTrace *TraceSink
 
 	// sweep, when non-nil, routes independent experiment cells through

@@ -96,7 +96,7 @@ func chaosRun(p *netmodel.Platform, plan *faults.Plan, body func(c *simmpi.Comm)
 // under a ladder of fault plans, reporting the makespan inflation the
 // retransmission/backoff protocol pays to keep results byte-identical
 // (internal/conform proves the identity; this table shows the cost).
-// Scale.FaultPlan (adaptbench -faults) appends a custom plan row.
+// Scale.FaultPlan (adapt bench -faults) appends a custom plan row.
 func (s Scale) ExtChaos() []*Table {
 	p := netmodel.Cori(1).WithTopo(hwloc.New(4, 1, 2))
 	n := p.Topo.Size()

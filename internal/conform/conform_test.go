@@ -118,7 +118,7 @@ func runGridCell(t *testing.T, p *netmodel.Platform, cs Case, segSize int) {
 }
 
 // TestFaultScheduleDeterminism re-runs the same (case, plan) repeatedly —
-// including from parallel goroutines, standing in for adaptbench -j N —
+// including from parallel goroutines, standing in for adapt bench -j N —
 // and demands identical bytes, identical virtual end time, and identical
 // fault schedules.
 func TestFaultScheduleDeterminism(t *testing.T) {

@@ -308,7 +308,7 @@ func TestCrashNeverFires(t *testing.T) {
 }
 
 // TestCrashScheduleDeterminism re-runs the same crash case from parallel
-// goroutines — standing in for adaptbench -j N — and demands identical
+// goroutines — standing in for adapt bench -j N — and demands identical
 // payloads, masks, detection counters, and virtual end time.
 func TestCrashScheduleDeterminism(t *testing.T) {
 	p := netmodel.Cori(1).WithTopo(hwloc.New(8, 1, 1))

@@ -8,7 +8,7 @@
 // tag, message id, attempt). It does not depend on wall time, event
 // interleaving, or how many other links are faulted, so the same seed
 // reproduces the same fault schedule whether worlds run serially or on
-// parallel workers (adaptbench -j N), and a retransmitted message draws
+// parallel workers (adapt bench -j N), and a retransmitted message draws
 // a fresh, but reproducible, verdict per attempt.
 //
 // Recovery describes the ack/retry machinery the transports use to

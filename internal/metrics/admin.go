@@ -146,7 +146,7 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // Status assembles the /statusz document. The perf window is the delta
 // since the previous Status call — one rolling window per endpoint,
-// which matches the single-scraper deployments (adaptctl -watch, the
+// which matches the single-scraper deployments (adapt ctl -watch, the
 // bench gate) this plane serves.
 func (a *Admin) Status() Statusz {
 	now := time.Now()

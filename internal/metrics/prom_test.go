@@ -55,7 +55,7 @@ func TestPrometheusGolden(t *testing.T) {
 }
 
 // sampleLine matches one exposition sample: name, optional label set,
-// integer value. The same shape ParseExposition (adaptctl) accepts.
+// integer value. The same shape ParseExposition (adapt ctl) accepts.
 var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9]+$`)
 
 // TestPrometheusParses renders a registry with every metric kind under

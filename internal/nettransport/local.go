@@ -74,9 +74,6 @@ func (w *LocalWorld) WithRunTimeout(d time.Duration) *LocalWorld {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *LocalWorld) Size() int { return len(w.comms) }
-
 // Rank returns rank r's endpoint.
 func (w *LocalWorld) Rank(r int) *Comm { return w.comms[r] }
 

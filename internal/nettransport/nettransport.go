@@ -251,9 +251,6 @@ func newComm(rank, size int, ln net.Listener, cfg config) *Comm {
 	return c
 }
 
-// Addr returns the endpoint's data-plane listen address.
-func (c *Comm) Addr() string { return c.ln.Addr().String() }
-
 // Now returns wall time since the endpoint was created.
 func (c *Comm) Now() time.Duration { return time.Since(c.cfg.start) }
 

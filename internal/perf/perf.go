@@ -1,7 +1,6 @@
 // Package perf is the observability substrate for the hot paths: cheap
 // process-wide counters fed by the simulation kernel (events dispatched,
-// heap peak) and the segment-buffer pool (gets, reuse hits, recycles),
-// plus opt-in pprof/trace hooks for profiling whole experiment runs.
+// heap peak) and the segment-buffer pool (gets, reuse hits, recycles).
 //
 // Counter updates are a handful of atomic adds per *kernel run* or per
 // *buffer operation*, never per event, so instrumentation cannot distort
@@ -13,10 +12,7 @@ package perf
 import (
 	"fmt"
 	"io"
-	"os"
 	"reflect"
-	"runtime/pprof"
-	"runtime/trace"
 	"sync/atomic"
 )
 
@@ -413,48 +409,4 @@ func (s Snapshot) Fprint(w io.Writer) {
 			s.ServeSessions, s.ServeRequests, s.ServeFusedReqs, s.ServeFusedBatch,
 			s.ServeTrouble(), s.ServeOverloads, s.ServeRankFails, s.ServeRankDeaths)
 	}
-}
-
-// StartCPUProfile begins a CPU profile written to path and returns a stop
-// function. Opt-in: nothing is profiled unless a caller asks.
-func StartCPUProfile(path string) (stop func() error, err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() error {
-		pprof.StopCPUProfile()
-		return f.Close()
-	}, nil
-}
-
-// WriteHeapProfile dumps the current heap profile to path.
-func WriteHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return pprof.WriteHeapProfile(f)
-}
-
-// StartTrace begins a Go execution trace written to path and returns a
-// stop function.
-func StartTrace(path string) (stop func() error, err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := trace.Start(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() error {
-		trace.Stop()
-		return f.Close()
-	}, nil
 }

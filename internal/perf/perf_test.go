@@ -154,7 +154,7 @@ func TestConcurrentIncrements(t *testing.T) {
 }
 
 // TestSnapshotJSON: a snapshot survives the JSON round trip that
-// /statusz readers such as adaptctl decode it through.
+// /statusz readers such as adapt ctl decode it through.
 func TestSnapshotJSON(t *testing.T) {
 	s := Snapshot{KernelRuns: 3, EventsDispatched: 42, HeapPeak: 7, BufGets: 5, BufHits: 4}
 	b, err := json.Marshal(s)

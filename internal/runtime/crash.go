@@ -39,9 +39,6 @@ func (w *World) armCrashes() {
 // are armed.
 func (w *World) DetectorStats() faults.DetectorStats { return w.crash.Stats() }
 
-// Crashed returns the per-rank death mask.
-func (w *World) Crashed() []bool { return w.crash.DeadMask(w.Size()) }
-
 // noteSend counts one send initiation by c; at the rank's crash point it
 // halts the rank and exits the calling goroutine (Goexit runs the Run
 // deferrals, so the world keeps going without it).

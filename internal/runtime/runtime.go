@@ -73,11 +73,6 @@ func WithRunTimeout(d time.Duration) Option {
 	return func(w *World) { w.guard.Timeout = d }
 }
 
-// WithTrace attaches a causal trace buffer to the world.
-func WithTrace(tb *trace.Buffer) Option {
-	return func(w *World) { w.Trace = tb }
-}
-
 // NewWorld creates a communicator with n ranks.
 func NewWorld(n int, opts ...Option) *World {
 	if n <= 0 {

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"adapt/internal/perf"
 )
 
 // TestServeAllocsPerRequest bounds the heap bytes one served allreduce
@@ -52,10 +54,13 @@ func TestServeAllocsPerRequest(t *testing.T) {
 		run(20) // warm the pool, the backend and the scheduler
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
+		p0 := perf.Read()
 		run(reqs)
+		p := perf.Read().Delta(p0)
 		runtime.ReadMemStats(&m1)
 		per := (m1.TotalAlloc - m0.TotalAlloc) / reqs
-		t.Logf("%d elems per rank: %d B allocated per request (bound %d)", c.elems, per, c.bound)
+		t.Logf("%d elems per rank: %d B allocated per request (bound %d); %d GC cycles, %d segment-pool misses",
+			c.elems, per, c.bound, m1.NumGC-m0.NumGC, p.BufGets-p.BufHits)
 		if per > c.bound {
 			t.Errorf("%d elems per rank: %d B allocated per request, bound %d", c.elems, per, c.bound)
 		}

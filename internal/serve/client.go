@@ -28,7 +28,6 @@ type SessionOpts struct {
 // Session is a client connection to an adaptd daemon.
 type Session struct {
 	conn net.Conn
-	id   uint64
 	gen  uint64
 
 	wmu    sync.Mutex // serializes frame writes; guards head and iov
@@ -114,7 +113,7 @@ func Dial(addr string, opts SessionOpts) (*Session, error) {
 			conn.Close()
 			return nil, err
 		}
-		s.id, s.gen = w.Session, w.Gen
+		s.gen = w.Gen
 	case sfErr:
 		m, err := parseErr(payload)
 		conn.Close()
@@ -132,9 +131,6 @@ func Dial(addr string, opts SessionOpts) (*Session, error) {
 	go s.readLoop(br)
 	return s, nil
 }
-
-// ID returns the server-assigned session id.
-func (s *Session) ID() uint64 { return s.id }
 
 // Gen returns the backend generation the session bound to; it changes
 // when a degraded backend was evicted and rebuilt.

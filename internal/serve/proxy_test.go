@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"adapt/internal/comm"
+	"adapt/internal/faults"
 	"adapt/internal/perf"
 )
 
@@ -282,4 +283,82 @@ func TestProxyFailedOpsNameSourceAndTag(t *testing.T) {
 	check("in-flight receive", c.Wait(inflight), 1)
 	check("receive after loss", c.Wait(c.Irecv(1, tag)), 1)
 	check("send after loss", c.Wait(c.Isend(1, tag, comm.Sized(8))), 0)
+}
+
+// TestProxySessionFailsWhenBoundRankDies: when the backend rank a proxy
+// session is bound to is confirmed dead, the session is lost. Its client
+// fails the pending call and every later one with a RankFailed error.
+// Proxy backends never arm crash rules, so the test confirms the death
+// the way the net backend's death hook does, through noteDead.
+func TestProxySessionFailsWhenBoundRankDies(t *testing.T) {
+	srv := newTestServer(t, Config{Backend: "net", DrainTimeout: 100 * time.Millisecond})
+	s, err := Dial(srv.Addr(), SessionOpts{World: 2, Group: "doomed", ProxyRank: 0})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer s.Close()
+	c := s.Comm()
+	tag := comm.MakeTag(comm.KindBcast, 1, 0)
+	pending := c.Irecv(1, tag) // rank 1 never joins
+
+	srv.mu.Lock()
+	var b *backend
+	for key, cand := range srv.backends {
+		if key.proxy {
+			b = cand
+		}
+	}
+	srv.mu.Unlock()
+	if b == nil {
+		t.Fatal("no proxy backend")
+	}
+	b.noteDead(0)
+	select {
+	case <-s.deadCh:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session outlived the death of its bound rank")
+	}
+
+	for what, st := range map[string]comm.Status{
+		"pending receive": c.Wait(pending),
+		"later receive":   c.Wait(c.Irecv(1, tag)),
+		"later send":      c.Wait(c.Isend(1, tag, comm.Bytes(make([]byte, 8)))),
+	} {
+		if !errors.Is(st.Err, ErrRankFailed) {
+			t.Errorf("%s: err %v, want RankFailed", what, st.Err)
+		}
+	}
+	if !errors.Is(s.Err(), ErrRankFailed) {
+		t.Errorf("session error %v, want RankFailed", s.Err())
+	}
+}
+
+// TestProxyOpErrorReachesCaller: a proxy op the daemon's rank fails (a
+// rendezvous send over a link that drops every attempt) comes back as
+// that op's own typed error, naming its peer and tag, and the session
+// stays usable.
+func TestProxyOpErrorReachesCaller(t *testing.T) {
+	plan := faults.MustParsePlan("seed=1; link 0->1: drop=1")
+	srv := newTestServer(t, Config{Chaos: &plan, Recovery: faults.NoRecovery(), DrainTimeout: 100 * time.Millisecond})
+	s, err := Dial(srv.Addr(), SessionOpts{World: 2, Group: "lossy", ProxyRank: 0})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer s.Close()
+	c := s.Comm()
+	if c.TryProgress() {
+		t.Error("TryProgress reports work on an idle proxy")
+	}
+	tag := comm.MakeTag(comm.KindBcast, 2, 0)
+	st := c.Wait(c.Isend(1, tag, comm.Bytes(make([]byte, 64<<10))))
+	var re *RequestError
+	if !errors.As(st.Err, &re) || st.Source != 0 || st.Tag != tag {
+		t.Fatalf("lost send: status source %d tag %v err %v, want a RequestError for source 0 tag %v", st.Source, st.Tag, st.Err, tag)
+	}
+	if s.Err() != nil {
+		t.Errorf("one failed op ended the session: %v", s.Err())
+	}
+	if c.Now() <= 0 {
+		t.Errorf("proxy clock reads %v", c.Now())
+	}
 }

@@ -87,9 +87,6 @@ func (p *Proc) block(s procState) {
 	<-p.wake
 }
 
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
@@ -142,6 +139,3 @@ func (p *Proc) Park() {
 func (p *Proc) Unpark() {
 	p.k.Schedule(0, p.unparkFn)
 }
-
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.done }

@@ -42,9 +42,6 @@ func (r *Resource) Use(service time.Duration) (end time.Duration) {
 	return end
 }
 
-// FreeAt returns the earliest time a new reservation could start.
-func (r *Resource) FreeAt() time.Duration { return r.freeAt }
-
 // Busy returns the cumulative service time charged to this resource.
 func (r *Resource) Busy() time.Duration { return r.busy }
 

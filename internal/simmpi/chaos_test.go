@@ -7,8 +7,10 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/faults"
+	"adapt/internal/hwloc"
 	"adapt/internal/netmodel"
 	"adapt/internal/noise"
+	"adapt/internal/perf"
 	"adapt/internal/sim"
 )
 
@@ -251,5 +253,49 @@ func TestChaosNoopPlanDeliversIdentically(t *testing.T) {
 	}
 	if st := w.FaultStats(); st.Total() != 0 {
 		t.Fatalf("no-op plan injected: %v", st)
+	}
+}
+
+// TestCrashRefusesParkedTraffic: a rendezvous announcement and an eager
+// payload sit unexpected at rank 1 when it crashes. The crash's sweep
+// must fail the live rendezvous sender with a TimeoutError naming
+// sender, dead peer and tag, and swallow the eager payload, returning
+// its pooled copy to the pool. (Traffic posted to a rank after its crash
+// never reaches the sweep: the chaos transport annihilates it at
+// arrival.)
+func TestCrashRefusesParkedTraffic(t *testing.T) {
+	k := sim.New()
+	w := NewWorld(k, netmodel.Cori(1).WithTopo(hwloc.New(2, 1, 1)), noise.None)
+	w.InstallFaults(faults.MustParsePlan("seed=1; crash@1"), faults.DefaultRecovery())
+	rndvTag, eagerTag := tag(1), tag(2)
+	var rndv comm.Status
+	w.Spawn(func(c *Comm) {
+		if c.Rank() == 1 {
+			c.Compute(1<<30, comm.ComputeApp)                       // both envelopes park meanwhile
+			c.Wait(c.Isend(0, tag(3), comm.Bytes(make([]byte, 8)))) // the crash point: the rank leaves here
+			t.Error("rank 1 survived its crash point")
+			return
+		}
+		big := c.Isend(1, rndvTag, comm.Bytes(make([]byte, 4*w.Net.P.EagerLimit)))
+		c.Isend(1, eagerTag, comm.Bytes(make([]byte, 64)))
+		rndv = c.Wait(big)
+	})
+	before := perf.Read()
+	if _, err := k.Run(); err != nil {
+		t.Fatalf("simulation failed: %v", err)
+	}
+	d := perf.Read().Delta(before)
+	if !w.Crashed()[1] {
+		t.Fatal("rank 1 did not crash")
+	}
+	var te *faults.TimeoutError
+	if !errors.As(rndv.Err, &te) {
+		t.Fatalf("rendezvous send parked at a crashed rank: err %v, want a *faults.TimeoutError", rndv.Err)
+	}
+	if te.Rank != 0 || te.Peer != 1 || te.Tag != rndvTag {
+		t.Errorf("TimeoutError names rank %d -> %d tag %v, want 0 -> 1 tag %v", te.Rank, te.Peer, te.Tag, rndvTag)
+	}
+	if d.BufGets == 0 || d.BufRecycled != d.BufGets {
+		t.Errorf("eager payload parked at a crashed rank: %d pooled copies taken, %d returned", d.BufGets, d.BufRecycled)
 	}
 }

@@ -27,7 +27,7 @@ package simmpi
 // Scale: a flat rank is ~300 bytes of structs instead of a goroutine
 // stack, and dispatching its events costs no context switch — the
 // difference between 100k ranks thrashing the scheduler and 1M ranks in
-// one flat event loop (adaptbench -ranks, make scale; the quick ladder
+// one flat event loop (adapt bench -ranks, make scale; the quick ladder
 // is TestQuickScaleLadder).
 //
 // Crash plans run on flat ranks: a crash halts the rank's engine and

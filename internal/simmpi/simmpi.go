@@ -127,9 +127,6 @@ func (w *World) Spawn(body func(c *Comm)) {
 	}
 }
 
-// Rank returns rank r's endpoint (for callers that need targeted setup).
-func (w *World) Rank(r int) *Comm { return w.ranks[r] }
-
 // InstallFaults arms the chaos transport: every point-to-point unit is
 // subjected to the plan's verdicts and carried by the ack/retry machinery
 // tuned by rec (zero fields take defaults). Must be called before Spawn.

@@ -25,7 +25,7 @@ import (
 // The writer is hand-rolled and append-ordered, so a given []Run always
 // produces byte-identical output — the determinism gates diff these files
 // directly. A top-level "adaptRuns" key (ignored by Perfetto) carries the
-// raw records as integer tuples so adapttrace can reload a file without
+// raw records as integer tuples so adapt trace can reload a file without
 // loss; ReadChrome is its inverse.
 
 // RecordFields is the arity of one encoded record tuple in "adaptRuns".

@@ -20,9 +20,6 @@ type Tree struct {
 // Size returns the number of ranks spanned by the tree.
 func (t *Tree) Size() int { return len(t.Parent) }
 
-// NumChildren returns how many children rank r has.
-func (t *Tree) NumChildren(r int) int { return len(t.Children[r]) }
-
 // IsLeaf reports whether rank r has no children.
 func (t *Tree) IsLeaf(r int) bool { return len(t.Children[r]) == 0 }
 
