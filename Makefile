@@ -62,13 +62,15 @@ flake:
 	$(GO) test -count=50 -run 'TestConformanceGrid(Daemon|TCP)$$|TestConformanceFECGrid(Live|TCP)$$' ./internal/conform
 	$(GO) test -count=50 -run 'TestProxy' ./internal/serve
 
-# Static checks: go vet (also over the pooldebug-only files), gofmt
+# Static checks: go vet (also over the pooldebug-only files, and for
+# darwin, so the non-Linux readiness driver is type-checked), gofmt
 # must have nothing to reformat, and the perfbench module (a module of
 # its own, so ./... skips it) must still build against the APIs it
 # calls.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags pooldebug ./...
+	GOOS=darwin $(GO) vet ./...
 	@out="$$(gofmt -l internal cmd examples)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 	cd perfbench && GOWORK=off $(GO) vet .

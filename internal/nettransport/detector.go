@@ -5,6 +5,7 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/faults"
+	"adapt/internal/frame"
 	"adapt/internal/metrics"
 	"adapt/internal/perf"
 	"adapt/internal/progress"
@@ -47,7 +48,7 @@ func (c *Comm) peerLost(rank int, cause error) {
 	if tb := c.cfg.traceBuf; tb != nil {
 		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Crash, Peer: rank})
 	}
-	c.sched.markDead(rank, cause)
+	c.w.Kill(rank, cause)
 }
 
 // confirmDeath is the detector's confirm action: notify the owner and
@@ -125,8 +126,10 @@ func (c *Comm) die() {
 	c.markClosed()
 	// Kill every send queue (backlogs dispose, the writer drains and
 	// exits), then cut the sockets.
-	c.sched.markAllDead(errCrashed{})
-	c.sched.closeAll()
+	for r := range c.conns {
+		c.w.Kill(r, errCrashed{})
+	}
+	c.w.Close()
 	c.cutSockets()
 }
 
@@ -144,11 +147,11 @@ func (c *Comm) Close() {
 	}
 	for r, cs := range c.conns {
 		if cs != nil {
-			c.sched.enqueue(r, outFrame{hdr: encodeBye()})
+			c.w.Send(r, frame.Out{Head: encodeBye()})
 		}
 	}
-	c.sched.closeAll()
-	<-c.sched.done // writer flushed (or gave up); the Byes are on the wire
+	c.w.Close()
+	c.w.Wait() // writer flushed (or gave up); the Byes are on the wire
 	c.cutSockets()
 }
 
@@ -203,11 +206,11 @@ func (c *Comm) ConfirmedDead() []bool { return c.crash.ConfirmedMask(c.size) }
 // initiation, so a crash scheduled at the root's commit point fires here.
 func (c *Comm) Commit(seq int, survivors []bool) {
 	c.noteSend()
-	frame := encodeCommit(seq, survivors)
+	commit := encodeCommit(seq, survivors)
 	for r, cs := range c.conns {
 		if cs == nil || c.crash.Down(r) {
 			continue
 		}
-		c.sched.enqueue(r, outFrame{hdr: append([]byte(nil), frame...)})
+		c.w.Send(r, frame.Out{Head: commit})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"adapt/internal/comm"
 	"adapt/internal/faults"
 	"adapt/internal/fec"
+	"adapt/internal/frame"
 	"adapt/internal/pool"
 	"adapt/internal/progress"
 )
@@ -157,17 +158,17 @@ func (f *fecSender) transmitParityLocked(g *txGroup, attempt int) {
 			body[int(pxid)%len(body)] ^= 0xa5
 		}
 		hdr := encodeFecParityHdr(g.ID, len(g.Members), g.Params.M, j, crc, len(body))
-		c.enqueueAfter(g.Dst, v.Extra, outFrame{hdr: hdr, payload: body, pooled: true})
+		c.enqueueAfter(g.Dst, v.Extra, frame.Out{Head: hdr, Body: body, PoolBody: true})
 	}
 }
 
 // enqueueAfter queues fr for dst now, or after a verdict's extra delay.
-func (c *Comm) enqueueAfter(dst int, extra time.Duration, fr outFrame) {
+func (c *Comm) enqueueAfter(dst int, extra time.Duration, fr frame.Out) {
 	if extra > 0 {
-		time.AfterFunc(extra, func() { c.sched.enqueue(dst, fr) })
+		time.AfterFunc(extra, func() { c.w.Send(dst, fr) })
 		return
 	}
-	c.sched.enqueue(dst, fr)
+	c.w.Send(dst, fr)
 }
 
 // expire is the group's retransmit timer: resend everything, or give up
@@ -201,7 +202,7 @@ func (f *fecSender) expire(g *txGroup) {
 		f.dropLocked(g)
 		f.mu.Unlock()
 		c.inj.NoteTimeout()
-		c.sched.enqueue(dst, outFrame{hdr: hdr})
+		c.w.Send(dst, frame.Out{Head: hdr})
 		return
 	}
 	for i, meta := range g.Members {
@@ -267,9 +268,9 @@ func (c *Comm) transmitEager(dst int, meta fecMeta, data []byte, attempt int) {
 			hdr[len(hdr)-4] ^= 0xa5
 		}
 	}
-	c.enqueueAfter(dst, v.Extra, outFrame{hdr: hdr, payload: first, pooled: true})
+	c.enqueueAfter(dst, v.Extra, frame.Out{Head: hdr, Body: first, PoolBody: true})
 	if v.Dup {
-		c.enqueueAfter(dst, v.Extra, outFrame{hdr: hdr, payload: wire(), pooled: true})
+		c.enqueueAfter(dst, v.Extra, frame.Out{Head: hdr, Body: wire(), PoolBody: true})
 	}
 }
 
@@ -518,7 +519,7 @@ func (t *fecTracker) dispatch(src int, acks []uint64, envs []*progress.Env) {
 			t.c.inj.AckDrop(t.c.rank, src, comm.MakeTag(comm.KindFec, int(gid%uint64(comm.SeqWrap)), 0), gid, 0, t.c.Now()) {
 			continue // lost ack: the sender's timer will resend the group
 		}
-		t.c.sched.enqueue(src, outFrame{hdr: encodeFecAck(gid)})
+		t.c.w.Send(src, frame.Out{Head: encodeFecAck(gid)})
 	}
 }
 

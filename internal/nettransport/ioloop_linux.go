@@ -4,6 +4,7 @@ package nettransport
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"syscall"
@@ -15,7 +16,7 @@ import (
 // netpoller supplies the Go-visible blocking semantics), so a dup of the
 // connection — sharing the same file description and therefore the same
 // O_NONBLOCK flag — can be read with raw syscalls while the original
-// conn keeps its Go-blocking Write for the send scheduler.
+// conn keeps its Go-blocking Write for the endpoint's frame.Writer.
 //
 // Fairness: each readable connection is pumped with a bounded read
 // budget per wake-up, so one peer firehosing eager traffic cannot starve
@@ -140,70 +141,40 @@ func (l *epollLoop) run() {
 }
 
 // pump services one readable connection: up to readBudget non-blocking
-// reads, each either landing directly in an armed payload buffer or in
-// the staging buffer (then parsed).
+// reads, each landing where the decoder asks (straight in an armed body
+// buffer, or in the staging buffer).
 func (l *epollLoop) pump(cs *connState) {
-	c := l.c
 	for budget := 0; budget < readBudget; budget++ {
-		var dst []byte
-		direct := cs.wantDirect()
+		n, err := syscall.Read(cs.fd, cs.dec.Next())
 		switch {
-		case direct:
-			dst = cs.directDst()
-		case cs.draining:
-			dst = cs.buf
-		default:
-			cs.compact()
-			dst = cs.buf[cs.w:]
-		}
-		n, err := syscall.Read(cs.fd, dst)
-		if err == syscall.EAGAIN {
+		case err == syscall.EAGAIN:
 			return
-		}
-		if err == syscall.EINTR {
+		case err == syscall.EINTR:
 			continue
-		}
-		if err != nil {
+		case err != nil:
 			l.drop(cs, err)
 			return
-		}
-		if n == 0 { // EOF
-			if cs.draining {
-				l.deregister(cs) // clean Bye shutdown
-				return
-			}
-			l.drop(cs, cs.eofError())
+		case n == 0:
+			l.drop(cs, io.EOF)
 			return
 		}
-		var perr error
-		switch {
-		case direct:
-			perr = c.advanceDirect(cs, n)
-		case cs.draining:
-			// discard
-		default:
-			cs.w += n
-			perr = c.drainStaged(cs)
-		}
-		if perr != nil {
-			l.drop(cs, perr)
+		if err := cs.dec.Feed(n); err != nil {
+			l.drop(cs, err)
 			return
 		}
 	}
 }
 
-// drop deregisters a broken connection and hands the cause to the
-// failure detector (unless local teardown explains it).
+// drop deregisters a connection whose stream ended with err and hands a
+// failure to the detector: an EOF after the peer's Bye is a clean
+// shutdown, and local teardown explains the rest. The fd itself stays
+// open; teardown owns closing it.
 func (l *epollLoop) drop(cs *connState, err error) {
-	l.deregister(cs)
-	l.c.ioError(cs, err)
-}
-
-// deregister removes the connection from the epoll set and releases
-// decoder resources. The fd itself stays open — teardown owns closing.
-func (l *epollLoop) deregister(cs *connState) {
 	syscall.EpollCtl(l.epfd, syscall.EPOLL_CTL_DEL, cs.fd, nil)
-	l.c.abort(cs)
+	cs.dead = true
+	if err := cs.dec.Stop(err); err != nil {
+		l.c.ioError(cs, err)
+	}
 }
 
 // stop terminates the loop via the wake pipe and waits for it to exit;

@@ -2,15 +2,11 @@
 
 package nettransport
 
-import (
-	"errors"
-	"io"
-	"sync"
-)
+import "sync"
 
-// threadLoop is the portable fallback readiness driver: one blocking
-// reader goroutine per connection feeding the same incremental decoder
-// as the Linux epoll loop. Correctness is identical; only the goroutine
+// threadLoop is the portable readiness driver: one goroutine per
+// connection running the decoder's blocking driver (frame.Decoder.Run).
+// Correctness is identical to the Linux epoll loop; only the goroutine
 // count differs (O(peers) instead of O(1)).
 type threadLoop struct {
 	c  *Comm
@@ -25,58 +21,14 @@ func startIO(c *Comm) (ioLoop, error) {
 			continue
 		}
 		l.wg.Add(1)
-		go l.read(cs)
+		go func(cs *connState) {
+			defer l.wg.Done()
+			if err := cs.dec.Run(cs.conn); err != nil {
+				c.ioError(cs, err)
+			}
+		}(cs)
 	}
 	return l, nil
-}
-
-// read drives one connection's decoder with blocking reads.
-func (l *threadLoop) read(cs *connState) {
-	defer l.wg.Done()
-	c := l.c
-	for {
-		var dst []byte
-		direct := cs.wantDirect()
-		switch {
-		case direct:
-			dst = cs.directDst()
-		case cs.draining:
-			dst = cs.buf
-		default:
-			cs.compact()
-			dst = cs.buf[cs.w:]
-		}
-		n, err := cs.conn.Read(dst)
-		if n > 0 {
-			var perr error
-			switch {
-			case direct:
-				perr = c.advanceDirect(cs, n)
-			case cs.draining:
-				// discard
-			default:
-				cs.w += n
-				perr = c.drainStaged(cs)
-			}
-			if perr != nil {
-				c.abort(cs)
-				c.ioError(cs, perr)
-				return
-			}
-		}
-		if err != nil {
-			if cs.draining {
-				c.abort(cs)
-				return // clean Bye shutdown
-			}
-			if errors.Is(err, io.EOF) && cs.midFrame() {
-				err = io.ErrUnexpectedEOF // cut inside a frame, not at a boundary
-			}
-			c.abort(cs)
-			c.ioError(cs, err)
-			return
-		}
-	}
 }
 
 // stop unblocks the readers by closing the connections, then waits for

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adapt/internal/faults"
+	"adapt/internal/frame"
 	"adapt/internal/perf"
 )
 
@@ -124,10 +125,19 @@ func (c *Comm) joinMesh(addrs []string) error {
 		if c.conns[d.rank] != nil {
 			return fmt.Errorf("nettransport: duplicate connection for rank %d", d.rank)
 		}
-		c.conns[d.rank] = newConnState(d.rank, d.conn)
+		c.conns[d.rank] = newConnState(c, d.rank, d.conn)
 	}
-	c.sched = newSendSched(c)
-	go c.sched.run()
+	conns := make([]net.Conn, c.size)
+	for r, cs := range c.conns {
+		if cs != nil {
+			conns[r] = cs.conn
+		}
+	}
+	c.w = frame.NewWriter(conns, func(rank int, err error) {
+		if !c.isClosed() {
+			c.peerLost(rank, err)
+		}
+	})
 	io, err := startIO(c)
 	if err != nil {
 		return err

@@ -16,9 +16,9 @@
 //
 // I/O is readiness-driven, not goroutine-per-peer: each endpoint runs
 // ONE reader (an epoll loop multiplexing every peer connection with
-// non-blocking reads, see ioloop_linux.go) and ONE writer (a send
-// scheduler draining per-peer queues round-robin with writev-coalesced
-// batches, see sendsched.go), so the goroutine count is O(1) per
+// non-blocking reads, see ioloop_linux.go) and ONE writer (a
+// frame.Writer draining per-peer queues round-robin with
+// writev-coalesced batches), so the goroutine count is O(1) per
 // endpoint regardless of world size.
 //
 // Fail-stop semantics come from the sockets themselves: a peer that
@@ -40,6 +40,7 @@ import (
 	"adapt/internal/comm"
 	"adapt/internal/faults"
 	"adapt/internal/fec"
+	"adapt/internal/frame"
 	"adapt/internal/progress"
 	"adapt/internal/trace"
 )
@@ -184,9 +185,9 @@ type Comm struct {
 	rank, size int
 	cfg        config
 	ln         net.Listener
-	conns      []*connState // conns[rank] == nil
-	sched      *sendSched
-	io         ioLoop // platform readiness loop (see ioloop_*.go)
+	conns      []*connState  // conns[rank] == nil
+	w          *frame.Writer // one queue per peer; see internal/frame
+	io         ioLoop        // platform readiness loop (see ioloop_*.go)
 
 	// mu guards the wire-protocol state below. Lock order: c.mu may be
 	// held around engine calls (substrate lock → engine lock), never the
@@ -298,7 +299,7 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 		default:
 			hdr := encodeEagerHdr(frameEager, tag, xid, msg.Size, len(payload),
 				msg.Data != nil, crc32.ChecksumIEEE(payload))
-			c.sched.enqueue(dst, outFrame{hdr: hdr, payload: payload, pooled: true})
+			c.w.Send(dst, frame.Out{Head: hdr, Body: payload, PoolBody: true})
 		}
 		req.Complete(st)
 		return req
@@ -321,7 +322,7 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	c.sendPend[xid] = req
 	c.mu.Unlock()
 	hdr := encodeEagerHdr(frameRTS, tag, xid, msg.Size, 0, msg.Data != nil, 0)
-	c.sched.enqueue(dst, outFrame{hdr: hdr})
+	c.w.Send(dst, frame.Out{Head: hdr})
 	return req
 }
 
@@ -355,7 +356,7 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 	// A death confirmed between the unlock and this enqueue is still safe:
 	// the confirm sweep saw the registered pull and failed it; the dead
 	// queue drops the grant on the floor.
-	c.sched.enqueue(env.Src, outFrame{hdr: encodeCTS(env.Xid)})
+	c.w.Send(env.Src, frame.Out{Head: encodeCTS(env.Xid)})
 }
 
 // failPullLocked fails a parked rendezvous receive whose sender died;
@@ -386,15 +387,21 @@ func (c *Comm) onCTS(src int, xid uint64) {
 		payload = req.Msg.Data
 	}
 	st := comm.Status{Source: c.rank, Tag: req.Tag, Msg: req.Msg}
-	c.sched.enqueue(src, outFrame{hdr: encodeDataHdr(xid, len(payload)), payload: payload,
-		done: func(err error) {
+	c.w.Send(src, frame.Out{Head: encodeDataHdr(xid, len(payload)), Body: payload,
+		Hook: sendDone(func(err error) {
 			if err != nil {
 				st = comm.Status{Source: c.rank, Tag: st.Tag,
 					Err: &faults.TimeoutError{Rank: c.rank, Peer: src, Tag: st.Tag, Attempts: 1}}
 			}
 			req.Complete(st)
-		}})
+		})})
 }
+
+// sendDone completes a rendezvous send once its payload frame is on the
+// wire (or failed to get there).
+type sendDone func(err error)
+
+func (f sendDone) Sent(err error) { f(err) }
 
 // dataDest picks where a rendezvous payload frame of plen bytes from
 // src is read to, once its fixed fields are in: straight into the
@@ -404,16 +411,17 @@ func (c *Comm) onCTS(src int, xid uint64) {
 // finishes (onData) or the connection dies under it (abortPull), so no
 // death sweep can hand the buffer back to its owner mid-read. Runs on
 // the I/O loop goroutine.
-func (c *Comm) dataDest(cs *connState, plen int) (dst []byte, pooled bool) {
+func (c *Comm) dataDest(cs *connState, plen int) []byte {
 	key := pullKey{src: cs.rank, xid: cs.xid}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if pl := c.pulls[key]; pl != nil && pl.hasData && plen <= len(pl.req.Posted()) {
 		delete(c.pulls, key)
 		cs.pull = pl
-		return pl.req.Posted()[:plen], false
+		return pl.req.Posted()[:plen]
 	}
-	return comm.GetBuf(plen), true
+	cs.pooled = true
+	return comm.GetBuf(plen)
 }
 
 // abortPull returns a claimed pull whose payload frame was cut off by

@@ -8,28 +8,26 @@ import (
 	"net"
 
 	"adapt/internal/comm"
+	"adapt/internal/frame"
 	"adapt/internal/perf"
 	"adapt/internal/progress"
 )
 
 // Readiness-driven frame decoding. Instead of a blocking reader
-// goroutine per peer, every connection carries an incremental decoder
-// (connState) that a single I/O loop feeds whenever the socket is
-// readable — epoll on Linux (ioloop_linux.go), a goroutine-per-conn
-// fallback elsewhere (ioloop_other.go). The decoder is a resumable state
-// machine over a small staging buffer:
+// goroutine per peer, every connection carries a resumable decoder
+// (frame.Decoder) that a single I/O loop feeds whenever the socket is
+// readable: epoll on Linux (ioloop_linux.go), the decoder's blocking
+// driver on one goroutine per connection elsewhere (ioloop_other.go).
+// connState is this protocol's frame-type codec plugged into it: the
+// fixed-field length and validation of each frame type (Fixed), where
+// a body lands (Body) and what a finished frame does (Dispatch).
 //
-//	stageHdr     waiting for the 4-byte length prefix + 1-byte type
-//	stageFixed   waiting for the frame type's fixed fields
-//	stagePayload waiting for the variable payload
-//
-// The payload stage is where the zero-copy eager path lives: once the
-// fixed header names the payload length, the pooled destination buffer is
-// allocated immediately, whatever bytes are already staged are copied
-// once, and every subsequent socket read for that frame lands DIRECTLY in
-// the pooled buffer — the very buffer a matched receive gets as its
-// Msg.Data. Payload bytes therefore cross from kernel to receiver with at
-// most one copy (the staged prefix), and none at match time.
+// Body is where the zero-copy eager path lives: once the fixed fields
+// name the payload length, a pooled buffer is allocated, whatever bytes
+// are already staged are copied once, and every later socket read for
+// that frame lands DIRECTLY in the pooled buffer, the very buffer a
+// matched receive gets as its Msg.Data. A rendezvous payload whose
+// receive was posted with a buffer (IrecvInto) lands in that buffer.
 
 // ioLoop is the platform readiness driver; see ioloop_linux.go and
 // ioloop_other.go for the two implementations.
@@ -40,18 +38,14 @@ type ioLoop interface {
 	stop()
 }
 
-// Decoder stages.
-const (
-	stageHdr = iota
-	stageFixed
-	stagePayload
-)
-
-// connState is one peer connection plus its resumable decoder state.
-// All decoder fields are owned by the I/O loop goroutine.
+// connState is one peer connection, its decoder, and the fixed fields
+// of the frame being decoded. All decoder fields are owned by the I/O
+// loop goroutine.
 type connState struct {
+	c    *Comm
 	rank int
 	conn net.Conn
+	dec  *frame.Decoder
 
 	// Linux readiness loop only: a dup of the socket (sharing the file
 	// description, which is non-blocking at OS level) used for raw epoll
@@ -59,14 +53,8 @@ type connState struct {
 	// must stay referenced or its finalizer closes the fd.
 	file interface{ Close() error }
 	fd   int
+	dead bool // deregistered from the epoll loop
 
-	buf  []byte // staging buffer
-	r, w int    // unparsed staged bytes live in buf[r:w]
-
-	stage   int
-	ftype   byte
-	body    int // total body bytes (everything after the length prefix)
-	fixed   int // fixed-field byte count for ftype
 	tag     comm.Tag
 	xid     uint64
 	msize   int
@@ -79,202 +67,89 @@ type connState struct {
 	gidx    int    // fec parity shard index
 	gatt    int    // fecdead: attempts spent before the give-up
 
-	payload  []byte // destination for stagePayload; pooled for eager/data
-	pooledPl bool
-	pull     *rdvPull // data frame read into its receive's posted buffer
-	plen     int
-	got      int
-
-	draining bool // Bye seen: discard everything until EOF
-	dead     bool // deregistered from the loop
+	pooled bool     // the body being read is a pooled buffer
+	pull   *rdvPull // data frame read into its receive's posted buffer
 }
 
-func newConnState(rank int, conn net.Conn) *connState {
-	return &connState{rank: rank, conn: conn, fd: -1, buf: make([]byte, 64*1024)}
+func newConnState(c *Comm, rank int, conn net.Conn) *connState {
+	cs := &connState{c: c, rank: rank, conn: conn, fd: -1}
+	cs.dec = frame.NewDecoder("nettransport", maxFrameBody, cs)
+	return cs
 }
 
-// midFrame reports whether the decoder is inside a frame — the
-// distinction between a connection cut between frames (io.EOF) and one
-// cut inside a frame (io.ErrUnexpectedEOF).
-func (cs *connState) midFrame() bool {
-	return cs.stage != stageHdr || cs.r < cs.w
-}
-
-// wantDirect reports whether the next socket read should land straight
-// in the payload buffer (staging drained, payload incomplete).
-func (cs *connState) wantDirect() bool {
-	return cs.stage == stagePayload && cs.r == cs.w && cs.got < cs.plen
-}
-
-// directDst returns the remaining payload window for a direct read.
-func (cs *connState) directDst() []byte { return cs.payload[cs.got:cs.plen] }
-
-// advanceDirect accounts n bytes read directly into the payload and
-// finishes the frame when it completes.
-func (c *Comm) advanceDirect(cs *connState, n int) error {
-	cs.got += n
-	if cs.got < cs.plen {
-		return nil
-	}
-	return c.finishFrame(cs)
-}
-
-// drainStaged parses as many complete frames as the staging buffer
-// holds, dispatching each. Returns a protocol error that must kill the
-// connection, or nil to wait for more bytes.
-func (c *Comm) drainStaged(cs *connState) error {
-	for {
-		if cs.draining {
-			cs.r, cs.w = 0, 0
-			return nil
-		}
-		switch cs.stage {
-		case stageHdr:
-			if cs.w-cs.r < 5 {
-				cs.compact()
-				return nil
-			}
-			n := int(binary.LittleEndian.Uint32(cs.buf[cs.r:]))
-			if n < 1 || n > maxFrameBody {
-				return fmt.Errorf("nettransport: frame body %d bytes out of range", n)
-			}
-			cs.ftype = cs.buf[cs.r+4]
-			cs.r += 5
-			cs.body = n - 1
-			perf.RecordNetFrameIn(4 + n)
-			if err := cs.classify(); err != nil {
-				return err
-			}
-			cs.stage = stageFixed
-		case stageFixed:
-			if cs.w-cs.r < cs.fixed {
-				cs.compact()
-				return nil
-			}
-			if err := c.parseFixed(cs); err != nil {
-				return err
-			}
-			if cs.stage == stagePayload {
-				// Copy whatever payload is already staged; the rest arrives by
-				// direct reads into the pooled buffer.
-				n := copy(cs.payload[cs.got:cs.plen], cs.buf[cs.r:cs.w])
-				cs.r += n
-				cs.got += n
-				if cs.got < cs.plen {
-					cs.compact()
-					return nil
-				}
-				if err := c.finishFrame(cs); err != nil {
-					return err
-				}
-			}
-		default: // stagePayload with staged bytes (next frames behind a direct read)
-			n := copy(cs.payload[cs.got:cs.plen], cs.buf[cs.r:cs.w])
-			cs.r += n
-			cs.got += n
-			if cs.got < cs.plen {
-				cs.compact()
-				return nil
-			}
-			if err := c.finishFrame(cs); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// compact slides unparsed staged bytes to the buffer's front so the next
-// read has room; the fixed decoder stages are all far smaller than the
-// buffer, so a frame header can never fail to fit.
-func (cs *connState) compact() {
-	if cs.r == 0 {
-		return
-	}
-	copy(cs.buf, cs.buf[cs.r:cs.w])
-	cs.w -= cs.r
-	cs.r = 0
-}
-
-// classify validates the frame type against its body length and sets the
-// fixed-field byte count.
-func (cs *connState) classify() error {
-	switch cs.ftype {
+// Fixed validates the frame type against its body length and returns
+// the fixed-field byte count.
+func (cs *connState) Fixed(typ byte, n int) (int, error) {
+	switch typ {
 	case frameIdent:
-		if cs.body != 4 {
-			return fmt.Errorf("nettransport: frame body %d bytes, want %d", cs.body, 4)
+		if n != 4 {
+			return 0, fmt.Errorf("nettransport: frame body %d bytes, want %d", n, 4)
 		}
-		cs.fixed = 4
+		return 4, nil
 	case frameEager, frameRTS:
-		if cs.body < eagerHdrLen {
-			return fmt.Errorf("nettransport: short %d-byte eager/rts frame", cs.body)
+		if n < eagerHdrLen {
+			return 0, fmt.Errorf("nettransport: short %d-byte eager/rts frame", n)
 		}
-		cs.fixed = eagerHdrLen
+		return eagerHdrLen, nil
 	case frameCTS:
-		if cs.body != 8 {
-			return fmt.Errorf("nettransport: frame body %d bytes, want %d", cs.body, 8)
+		if n != 8 {
+			return 0, fmt.Errorf("nettransport: frame body %d bytes, want %d", n, 8)
 		}
-		cs.fixed = 8
+		return 8, nil
 	case frameData:
-		if cs.body < 8 {
-			return fmt.Errorf("nettransport: short %d-byte data frame", cs.body)
+		if n < 8 {
+			return 0, fmt.Errorf("nettransport: short %d-byte data frame", n)
 		}
-		cs.fixed = 8
+		return 8, nil
 	case frameCommit:
-		if cs.body < 12 {
-			return fmt.Errorf("nettransport: short %d-byte commit frame", cs.body)
+		if n < 12 {
+			return 0, fmt.Errorf("nettransport: short %d-byte commit frame", n)
 		}
-		cs.fixed = 12
+		return 12, nil
 	case frameBye:
-		if cs.body != 0 {
-			return fmt.Errorf("nettransport: bye frame with %d-byte body", cs.body)
+		if n != 0 {
+			return 0, fmt.Errorf("nettransport: bye frame with %d-byte body", n)
 		}
-		cs.fixed = 0
+		return 0, nil
 	case frameFecParity:
-		if cs.body < fecParityFixed {
-			return fmt.Errorf("nettransport: short %d-byte fec parity frame", cs.body)
+		if n < fecParityFixed {
+			return 0, fmt.Errorf("nettransport: short %d-byte fec parity frame", n)
 		}
-		cs.fixed = fecParityFixed
+		return fecParityFixed, nil
 	case frameFecAck:
-		if cs.body != 8 {
-			return fmt.Errorf("nettransport: frame body %d bytes, want %d", cs.body, 8)
+		if n != 8 {
+			return 0, fmt.Errorf("nettransport: frame body %d bytes, want %d", n, 8)
 		}
-		cs.fixed = 8
+		return 8, nil
 	case frameFecDead:
-		if cs.body < fecDeadFixed {
-			return fmt.Errorf("nettransport: short %d-byte fec tombstone", cs.body)
+		if n < fecDeadFixed {
+			return 0, fmt.Errorf("nettransport: short %d-byte fec tombstone", n)
 		}
-		cs.fixed = fecDeadFixed
-	default:
-		return fmt.Errorf("nettransport: unknown frame type %d", cs.ftype)
+		return fecDeadFixed, nil
 	}
-	return nil
+	return 0, fmt.Errorf("nettransport: unknown frame type %d", typ)
 }
 
-// parseFixed decodes the staged fixed fields and either finishes the
-// frame (no payload) or arms the payload stage.
-func (c *Comm) parseFixed(cs *connState) error {
-	fix := cs.buf[cs.r : cs.r+cs.fixed]
-	cs.r += cs.fixed
-	plen := cs.body - cs.fixed
-	switch cs.ftype {
+// Body decodes the fixed fields and returns where the plen payload
+// bytes go.
+func (cs *connState) Body(typ byte, fix []byte, plen int) ([]byte, error) {
+	cs.pooled = false
+	switch typ {
 	case frameIdent:
 		// Legal only as a connection's first frame, which the mesh
 		// bootstrap consumes before the loop starts.
-		return io.ErrUnexpectedEOF
+		return nil, io.ErrUnexpectedEOF
 	case frameEager, frameRTS:
 		cs.tag = comm.Tag(int64(binary.LittleEndian.Uint64(fix[0:])))
 		cs.xid = binary.LittleEndian.Uint64(fix[8:])
 		cs.msize = int(binary.LittleEndian.Uint32(fix[16:]))
 		cs.hasData = fix[20]&flagHasData != 0
 		cs.crc = binary.LittleEndian.Uint32(fix[21:])
-		if cs.ftype == frameRTS && plen != 0 {
-			return fmt.Errorf("nettransport: rts frame with %d payload bytes", plen)
+		if typ == frameRTS && plen != 0 {
+			return nil, fmt.Errorf("nettransport: rts frame with %d payload bytes", plen)
 		}
-		if plen > 0 {
-			cs.armPayload(comm.GetBuf(plen), true)
-			return nil
-		}
-		return c.finishFrame(cs)
+		cs.pooled = true
+		return comm.GetBuf(plen), nil
 	case frameFecParity:
 		cs.gid = binary.LittleEndian.Uint64(fix[0:])
 		cs.gk = int(fix[8])
@@ -282,69 +157,52 @@ func (c *Comm) parseFixed(cs *connState) error {
 		cs.gidx = int(fix[10])
 		cs.crc = binary.LittleEndian.Uint32(fix[11:])
 		if plen < cs.gk*fecMetaLen || cs.gidx >= cs.gm {
-			return fmt.Errorf("nettransport: malformed fec parity frame (k=%d m=%d idx=%d body=%d)",
-				cs.gk, cs.gm, cs.gidx, cs.body)
+			return nil, fmt.Errorf("nettransport: malformed fec parity frame (k=%d m=%d idx=%d body=%d)",
+				cs.gk, cs.gm, cs.gidx, plen+fecParityFixed)
 		}
-		if plen > 0 {
-			cs.armPayload(comm.GetBuf(plen), true)
-			return nil
-		}
-		return c.finishFrame(cs)
+		cs.pooled = true
+		return comm.GetBuf(plen), nil
 	case frameFecAck:
 		cs.gid = binary.LittleEndian.Uint64(fix[0:])
-		return c.finishFrame(cs)
+	case frameCTS:
+		cs.xid = binary.LittleEndian.Uint64(fix[0:])
 	case frameFecDead:
 		cs.gid = binary.LittleEndian.Uint64(fix[0:])
 		cs.gatt = int(binary.LittleEndian.Uint32(fix[8:]))
 		cs.gk = int(fix[12])
 		if plen != cs.gk*fecMetaLen {
-			return fmt.Errorf("nettransport: fec tombstone roster %d bytes for k=%d", plen, cs.gk)
+			return nil, fmt.Errorf("nettransport: fec tombstone roster %d bytes for k=%d", plen, cs.gk)
 		}
-		if plen > 0 {
-			cs.armPayload(make([]byte, plen), false)
-			return nil
-		}
-		return c.finishFrame(cs)
-	case frameCTS:
-		cs.xid = binary.LittleEndian.Uint64(fix[:])
-		return c.finishFrame(cs)
+		return plainBuf(plen), nil
 	case frameData:
 		cs.xid = binary.LittleEndian.Uint64(fix[:])
 		if plen > 0 {
-			cs.armPayload(c.dataDest(cs, plen))
-			return nil
+			return cs.c.dataDest(cs, plen), nil
 		}
-		return c.finishFrame(cs)
 	case frameCommit:
 		cs.seq = int(int64(binary.LittleEndian.Uint64(fix[0:])))
-		cnt := int(binary.LittleEndian.Uint32(fix[8:]))
-		if cnt != plen {
-			return fmt.Errorf("nettransport: commit mask %d entries in %d-byte body", cnt, plen+12)
+		if cnt := int(binary.LittleEndian.Uint32(fix[8:])); cnt != plen {
+			return nil, fmt.Errorf("nettransport: commit mask %d entries in %d-byte body", cnt, plen+12)
 		}
-		if plen > 0 {
-			cs.armPayload(make([]byte, plen), false)
-			return nil
-		}
-		return c.finishFrame(cs)
-	default: // frameBye
-		return c.finishFrame(cs)
+		return plainBuf(plen), nil
 	}
+	return nil, nil
 }
 
-func (cs *connState) armPayload(dst []byte, pooled bool) {
-	cs.payload, cs.pooledPl, cs.plen, cs.got = dst, pooled, len(dst), 0
-	cs.stage = stagePayload
+// plainBuf is a GC-owned body buffer: nil for no bytes.
+func plainBuf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	return make([]byte, n)
 }
 
-// finishFrame dispatches a fully decoded frame to the matching engine
-// (or the rendezvous/control handlers) and resets the decoder. Runs on
-// the I/O loop goroutine; payload ownership transfers here.
-func (c *Comm) finishFrame(cs *connState) error {
-	ftype := cs.ftype
-	payload := cs.payload
-	cs.payload, cs.pooledPl, cs.plen, cs.got = nil, false, 0, 0
-	cs.stage = stageHdr
-	switch ftype {
+// Dispatch hands a finished frame to the matching engine (or the
+// rendezvous/control handlers). Runs on the I/O loop goroutine; payload
+// ownership transfers here.
+func (cs *connState) Dispatch(typ byte, payload []byte) error {
+	c := cs.c
+	switch typ {
 	case frameEager:
 		if crc32.ChecksumIEEE(payload) != cs.crc {
 			// Damaged in flight: discard at the checksum. Corruption becomes
@@ -411,23 +269,19 @@ func (c *Comm) finishFrame(cs *connState) error {
 	case frameBye:
 		// Clean shutdown: keep reading to EOF so the kernel can reclaim the
 		// socket, but never treat what follows as a death.
-		cs.draining = true
-		cs.r, cs.w = 0, 0
+		cs.dec.Discard()
 	}
 	return nil
 }
 
-// abort releases decoder resources when the connection dies mid-frame
-// and marks it deregistered; a rendezvous payload cut off on its way
-// into a posted buffer hands its receive back to the pull table.
-func (c *Comm) abort(cs *connState) {
-	c.abortPull(cs)
-	if cs.payload != nil && cs.pooledPl {
-		comm.PutBuf(cs.payload)
+// Abort releases the body of a frame the connection died inside; a
+// rendezvous payload cut off on its way into a posted buffer hands its
+// receive back to the pull table.
+func (cs *connState) Abort(body []byte) {
+	cs.c.abortPull(cs)
+	if cs.pooled && body != nil {
+		comm.PutBuf(body)
 	}
-	cs.payload = nil
-	cs.pooledPl = false
-	cs.dead = true
 }
 
 // ioError surfaces a connection failure observed by the I/O loop. During
@@ -438,13 +292,4 @@ func (c *Comm) ioError(cs *connState, err error) {
 		return
 	}
 	c.peerLost(cs.rank, err)
-}
-
-// eofError classifies an EOF for the detector: clean boundary or
-// truncated frame.
-func (cs *connState) eofError() error {
-	if cs.midFrame() {
-		return io.ErrUnexpectedEOF
-	}
-	return io.EOF
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"adapt/internal/comm"
+	"adapt/internal/frame"
 )
 
 // Wire format: every frame is a 4-byte little-endian length prefix (the
@@ -74,15 +75,9 @@ const (
 	maxFrameBody = 1 << 30
 )
 
-// appendHeader writes the length prefix and type for a body of n bytes.
-func appendHeader(dst []byte, ftype byte, n int) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n+1))
-	return append(dst, ftype)
-}
-
 // encodeIdent builds the mesh handshake frame announcing the dialer's rank.
 func encodeIdent(rank int) []byte {
-	b := appendHeader(make([]byte, 0, 9), frameIdent, 4)
+	b := frame.AppendHead(make([]byte, 0, 9), frameIdent, 4)
 	return binary.LittleEndian.AppendUint32(b, uint32(rank))
 }
 
@@ -90,7 +85,7 @@ func encodeIdent(rank int) []byte {
 // is the byte count that will follow (always 0 for rts) and crc its
 // IEEE CRC-32 (0 for rts).
 func encodeEagerHdr(ftype byte, tag comm.Tag, xid uint64, size, payloadLen int, hasData bool, crc uint32) []byte {
-	b := appendHeader(make([]byte, 0, 5+eagerHdrLen), ftype, eagerHdrLen+payloadLen)
+	b := frame.AppendHead(make([]byte, 0, 5+eagerHdrLen), ftype, eagerHdrLen+payloadLen)
 	b = binary.LittleEndian.AppendUint64(b, uint64(tag))
 	b = binary.LittleEndian.AppendUint64(b, xid)
 	b = binary.LittleEndian.AppendUint32(b, uint32(size))
@@ -138,7 +133,7 @@ func parseFecMeta(b []byte) fecMeta {
 // encodeFecParityHdr builds the fixed prefix of a parity frame whose
 // variable part (roster + parity bytes) totals payloadLen bytes.
 func encodeFecParityHdr(gid uint64, k, m, idx int, crc uint32, payloadLen int) []byte {
-	b := appendHeader(make([]byte, 0, 5+fecParityFixed), frameFecParity, fecParityFixed+payloadLen)
+	b := frame.AppendHead(make([]byte, 0, 5+fecParityFixed), frameFecParity, fecParityFixed+payloadLen)
 	b = binary.LittleEndian.AppendUint64(b, gid)
 	b = append(b, byte(k), byte(m), byte(idx))
 	return binary.LittleEndian.AppendUint32(b, crc)
@@ -146,7 +141,7 @@ func encodeFecParityHdr(gid uint64, k, m, idx int, crc uint32, payloadLen int) [
 
 // encodeFecAck builds the group-delivered acknowledgement.
 func encodeFecAck(gid uint64) []byte {
-	b := appendHeader(make([]byte, 0, 13), frameFecAck, 8)
+	b := frame.AppendHead(make([]byte, 0, 13), frameFecAck, 8)
 	return binary.LittleEndian.AppendUint64(b, gid)
 }
 
@@ -154,7 +149,7 @@ func encodeFecAck(gid uint64) []byte {
 // roster so the receiver can fail members it never saw.
 func encodeFecDead(gid uint64, attempts int, metas []fecMeta) []byte {
 	n := fecDeadFixed + len(metas)*fecMetaLen
-	b := appendHeader(make([]byte, 0, 5+n), frameFecDead, n)
+	b := frame.AppendHead(make([]byte, 0, 5+n), frameFecDead, n)
 	b = binary.LittleEndian.AppendUint64(b, gid)
 	b = binary.LittleEndian.AppendUint32(b, uint32(attempts))
 	b = append(b, byte(len(metas)))
@@ -166,19 +161,19 @@ func encodeFecDead(gid uint64, attempts int, metas []fecMeta) []byte {
 
 // encodeCTS builds a clear-to-send grant for the given transfer.
 func encodeCTS(xid uint64) []byte {
-	b := appendHeader(make([]byte, 0, 13), frameCTS, 8)
+	b := frame.AppendHead(make([]byte, 0, 13), frameCTS, 8)
 	return binary.LittleEndian.AppendUint64(b, xid)
 }
 
 // encodeDataHdr builds the header of a rendezvous payload frame.
 func encodeDataHdr(xid uint64, payloadLen int) []byte {
-	b := appendHeader(make([]byte, 0, 13), frameData, 8+payloadLen)
+	b := frame.AppendHead(make([]byte, 0, 13), frameData, 8+payloadLen)
 	return binary.LittleEndian.AppendUint64(b, xid)
 }
 
 // encodeCommit builds a control-plane commit notice.
 func encodeCommit(seq int, survivors []bool) []byte {
-	b := appendHeader(make([]byte, 0, 5+12+len(survivors)), frameCommit, 12+len(survivors))
+	b := frame.AppendHead(make([]byte, 0, 5+12+len(survivors)), frameCommit, 12+len(survivors))
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(seq)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(survivors)))
 	for _, s := range survivors {
@@ -193,5 +188,5 @@ func encodeCommit(seq int, survivors []bool) []byte {
 
 // encodeBye builds the clean-shutdown frame.
 func encodeBye() []byte {
-	return appendHeader(make([]byte, 0, 5), frameBye, 0)
+	return frame.AppendHead(make([]byte, 0, 5), frameBye, 0)
 }

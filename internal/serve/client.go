@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +8,8 @@ import (
 	"time"
 
 	"adapt/internal/comm"
+	"adapt/internal/frame"
+	"adapt/internal/perf"
 )
 
 // SessionOpts names the backend a client session binds to.
@@ -41,6 +42,9 @@ type Session struct {
 	sessErr error // sticky session-fatal error
 	closed  bool
 
+	dec      *frame.Decoder
+	welcome  chan struct{} // closed by the reader on the Welcome
+	welcomed bool          // reader goroutine only
 	byeCh    chan struct{}
 	byeOnce  sync.Once
 	deadCh   chan struct{}
@@ -85,10 +89,15 @@ func Dial(addr string, opts SessionOpts) (*Session, error) {
 		tc.SetNoDelay(true)
 	}
 	s := &Session{
-		conn:   conn,
-		calls:  map[uint64]chan callRes{},
-		byeCh:  make(chan struct{}),
-		deadCh: make(chan struct{}),
+		conn:    conn,
+		calls:   map[uint64]chan callRes{},
+		welcome: make(chan struct{}),
+		byeCh:   make(chan struct{}),
+		deadCh:  make(chan struct{}),
+	}
+	s.dec = frame.NewDecoder("serve", maxFrameBody, replyReader{s: s})
+	if opts.ProxyRank >= 0 {
+		s.rc = newRemoteComm(s, opts.ProxyRank, opts.World)
 	}
 	hello := encodeHello(helloMsg{
 		Proto: protoVersion, World: opts.World, TagSpace: uint32(opts.TagSpace),
@@ -99,37 +108,14 @@ func Dial(addr string, opts SessionOpts) (*Session, error) {
 		return nil, err
 	}
 	// The Welcome (or the rejection) arrives before anything else.
-	br := bufio.NewReaderSize(conn, 64*1024)
-	typ, payload, err := readFrame(br)
-	if err != nil {
+	go s.readLoop()
+	select {
+	case <-s.welcome:
+		return s, nil
+	case <-s.deadCh:
 		conn.Close()
-		return nil, fmt.Errorf("serve: dial handshake: %w", err)
+		return nil, s.Err()
 	}
-	defer releaseFrame(payload)
-	switch typ {
-	case sfWelcome:
-		w, err := parseWelcome(payload)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		s.gen = w.Gen
-	case sfErr:
-		m, err := parseErr(payload)
-		conn.Close()
-		if err != nil {
-			return nil, err
-		}
-		return nil, &RequestError{Code: m.Code, Msg: m.Msg}
-	default:
-		conn.Close()
-		return nil, protoErrf("handshake reply type 0x%02x", typ)
-	}
-	if opts.ProxyRank >= 0 {
-		s.rc = newRemoteComm(s, opts.ProxyRank, opts.World)
-	}
-	go s.readLoop(br)
-	return s, nil
 }
 
 // Gen returns the backend generation the session bound to; it changes
@@ -143,28 +129,36 @@ func (s *Session) Err() error {
 	return s.sessErr
 }
 
-func (s *Session) readLoop(br *bufio.Reader) {
-	var fatal error
-	for fatal == nil {
-		typ, payload, err := readFrame(br)
-		if err != nil {
-			select {
-			case <-s.byeCh:
-				// Clean shutdown: the daemon said Bye before hanging up.
-			default:
-				if !errors.Is(err, net.ErrClosed) {
-					fatal = fmt.Errorf("serve: connection lost: %w", err)
-				}
-			}
-			break
-		}
-		var keep bool
-		keep, fatal = s.handleFrame(typ, payload)
-		if !keep {
-			releaseFrame(payload)
-		}
+func (s *Session) readLoop() {
+	err := s.dec.Run(s.conn)
+	var re *RequestError
+	var pe *ProtoError
+	switch {
+	case err == nil, errors.Is(err, net.ErrClosed):
+		// Clean shutdown after the daemon's Bye, or a local Close.
+		err = nil
+	case errors.As(err, &re), errors.As(err, &pe):
+		// A session-fatal error frame or a malformed one.
+	default:
+		err = fmt.Errorf("serve: connection lost: %w", err)
 	}
-	s.fail(fatal)
+	s.fail(err)
+}
+
+// replyReader is the client decoder's frame.Handler: the server-frame
+// rules (respDec) plus the session's Dispatch.
+type replyReader struct {
+	respDec
+	s *Session
+}
+
+// Dispatch applies one server frame; a non-nil error ends the session.
+func (r replyReader) Dispatch(typ byte, payload []byte) error {
+	keep, err := r.s.handleFrame(typ, payload)
+	if !keep {
+		releaseFrame(payload)
+	}
+	return err
 }
 
 // handleFrame applies one server frame. keep reports that the payload
@@ -173,6 +167,19 @@ func (s *Session) handleFrame(typ byte, payload []byte) (keep bool, fatal error)
 	msg, err := parseServerFrame(typ, payload)
 	if err != nil {
 		return false, err
+	}
+	if !s.welcomed {
+		// The handshake: a Welcome, or the rejection, comes first.
+		switch m := msg.(type) {
+		case welcomeMsg:
+			s.welcomed = true
+			s.gen = m.Gen
+			close(s.welcome)
+			return false, nil
+		case errMsg:
+			return false, &RequestError{Code: m.Code, Msg: m.Msg}
+		}
+		return false, protoErrf("handshake reply type 0x%02x", typ)
 	}
 	switch m := msg.(type) {
 	case resultMsg:
@@ -194,6 +201,7 @@ func (s *Session) handleFrame(typ byte, payload []byte) (keep bool, fatal error)
 		s.rc.land(m)
 	case byeMsg:
 		s.byeOnce.Do(func() { close(s.byeCh) })
+		s.dec.Discard()
 	default:
 		return false, protoErrf("unexpected server frame type 0x%02x", typ)
 	}
@@ -241,6 +249,9 @@ func (s *Session) writeFrame(frame []byte) error {
 	s.wmu.Lock()
 	_, err := s.conn.Write(frame)
 	s.wmu.Unlock()
+	if err == nil {
+		perf.RecordNetFrameOut(len(frame))
+	}
 	releaseFrame(frame)
 	return err
 }
@@ -304,6 +315,9 @@ func (s *Session) writeReduce(typ byte, id uint64, vals []float64) error {
 	s.iov = s.iovArr[:]
 	_, err := s.iov.WriteTo(s.conn)
 	s.iovArr[1] = nil // the caller's values, no longer ours
+	if err == nil {
+		perf.RecordNetFrameOut(reduceHeadLen + len(body))
+	}
 	return err
 }
 

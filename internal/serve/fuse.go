@@ -24,8 +24,9 @@ type fuser struct {
 }
 
 type fusePart struct {
-	raw     []byte // world*elems contributions, rank-major little-endian float64s
-	body    []byte // the pooled frame payload raw aliases, owned by the part
+	// raw is the world*elems contributions, rank-major little-endian
+	// float64s: the request's pooled frame body, owned by the part.
+	raw     []byte
 	deliver func(out []byte, mask []bool, hold *resultHold, err error)
 }
 
@@ -76,7 +77,7 @@ func (f *fuser) flush(elems int) {
 }
 
 // submitFused turns a batch into one service job. A lone request's
-// frame payload already is the per-rank contributions, so rank r folds
+// frame body already is the per-rank contributions, so rank r folds
 // its slice of it in place; a fused batch copies every part's rank-r
 // slice into one pooled buffer per rank and frees the parts' payloads.
 // Delivery demultiplexes the fused result back by offset. An admission
@@ -109,12 +110,12 @@ func (b *backend) submitFused(bt *fuseBatch) {
 			in[r] = buf
 		}
 		for _, part := range bt.parts {
-			releaseFrame(part.body)
+			releaseFrame(part.raw)
 		}
 	}
 	release := func() {
 		if k == 1 {
-			releaseFrame(bt.parts[0].body)
+			releaseFrame(bt.parts[0].raw)
 			return
 		}
 		for _, buf := range in {

@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzRequestFrame throws arbitrary byte streams at the framed request
-// codec exactly the way the session reader consumes them: frame by
-// frame, parse by type. The contract under attack: every malformation —
+// codec exactly the way the session reader consumes them: through the
+// shared frame decoder with the session's client-frame rules, then
+// parse by type. The contract under attack: every malformation —
 // truncated prefix, short body, duplicated or reordered fields, wild
 // lengths — must surface as a typed *ProtoError or a plain io error,
 // never a panic, a hang, or an unbounded allocation. Well-formed frames
@@ -43,33 +44,14 @@ func FuzzRequestFrame(f *testing.F) {
 	f.Add(append(encodeClose(), 0xde, 0xad))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
-		for frames := 0; frames < 64; frames++ {
-			typ, payload, err := readFrame(r)
-			if err != nil {
-				var pe *ProtoError
-				if !errors.As(err, &pe) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("readFrame returned untyped error %T: %v", err, err)
-				}
-				return
-			}
-			msg, err := parseClientFrame(typ, payload)
-			if err != nil {
-				var pe *ProtoError
-				if !errors.As(err, &pe) {
-					t.Fatalf("parseClientFrame(%#x) returned untyped error %T: %v", typ, err, err)
-				}
-				continue
-			}
+		err := decodeStream(&reqLog{each: func(typ byte, payload []byte, msg any) bool {
 			reencodeRoundTrip(t, typ, payload, msg)
 			// The same bytes must also never panic the server-frame
 			// parsers (a hostile peer can impersonate either side).
-			parseWelcome(payload)
-			parseResult(payload)
-			parseErr(payload)
-			parseOpDone(payload)
-			releaseFrame(payload)
-		}
+			parseServerFrame(typ, payload)
+			return true
+		}}, bytes.NewReader(stream))
+		checkStreamEnd(t, err)
 	})
 }
 
@@ -103,25 +85,7 @@ func FuzzServerFrame(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0x99})
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
-		for frames := 0; frames < 64; frames++ {
-			typ, payload, err := readFrame(r)
-			if err != nil {
-				var pe *ProtoError
-				if !errors.As(err, &pe) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("readFrame returned untyped error %T: %v", err, err)
-				}
-				return
-			}
-			msg, err := parseServerFrame(typ, payload)
-			if err != nil {
-				var pe *ProtoError
-				if !errors.As(err, &pe) {
-					t.Fatalf("parseServerFrame(%#x) returned untyped error %T: %v", typ, err, err)
-				}
-				releaseFrame(payload)
-				continue
-			}
+		err := decodeStream(&respLog{each: func(typ byte, payload []byte, msg any) bool {
 			var frame []byte
 			switch m := msg.(type) {
 			case welcomeMsg:
@@ -142,10 +106,22 @@ func FuzzServerFrame(f *testing.F) {
 					typ, msg, len(frame), len(want))
 			}
 			// A hostile peer can impersonate either side.
-			parseClientFrame(typ, payload)
-			releaseFrame(payload)
-		}
+			decodeStream(&reqLog{each: func(byte, []byte, any) bool { return true }},
+				bytes.NewReader(frameOf(typ, payload)))
+			return true
+		}}, bytes.NewReader(stream))
+		checkStreamEnd(t, err)
 	})
+}
+
+// checkStreamEnd holds a decoded stream's end to the codec's contract:
+// a clean or truncated end, or a typed *ProtoError.
+func checkStreamEnd(t *testing.T, err error) {
+	t.Helper()
+	var pe *ProtoError
+	if !errors.As(err, &pe) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("decoder returned untyped error %T: %v", err, err)
+	}
 }
 
 // reencodeRoundTrip asserts that a successfully parsed frame re-encodes

@@ -80,9 +80,9 @@ func TestProxyPingPong(t *testing.T) {
 // proxyTraffic sends msgs proxy messages of size bytes from rank 0 to
 // rank 1 of a fresh two-rank proxy group, the receiver returning each
 // payload with PutBuf, and closes both sessions. It returns the pool
-// buffers still out (gets minus retained puts) and the heap bytes the
-// process allocated meanwhile.
-func proxyTraffic(t *testing.T, group string, msgs, size int) (out int64, heap uint64) {
+// buffers still out (gets minus retained puts), the pool gets and the
+// heap bytes the process allocated meanwhile.
+func proxyTraffic(t *testing.T, group string, msgs, size int) (out int64, gets, heap uint64) {
 	t.Helper()
 	const world = 2
 	srv := newTestServer(t, Config{DrainTimeout: 2 * time.Second})
@@ -120,10 +120,11 @@ func proxyTraffic(t *testing.T, group string, msgs, size int) (out int64, heap u
 	d := perf.Read().Delta(before)
 	runtime.ReadMemStats(&m1)
 	out = int64(d.BufGets) - int64(d.BufRecycled) // a buffer got before the window may return in it
+	gets = d.BufGets
 	heap = m1.TotalAlloc - m0.TotalAlloc
 	t.Logf("pool: %d gets, %d puts, %d retained, %d outstanding; %d heap bytes allocated",
 		d.BufGets, d.BufPuts, d.BufRecycled, out, heap)
-	return out, heap
+	return out, gets, heap
 }
 
 // TestProxyRecvRecycles: the proxy plane's receive payloads circulate
@@ -134,19 +135,25 @@ func proxyTraffic(t *testing.T, group string, msgs, size int) (out int64, heap u
 // sessions closed, at most 4 pool buffers are still out.
 func TestProxyRecvRecycles(t *testing.T) {
 	const msgs = 100
-	if out, _ := proxyTraffic(t, "recycle", msgs, 64<<10); out > 4 {
+	if out, _, _ := proxyTraffic(t, "recycle", msgs, 64<<10); out > 4 {
 		t.Errorf("%d pool buffers outstanding after %d proxy messages: the receive path leaves them to the GC", out, msgs)
 	}
 }
 
-// TestProxySendRecycles is the send-side twin: the daemon copies each
-// proxy send's payload out of its request frame into a pooled buffer
-// that the job returns once the send completes, so 100 sends of 64 KiB
-// leave at most 4 pool buffers out and allocate well under one payload
-// per send on the heap.
+// TestProxySendRecycles is the send-side twin: the daemon reads each
+// proxy send's payload straight into a pooled buffer that the job owns
+// and returns once the send completes, so 100 sends of 64 KiB leave at
+// most 4 pool buffers out, allocate well under one payload per send on
+// the heap, and take 10 pool buffers per send plus 4 for the two
+// sessions' setup: 1004 gets. When the daemon still copied the payload
+// out of its request frame into a second pooled buffer, the same
+// traffic took 1104.
 func TestProxySendRecycles(t *testing.T) {
 	const msgs, size = 100, 64 << 10
-	out, heap := proxyTraffic(t, "recycle-send", msgs, size)
+	out, gets, heap := proxyTraffic(t, "recycle-send", msgs, size)
+	if gets > 10*msgs+4 {
+		t.Errorf("%d pool gets over %d proxy sends, want at most %d: the daemon copies each send's payload again", gets, msgs, 10*msgs+4)
+	}
 	if out > 4 {
 		t.Errorf("%d pool buffers outstanding after %d proxy sends: the send path leaves them to the GC", out, msgs)
 	}

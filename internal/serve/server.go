@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"adapt/internal/comm"
+	"adapt/internal/frame"
 	"adapt/internal/metrics"
 	"adapt/internal/perf"
 	"adapt/internal/pool"
@@ -230,16 +230,19 @@ func (s *Server) dropSession(sess *session) {
 	mSessionsLive.Dec()
 }
 
-// session is one client connection's server-side state.
+// session is one client connection's server-side state. It is the
+// connection decoder's frame.Handler: reqDec's client-frame rules plus
+// Dispatch.
 type session struct {
 	id   uint64
 	srv  *Server
 	conn net.Conn
+	w    *frame.Writer // one queue: encoded frames for the client
+	reqDec
 
 	be        *backend
 	proxyRank int
 
-	out        chan outFrame // encoded frames for the writer goroutine
 	gone       chan struct{}
 	goneOnce   sync.Once
 	pending    atomic.Int32
@@ -251,36 +254,15 @@ type session struct {
 }
 
 func newSession(s *Server, id uint64, conn net.Conn) *session {
-	outCap := s.cfg.SessionPending + 8
-	if outCap < 1024 {
-		outCap = 1024 // proxy sessions stream many op completions
-	}
 	return &session{
 		id:        id,
 		srv:       s,
 		conn:      conn,
+		w:         frame.NewWriter([]net.Conn{conn}, nil),
 		proxyRank: -1,
-		out:       make(chan outFrame, outCap),
 		gone:      make(chan struct{}),
 		drained:   make(chan struct{}),
 	}
-}
-
-// outFrame is one frame queued for the session writer: a pooled head
-// and, for a result, a borrowed body sent straight after it from where
-// it lies (rank 0's result bytes inside the job's buffers), whose hold
-// is dropped once the frame is on the socket. A zero outFrame is the
-// writer's stop sentinel.
-type outFrame struct {
-	head []byte
-	body []byte
-	hold *resultHold
-}
-
-// release recycles the head and drops the body's hold.
-func (f outFrame) release() {
-	releaseFrame(f.head)
-	f.hold.drop()
 }
 
 // resultHold keeps a finished allreduce job's buffers alive until the
@@ -313,35 +295,15 @@ func (h *resultHold) drop() {
 	}
 }
 
-// maxWriteBatch caps the frames the session writer gathers into one
-// vectored write.
-const maxWriteBatch = 32
+// Sent drops the reference of a result frame the writer is done with.
+func (h *resultHold) Sent(error) { h.drop() }
 
 // send hands an encoded frame to the writer, which takes ownership:
-// the writer recycles the pooled frame once it is on the socket, so
-// the caller must not touch it afterwards. A frame for a session that
-// is already gone (the client vanished mid-flight) is recycled here.
-func (s *session) send(frame []byte) {
-	s.sendFrame(outFrame{head: frame})
-}
-
-// sendFrame queues f for the writer, or releases it if the session is
-// gone.
-func (s *session) sendFrame(f outFrame) {
-	select {
-	case s.out <- f:
-	case <-s.gone:
-		f.release()
-	}
-}
-
-// stop queues the writer's stop sentinel: everything queued before it
-// flushes, then the connection is cut to unblock the reader.
-func (s *session) stop() {
-	select {
-	case s.out <- outFrame{}:
-	case <-s.gone:
-	}
+// the writer recycles the pooled frame once it is on the socket (or
+// at once, for a session that is already gone), so the caller must not
+// touch it afterwards.
+func (s *session) send(f []byte) {
+	s.w.Send(0, frame.Out{Head: f, PoolHead: true})
 }
 
 // sessionError pushes a session-fatal typed error (request id 0): the
@@ -360,8 +322,11 @@ func (s *session) beginShutdown() {
 	go func() {
 		select {
 		case <-s.drained:
+			// Flush the Bye, then cut the connection to end the reader.
 			s.send(encodeBye())
-			s.stop()
+			s.w.Close()
+			s.w.Wait()
+			s.conn.Close()
 		case <-s.gone:
 		}
 	}()
@@ -378,20 +343,26 @@ func (s *session) markGone() {
 	s.goneOnce.Do(func() { close(s.gone) })
 }
 
-// run is the session lifecycle: writer goroutine + reader loop, then
-// teardown (unbind, release backend, unregister).
+// errEndSession ends a session's reader once the frame just handled
+// has answered the client (Close handshake, a rejected Hello).
+var errEndSession = errors.New("serve: session ends")
+
+// run is the session lifecycle: the reader loop on this goroutine
+// beside the writer's, then teardown: the writer flushes what is still
+// queued (a session-fatal rejection must reach the client, not race the
+// close), then unbind, release the backend, unregister.
 func (s *session) run() {
 	defer s.srv.sessWG.Done()
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.writer()
-	}()
-
-	s.reader()
-
+	err := frame.NewDecoder("serve", maxFrameBody, s).Run(s.conn)
+	var pe *ProtoError
+	if errors.As(err, &pe) {
+		s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: pe.Reason}))
+	}
+	// Any other end (EOF, teardown) is an abrupt close: in-flight work
+	// completes into the void.
 	s.markGone()
-	<-writerDone
+	s.w.Close()
+	s.w.Wait()
 	s.conn.Close()
 	if s.be != nil {
 		if s.proxyRank >= 0 {
@@ -402,115 +373,40 @@ func (s *session) run() {
 	s.srv.dropSession(s)
 }
 
-// writer puts queued frames on the socket until the stop sentinel, a
-// dead connection, or teardown. Every frame already queued when it
-// wakes goes out in one vectored write (up to maxWriteBatch), and each
-// is released once written. After teardown it flushes what is still
-// queued — a session-fatal rejection must reach the client, not race
-// the close.
-func (s *session) writer() {
-	batch := make([]outFrame, 0, maxWriteBatch)
-	iovs := make([][]byte, 0, 2*maxWriteBatch)
-	var iov net.Buffers
-	// flush writes batch and releases it; false ends the writer (the
-	// stop sentinel, or a dead connection).
-	flush := func() bool {
-		iov = iovs[:0]
-		stop := false
-		for _, f := range batch {
-			if f.head == nil {
-				stop = true
-				break
-			}
-			iov = append(iov, f.head)
-			if len(f.body) > 0 {
-				iov = append(iov, f.body)
-			}
-		}
-		var err error
-		if len(iov) > 0 {
-			_, err = iov.WriteTo(s.conn)
-		}
-		clear(iovs[:cap(iovs)])
-		for i, f := range batch {
-			f.release()
-			batch[i] = outFrame{}
-		}
-		batch = batch[:0]
-		if stop {
-			s.conn.Close()
-		}
-		return !stop && err == nil
+// Dispatch applies one client frame; it owns body. A reduce request
+// takes the fast path: its values are the ranks' contributions.
+func (s *session) Dispatch(typ byte, body []byte) error {
+	if s.be != nil && (typ == cfAllreduce || typ == cfReduceFT) {
+		s.handleReduce(s.reduceID, body, typ == cfReduceFT)
+		return nil
 	}
-	// gather appends what is queued behind the first frame.
-	gather := func() {
-		for len(batch) < maxWriteBatch {
-			select {
-			case f := <-s.out:
-				batch = append(batch, f)
-			default:
-				return
-			}
-		}
-	}
-	for {
-		select {
-		case f := <-s.out:
-			batch = append(batch, f)
-			gather()
-			if !flush() {
-				return
-			}
-		case <-s.gone:
-			for {
-				gather()
-				if len(batch) == 0 || !flush() {
-					return
-				}
-			}
-		}
-	}
-}
-
-// reader consumes client frames until Close handshake, EOF, or a fatal
-// protocol violation.
-func (s *session) reader() {
-	br := bufio.NewReaderSize(s.conn, 64*1024)
-	for {
-		typ, payload, err := readFrame(br)
-		if err != nil {
-			var pe *ProtoError
-			if errors.As(err, &pe) {
-				s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: pe.Reason}))
-			}
-			return // EOF/teardown: abrupt close, in-flight work completes into the void
-		}
-		if (typ == cfAllreduce || typ == cfReduceFT) && s.be != nil {
-			// The reduce handler owns the payload from here: its value
-			// bytes are the ranks' contributions.
-			if !s.handleReduce(payload, typ == cfReduceFT) {
-				return
-			}
-			continue
-		}
-		// Every other frame is consumed here: parsed messages copy out
-		// what they keep, so the payload goes back to the pool.
-		more := s.handleFrame(typ, payload)
-		releaseFrame(payload)
-		if !more {
-			return
-		}
-	}
-}
-
-// handleFrame applies one non-reduce frame (or any frame before the
-// Hello); false ends the session.
-func (s *session) handleFrame(typ byte, payload []byte) bool {
-	msg, err := parseClientFrame(typ, payload)
+	msg, err := s.msg(typ, body)
 	if err != nil {
-		s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: err.Error()}))
-		return false
+		releaseFrame(body)
+		return err
 	}
+	if m, ok := msg.(isendMsg); ok && s.be != nil {
+		// The job owns the send data, read straight into its pooled
+		// buffer, until the send completes.
+		s.handleProxyOp(m.ID, &job{
+			kind: jobIsend, sess: s, opID: m.ID, peer: m.Dst, tag: m.Tag,
+			msg: comm.Msg{Data: m.Data, Size: m.Size},
+		})
+		return nil
+	}
+	// Every other frame is consumed here: parsed messages copy out what
+	// they keep, so the body goes back to the pool.
+	more := s.handleFrame(typ, msg)
+	releaseFrame(body)
+	if !more {
+		return errEndSession
+	}
+	return nil
+}
+
+// handleFrame applies one non-reduce, non-isend frame (or any frame
+// before the Hello); false ends the session.
+func (s *session) handleFrame(typ byte, msg any) bool {
 	if s.be == nil {
 		// First frame must be Hello.
 		hello, ok := msg.(helloMsg)
@@ -524,16 +420,6 @@ func (s *session) handleFrame(typ byte, payload []byte) bool {
 	case cfHello:
 		s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: "duplicate hello"}))
 		return false
-	case cfIsend:
-		// The job owns a pooled copy of the payload (the frame is
-		// recycled as soon as this returns) until the send completes.
-		m := msg.(isendMsg)
-		data := comm.GetBuf(len(m.Data))
-		copy(data, m.Data)
-		s.handleProxyOp(m.ID, &job{
-			kind: jobIsend, sess: s, opID: m.ID, peer: m.Dst, tag: m.Tag,
-			msg: comm.Msg{Data: data, Size: m.Size},
-		})
 	case cfIrecv:
 		m := msg.(irecvMsg)
 		s.handleProxyOp(m.ID, &job{
@@ -604,51 +490,45 @@ func (s *session) respond(id uint64, out []byte, mask []bool, hold *resultHold, 
 		s.send(encodeErr(errMsg{ID: id, Code: codeOf(err), Msg: err.Error()}))
 		hold.drop()
 	} else {
-		s.sendFrame(outFrame{head: encodeResultHead(resultMsg{ID: id, Mask: mask, Data: out}),
-			body: out, hold: hold})
+		s.w.Send(0, frame.Out{Head: encodeResultHead(resultMsg{ID: id, Mask: mask, Data: out}),
+			PoolHead: true, Body: out, Hook: hold})
 	}
 	s.srv.stResponses.Add(1)
 	s.pending.Add(-1)
 	s.maybeDrained()
 }
 
-// handleReduce admits one reduce request; false means the frame was
-// malformed and the session ends. It owns payload, the pooled frame
-// payload whose value bytes are the ranks' contributions: a rejection
-// recycles it at once, an FT request once submitFT has copied the
-// contributions out, and an allreduce once its result frame is encoded
-// (submitFused).
-func (s *session) handleReduce(payload []byte, ft bool) bool {
-	m, err := parseReduce(payload)
-	if err != nil {
-		releaseFrame(payload)
-		s.send(encodeErr(errMsg{ID: 0, Code: CodeBadRequest, Msg: err.Error()}))
-		return false
+// handleReduce admits one reduce request. It owns raw, the pooled
+// frame body whose value bytes are the ranks' contributions: a
+// rejection recycles it at once, an FT request once submitFT has copied
+// the contributions out, and an allreduce once its result frame is
+// written (submitFused).
+func (s *session) handleReduce(id uint64, raw []byte, ft bool) {
+	reject := func(msg string) {
+		releaseFrame(raw)
+		s.send(encodeErr(errMsg{ID: id, Code: CodeBadRequest, Msg: msg}))
 	}
-	reject := func(msg string) bool {
-		releaseFrame(payload)
-		s.send(encodeErr(errMsg{ID: m.ID, Code: CodeBadRequest, Msg: msg}))
-		return true
-	}
-	vals := len(m.Raw) / 8
+	vals := len(raw) / 8
 	if s.be.key.proxy {
-		return reject("proxy session serves point-to-point ops only")
+		reject("proxy session serves point-to-point ops only")
+		return
 	}
 	if vals%s.be.n != 0 {
-		return reject(fmt.Sprintf("%d values not divisible by world %d", vals, s.be.n))
+		reject(fmt.Sprintf("%d values not divisible by world %d", vals, s.be.n))
+		return
 	}
 	if s.be.armed && !ft {
-		return reject("crash-armed group serves FT requests only")
+		reject("crash-armed group serves FT requests only")
+		return
 	}
-	if !s.admit(m.ID) {
-		releaseFrame(payload)
-		return true
+	if !s.admit(id) {
+		releaseFrame(raw)
+		return
 	}
 	s.srv.stRequests.Add(1)
 	perf.RecordServeRequest()
-	mReqBytes.Add(uint64(len(m.Raw)))
+	mReqBytes.Add(uint64(len(raw)))
 	elems := vals / s.be.n
-	id := m.ID
 	deliver := func(out []byte, mask []bool, hold *resultHold, err error) {
 		s.respond(id, out, mask, hold, err)
 	}
@@ -666,14 +546,13 @@ func (s *session) handleReduce(payload []byte, ft bool) bool {
 		}
 	}
 	if ft {
-		s.be.submitFT(m.Raw, elems, func(out []byte, mask []bool, err error) {
+		s.be.submitFT(raw, elems, func(out []byte, mask []bool, err error) {
 			deliver(out, mask, nil, err)
 		})
-		releaseFrame(payload)
+		releaseFrame(raw)
 	} else {
-		s.be.fuse.add(fusePart{raw: m.Raw, body: payload, deliver: deliver}, elems)
+		s.be.fuse.add(fusePart{raw: raw, deliver: deliver}, elems)
 	}
-	return true
 }
 
 // handleProxyOp queues one point-to-point op on the bound rank. A
@@ -754,8 +633,6 @@ func (s *session) handleClose() {
 		s.be.unbindProxy(s.proxyRank, s)
 	}
 	s.send(encodeBye())
-	// Let the writer flush the tail before run() tears the conn down.
-	s.stop()
 }
 
 // codeOf extracts the wire code from a typed error (Internal otherwise).

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -35,7 +35,10 @@ func TestSweepDeadQueuedJobs(t *testing.T) {
 	if err := b.submitService(&job{kind: jobReduceFT, deliver: record}); err != nil {
 		t.Fatal(err)
 	}
-	sess := newSession(srv, 7, nil)
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	sess := newSession(srv, 7, conn)
+	defer func() { sess.w.Close(); sess.w.Wait(); conn.Close() }()
 	sess.pending.Store(2)
 	for _, j := range []*job{
 		{kind: jobIsend, sess: sess, opID: 11, peer: 0, msg: comm.Bytes(comm.GetBuf(64))},
@@ -76,17 +79,12 @@ func TestSweepDeadQueuedJobs(t *testing.T) {
 			t.Errorf("survivor %d holds %d queued jobs, want the allreduce and FT copies", r, q)
 		}
 	}
-	for _, id := range []uint64{11, 12} {
-		f := <-sess.out
-		typ, p, err := readFrame(bytes.NewReader(f.head))
-		if err != nil || typ != sfErr {
-			t.Fatalf("proxy op %d: frame type %#x, err %v; want an error frame", id, typ, err)
+	typs, msgs := readServerFrames(t, peer, 2)
+	for i, id := range []uint64{11, 12} {
+		m, ok := msgs[i].(errMsg)
+		if typs[i] != sfErr || !ok || m.ID != id || m.Code != CodeRankFailed {
+			t.Errorf("proxy op %d: got frame %#x %+v, want a RankFailed error frame", id, typs[i], msgs[i])
 		}
-		m, err := parseErr(p)
-		if err != nil || m.ID != id || m.Code != CodeRankFailed {
-			t.Errorf("proxy op %d: got %+v (%v), want RankFailed", id, m, err)
-		}
-		f.release()
 	}
 	if got := sess.pending.Load(); got != 0 {
 		t.Errorf("session still counts %d pending proxy ops", got)

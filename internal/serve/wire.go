@@ -3,17 +3,19 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"adapt/internal/comm"
+	"adapt/internal/frame"
 )
 
 // Wire format: every frame is a 4-byte little-endian body length
 // followed by the body; body byte 0 is the frame type, the rest is the
-// typed payload. The codec is a set of pure encode/parse functions so
+// typed payload (internal/frame). The codec is a set of pure
+// encode/parse functions and the two frame.Handler rule sets below, so
 // the fuzz harness can drive the exact bytes a hostile or truncated
-// client could send — every malformation must come back as a typed
-// *ProtoError, never a panic or a hang.
+// client could send through the decoder the daemon runs — every
+// malformation must come back as a typed *ProtoError, never a panic or
+// a hang.
 const (
 	// Client → server.
 	cfHello     byte = 0x01
@@ -42,51 +44,10 @@ const (
 
 // ProtoError is a typed wire-protocol violation: bad framing, a
 // truncated payload, an unknown type, an out-of-range field.
-type ProtoError struct {
-	Reason string
-}
-
-func (e *ProtoError) Error() string { return "serve: protocol error: " + e.Reason }
+type ProtoError = frame.Error
 
 func protoErrf(format string, args ...any) error {
-	return &ProtoError{Reason: fmt.Sprintf(format, args...)}
-}
-
-// readFrame reads one frame. Transport failures come back as the raw
-// io error (io.EOF on a clean end-of-stream between frames); framing
-// violations come back as *ProtoError.
-//
-// The payload is drawn from the comm.GetBuf pool and belongs to the
-// caller, who hands it back with releaseFrame once nothing aliases it
-// any more (a zero-length payload is nil).
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:4]))
-	if n < 1 {
-		return 0, nil, protoErrf("frame body %d bytes, want >= 1", n)
-	}
-	if n > maxFrameBody {
-		return 0, nil, protoErrf("frame body %d bytes exceeds limit %d", n, maxFrameBody)
-	}
-	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		return 0, nil, unexpectedEOF(err)
-	}
-	payload = comm.GetBuf(n - 1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		releaseFrame(payload)
-		return 0, nil, unexpectedEOF(err)
-	}
-	return hdr[4], payload, nil
-}
-
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return &ProtoError{Proto: "serve", Reason: fmt.Sprintf(format, args...)}
 }
 
 // releaseFrame returns a pooled frame or payload buffer; nil (an empty
@@ -103,9 +64,8 @@ func releaseFrame(b []byte) {
 // without reallocating. Whoever writes the frame to the socket owns it
 // and recycles it with releaseFrame.
 func newFrame(typ byte, n int) []byte {
-	f := comm.GetBuf(5 + n)[:5]
-	binary.LittleEndian.PutUint32(f, uint32(1+n))
-	f[4] = typ
+	f := comm.GetBuf(frame.HeadLen + n)[:frame.HeadLen]
+	frame.PutHead(f, typ, n)
 	return f
 }
 
@@ -154,22 +114,27 @@ func parseHello(p []byte) (helloMsg, error) {
 	return m, nil
 }
 
-// reduceMsg is a parsed reduce request. Raw aliases the frame payload:
-// the world*elems contributions as little-endian float64 bytes,
-// rank-major, never decoded on the server.
+// reduceMsg is a parsed reduce request. Raw is the frame's body, a
+// pooled buffer of its own: the world*elems contributions as
+// little-endian float64 bytes, rank-major, never decoded on the server.
+// The request id and element count are the frame's fixed part, so Raw
+// starts at offset 0 of its buffer, 8-byte aligned.
 type reduceMsg struct {
 	ID  uint64
 	Raw []byte
 }
 
-// reduceHeadLen is a reduce request's bytes before its values: length
-// prefix, type, request id and element count.
-const reduceHeadLen = 17
+// reduceFixed is a reduce request's fixed part: request id and element
+// count.
+const reduceFixed = 12
+
+// reduceHeadLen is a reduce request's bytes before its values: the
+// frame head and the fixed part.
+const reduceHeadLen = frame.HeadLen + reduceFixed
 
 // putReduceHead writes a reduce request's head for n values into h.
 func putReduceHead(h []byte, typ byte, id uint64, n int) {
-	binary.LittleEndian.PutUint32(h, uint32(13+8*n))
-	h[4] = typ
+	frame.PutHead(h, typ, reduceFixed+8*n)
 	binary.LittleEndian.PutUint64(h[5:], id)
 	binary.LittleEndian.PutUint32(h[13:], uint32(n))
 }
@@ -184,20 +149,17 @@ func encodeReduce(typ byte, id uint64, vals []float64) []byte {
 	return f
 }
 
-func parseReduce(p []byte) (reduceMsg, error) {
-	if len(p) < 12 {
-		return reduceMsg{}, protoErrf("reduce body %d bytes, want >= 12", len(p))
-	}
-	m := reduceMsg{ID: binary.LittleEndian.Uint64(p[0:8])}
-	count := int(binary.LittleEndian.Uint32(p[8:12]))
+// parseReduceHead decodes a reduce request's fixed part and checks it
+// against the n value bytes behind it.
+func parseReduceHead(fix []byte, n int) (uint64, error) {
+	count := int(binary.LittleEndian.Uint32(fix[8:12]))
 	if count < 1 || count > (maxFrameBody-13)/8 {
-		return reduceMsg{}, protoErrf("reduce element count %d out of range", count)
+		return 0, protoErrf("reduce element count %d out of range", count)
 	}
-	if len(p) != 12+8*count {
-		return reduceMsg{}, protoErrf("reduce payload %d bytes for %d elements", len(p)-12, count)
+	if n != 8*count {
+		return 0, protoErrf("reduce payload %d bytes for %d elements", n, count)
 	}
-	m.Raw = p[12:]
-	return m, nil
+	return binary.LittleEndian.Uint64(fix[0:8]), nil
 }
 
 type isendMsg struct {
@@ -226,10 +188,13 @@ func encodeIsend(m isendMsg) []byte {
 	return append(p, 0)
 }
 
-func parseIsend(p []byte) (isendMsg, error) {
-	if len(p) < 25 {
-		return isendMsg{}, protoErrf("isend body %d bytes, want >= 25", len(p))
-	}
+// isendFixed is an isend's fixed part: id, destination, tag, size and
+// the has-data flag; the data, if any, is the rest of the body.
+const isendFixed = 25
+
+// parseIsendHead decodes an isend's fixed part and checks it against the
+// n data bytes behind it.
+func parseIsendHead(p []byte, n int) (isendMsg, error) {
 	m := isendMsg{
 		ID:   binary.LittleEndian.Uint64(p[0:8]),
 		Dst:  int(int32(binary.LittleEndian.Uint32(p[8:12]))),
@@ -238,15 +203,14 @@ func parseIsend(p []byte) (isendMsg, error) {
 	}
 	switch p[24] {
 	case 0:
-		if len(p) != 25 {
-			return isendMsg{}, protoErrf("payload-elided isend carries %d extra bytes", len(p)-25)
+		if n != 0 {
+			return isendMsg{}, protoErrf("payload-elided isend carries %d extra bytes", n)
 		}
 	case 1:
 		m.HasData = true
-		if len(p) != 25+m.Size {
-			return isendMsg{}, protoErrf("isend data %d bytes, declared size %d", len(p)-25, m.Size)
+		if n != m.Size {
+			return isendMsg{}, protoErrf("isend data %d bytes, declared size %d", n, m.Size)
 		}
-		m.Data = p[25:]
 	default:
 		return isendMsg{}, protoErrf("isend hasData flag %d", p[24])
 	}
@@ -321,7 +285,7 @@ func encodeResultHead(m resultMsg) []byte {
 	// The mask length is a uint32: survivor masks are world-sized and
 	// worlds may be as large as maxWireWorld, which outgrows a byte.
 	p := newFrame(sfResult, 16+len(m.Mask))
-	binary.LittleEndian.PutUint32(p, uint32(17+len(m.Mask)+len(m.Data)))
+	frame.PutHead(p, sfResult, 16+len(m.Mask)+len(m.Data))
 	p = binary.LittleEndian.AppendUint64(p, m.ID)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(m.Mask)))
 	for _, alive := range m.Mask {
@@ -465,28 +429,82 @@ type byeMsg struct{}
 
 func encodeBye() []byte { return newFrame(sfBye, 0) }
 
-// parseClientFrame decodes any client-side frame into its typed message
-// — the single entry point the server reader and the fuzz harness
-// share. Unknown types and malformed payloads are *ProtoError.
-func parseClientFrame(typ byte, payload []byte) (any, error) {
+// reqDec is the frame.Handler rule set for client frames, shared by
+// the session reader and the fuzz harness. A reduce request's id and
+// count and an isend's 25 leading bytes are the fixed part, so the
+// values and the send data land at offset 0 of a pooled buffer of their
+// own; every other body lands whole in one.
+type reqDec struct {
+	reduceID uint64   // the reduce request being read
+	isend    isendMsg // the isend being read, Data not yet set
+}
+
+func (d *reqDec) Fixed(typ byte, n int) (int, error) {
+	switch typ {
+	case cfAllreduce, cfReduceFT:
+		if n < reduceFixed {
+			return 0, protoErrf("reduce body %d bytes, want >= %d", n, reduceFixed)
+		}
+		return reduceFixed, nil
+	case cfIsend:
+		if n < isendFixed {
+			return 0, protoErrf("isend body %d bytes, want >= %d", n, isendFixed)
+		}
+		return isendFixed, nil
+	}
+	return 0, nil
+}
+
+func (d *reqDec) Body(typ byte, fix []byte, n int) ([]byte, error) {
+	var err error
+	switch typ {
+	case cfAllreduce, cfReduceFT:
+		d.reduceID, err = parseReduceHead(fix, n)
+	case cfIsend:
+		d.isend, err = parseIsendHead(fix, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return comm.GetBuf(n), nil
+}
+
+func (d *reqDec) Abort(body []byte) { releaseFrame(body) }
+
+// msg decodes a finished client frame into its typed message. Unknown
+// types and malformed payloads are *ProtoError.
+func (d *reqDec) msg(typ byte, body []byte) (any, error) {
 	switch typ {
 	case cfHello:
-		return parseHello(payload)
+		return parseHello(body)
 	case cfAllreduce, cfReduceFT:
-		return parseReduce(payload)
+		return reduceMsg{ID: d.reduceID, Raw: body}, nil
 	case cfIsend:
-		return parseIsend(payload)
+		m := d.isend
+		m.Data = body
+		return m, nil
 	case cfIrecv:
-		return parseIrecv(payload)
+		return parseIrecv(body)
 	case cfClose:
-		if len(payload) != 0 {
-			return nil, protoErrf("close frame carries %d bytes", len(payload))
+		if len(body) != 0 {
+			return nil, protoErrf("close frame carries %d bytes", len(body))
 		}
 		return nil, nil
 	default:
 		return nil, protoErrf("unknown client frame type %#x", typ)
 	}
 }
+
+// respDec is the frame.Handler rule set for server frames: every body
+// lands whole in a pooled buffer, parsed once finished
+// (parseServerFrame).
+type respDec struct{}
+
+func (respDec) Fixed(byte, int) (int, error) { return 0, nil }
+
+func (respDec) Body(_ byte, _ []byte, n int) ([]byte, error) { return comm.GetBuf(n), nil }
+
+func (respDec) Abort(body []byte) { releaseFrame(body) }
 
 // parseServerFrame decodes any server-side frame into its typed message
 // — the single entry point the client reader and the fuzz harness

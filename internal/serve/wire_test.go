@@ -31,30 +31,31 @@ func TestResultFrameWideMask(t *testing.T) {
 			}
 		}
 		frame := encodeResult(resultMsg{ID: 7, Mask: mask, Data: data})
-		typ, payload, err := readFrame(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatalf("mask %d: readFrame: %v", n, err)
-		}
-		if typ != sfResult {
-			t.Fatalf("mask %d: frame type %#x, want result", n, typ)
-		}
-		m, err := parseResult(payload)
-		if err != nil {
-			t.Fatalf("mask %d: parseResult: %v", n, err)
-		}
-		if m.ID != 7 {
-			t.Fatalf("mask %d: id %d, want 7", n, m.ID)
-		}
-		if len(m.Mask) != n {
-			t.Fatalf("mask %d: round-tripped to %d entries", n, len(m.Mask))
-		}
-		for i, alive := range m.Mask {
-			if alive != mask[i] {
-				t.Fatalf("mask %d: entry %d flipped", n, i)
+		decoded := false
+		err := decodeStream(&respLog{each: func(typ byte, _ []byte, msg any) bool {
+			m, ok := msg.(resultMsg)
+			if typ != sfResult || !ok {
+				t.Fatalf("mask %d: frame type %#x, want result", n, typ)
 			}
-		}
-		if !bytes.Equal(m.Data, data) {
-			t.Fatalf("mask %d: payload corrupted", n)
+			if m.ID != 7 {
+				t.Fatalf("mask %d: id %d, want 7", n, m.ID)
+			}
+			if len(m.Mask) != n {
+				t.Fatalf("mask %d: round-tripped to %d entries", n, len(m.Mask))
+			}
+			for i, alive := range m.Mask {
+				if alive != mask[i] {
+					t.Fatalf("mask %d: entry %d flipped", n, i)
+				}
+			}
+			if !bytes.Equal(m.Data, data) {
+				t.Fatalf("mask %d: payload corrupted", n)
+			}
+			decoded = true
+			return true
+		}}, bytes.NewReader(frame))
+		if err != io.EOF || !decoded {
+			t.Fatalf("mask %d: decoding the frame: %v", n, err)
 		}
 	}
 }
