@@ -11,8 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"adapt/internal/perf"
 )
 
 // HeadLen is a frame's head: the length prefix and the type byte.
@@ -152,7 +150,6 @@ func (d *Decoder) Feed(n int) error {
 			d.typ = d.buf[d.r+4]
 			d.r += HeadLen
 			d.n = n - 1
-			perf.RecordNetFrameIn(4 + n)
 			fixed, err := d.h.Fixed(d.typ, d.n)
 			if err != nil {
 				return err

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"adapt/internal/comm"
-	"adapt/internal/perf"
 )
 
 // Out is one outgoing frame: Head, then Body sent from where it lies.
@@ -46,15 +45,20 @@ const maxBatch = 32
 // draining one queue per connection round-robin. Each service takes a
 // queue's whole backlog and writes it as vectored writes (net.Buffers,
 // writev) of up to maxBatch frames, so frames that pile up while another
-// queue is being served coalesce into few syscalls. Queues are
-// unbounded, so a caller never blocks on a socket: nettransport's I/O
-// loop enqueues grants and payloads and would deadlock two ranks
-// bulk-sending to each other through bounded ones.
+// queue is being served coalesce into few syscalls. Without a limit a
+// caller never blocks on a socket: nettransport's I/O loop enqueues
+// grants and payloads and would deadlock two ranks bulk-sending to each
+// other through bounded queues. With one, a connection whose peer stops
+// reading stalls whoever produces its frames, so the frames held for it
+// stay bounded.
 type Writer struct {
-	onErr func(q int, err error)
+	limit   int
+	onWrite func(n int)
+	onErr   func(q int, err error)
 
 	mu      sync.Mutex
-	cond    sync.Cond
+	cond    sync.Cond // the writer goroutine waits here for frames
+	space   sync.Cond // a Send held by the limit waits here for room
 	qs      []queue
 	closing bool  // drain what is queued, then stop
 	rr      int   // next queue to service (fairness cursor)
@@ -72,11 +76,16 @@ type queue struct {
 }
 
 // NewWriter starts the writer for conns; queue i writes to conns[i] (a
-// nil entry is a queue nothing is sent on). onErr, if set, hears of a
-// failed write on queue i, except while the writer is closing.
-func NewWriter(conns []net.Conn, onErr func(q int, err error)) *Writer {
-	w := &Writer{onErr: onErr, qs: make([]queue, len(conns)), done: make(chan struct{})}
+// nil entry is a queue nothing is sent on). A positive limit caps each
+// queue's backlog: Send waits while its queue holds limit frames; 0
+// leaves the queues unbounded. onWrite, if set, hears the wire size of
+// every frame written; onErr, if set, hears of a failed write on queue
+// i, except while the writer is closing.
+func NewWriter(conns []net.Conn, limit int, onWrite func(n int), onErr func(q int, err error)) *Writer {
+	w := &Writer{limit: limit, onWrite: onWrite, onErr: onErr,
+		qs: make([]queue, len(conns)), done: make(chan struct{})}
 	w.cond.L = &w.mu
+	w.space.L = &w.mu
 	for i, c := range conns {
 		w.qs[i].conn = c
 	}
@@ -84,11 +93,15 @@ func NewWriter(conns []net.Conn, onErr func(q int, err error)) *Writer {
 	return w
 }
 
-// Send queues f on queue q; the writer owns it from here. A frame for a
-// dead queue or a closing writer is settled at once with the reason.
+// Send queues f on queue q; the writer owns it from here. Under a limit
+// it first waits for room in the queue. A frame for a dead queue or a
+// closing writer is settled at once with the reason.
 func (w *Writer) Send(q int, f Out) {
 	w.mu.Lock()
 	qq := &w.qs[q]
+	for w.limit > 0 && len(qq.frames) >= w.limit && !w.closing && !qq.dead {
+		w.space.Wait()
+	}
 	if w.closing || qq.dead {
 		err := qq.werr
 		w.mu.Unlock()
@@ -103,6 +116,13 @@ func (w *Writer) Send(q int, f Out) {
 	w.mu.Unlock()
 }
 
+// Backlog returns the frames queued on q and not yet taken for a write.
+func (w *Writer) Backlog(q int) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.qs[q].frames)
+}
+
 // Kill marks queue q dead with err and settles its backlog: frames
 // already taken for a write still go to the socket.
 func (w *Writer) Kill(q int, err error) {
@@ -115,6 +135,7 @@ func (w *Writer) Kill(q int, err error) {
 	backlog := qq.frames
 	qq.frames = nil
 	err = qq.werr
+	w.space.Broadcast()
 	w.mu.Unlock()
 	for i := range backlog {
 		backlog[i].settle(err)
@@ -127,6 +148,7 @@ func (w *Writer) Close() {
 	w.mu.Lock()
 	w.closing = true
 	w.cond.Signal()
+	w.space.Broadcast()
 	w.mu.Unlock()
 }
 
@@ -159,6 +181,9 @@ func (w *Writer) run() {
 		batch := q.frames
 		q.frames = w.spare
 		w.rr = idx + 1
+		if w.limit > 0 {
+			w.space.Broadcast()
+		}
 		w.mu.Unlock()
 		w.write(idx, batch)
 		clear(batch)
@@ -191,8 +216,8 @@ func (w *Writer) write(q int, batch []Out) {
 			w.bufs = w.bufs[:0]
 		}
 		for i := range chunk {
-			if err == nil {
-				perf.RecordNetFrameOut(len(chunk[i].Head) + len(chunk[i].Body))
+			if err == nil && w.onWrite != nil {
+				w.onWrite(len(chunk[i].Head) + len(chunk[i].Body))
 			}
 			chunk[i].settle(err)
 		}

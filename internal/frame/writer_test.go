@@ -6,7 +6,9 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"adapt/internal/comm"
 	"adapt/internal/perf"
@@ -43,7 +45,7 @@ func TestWriterDrainsInOrder(t *testing.T) {
 
 	p0 := perf.Read()
 	hooks := &hookLog{}
-	w := NewWriter([]net.Conn{nil, a}, nil)
+	w := NewWriter([]net.Conn{nil, a}, 0, nil, nil)
 	var want bytes.Buffer
 	const frames = 3*maxBatch + 5
 	for i := 0; i < frames; i++ {
@@ -90,7 +92,7 @@ func TestWriterKillAndWriteError(t *testing.T) {
 	a, b := net.Pipe()
 	b.Close() // every write on a fails
 	failed := make(chan int, 1)
-	w := NewWriter([]net.Conn{a, nil}, func(q int, err error) { failed <- q })
+	w := NewWriter([]net.Conn{a, nil}, 0, nil, func(q int, err error) { failed <- q })
 	defer w.Wait()
 	defer w.Close()
 
@@ -110,5 +112,63 @@ func TestWriterKillAndWriteError(t *testing.T) {
 	w.Send(1, Out{Head: []byte{1, 0, 0, 0, 3}, Hook: hooks})
 	if errs := hooks.outcomes(); len(errs) != 3 || errs[2] != gone {
 		t.Fatalf("frame on a killed queue settled with %v, want the kill reason", errs[2:])
+	}
+}
+
+// TestWriterLimitHoldsSend: under a limit, a queue whose peer stops
+// reading holds at most limit frames beside the batch being written,
+// and a further Send waits; Kill releases the waiting Send with the
+// kill reason.
+func TestWriterLimitHoldsSend(t *testing.T) {
+	a, b := net.Pipe() // nothing reads b: the first write never returns
+	const limit, frames = 4, 10 * 4
+	w := NewWriter([]net.Conn{a}, limit, nil, nil)
+	hooks := &hookLog{}
+	var sent atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < frames; i++ {
+			w.Send(0, Out{Head: []byte{1, 0, 0, 0, byte(i)}, Hook: hooks})
+			sent.Add(1)
+		}
+	}()
+	// The sender stalls once the queue is full.
+	for last, still := int32(-1), 0; still < 10; time.Sleep(10 * time.Millisecond) {
+		if n := sent.Load(); n != last {
+			last, still = n, 0
+		} else {
+			still++
+		}
+	}
+	n := int(sent.Load())
+	if n <= limit || n > 2*limit {
+		t.Fatalf("%d Sends returned with the peer not reading, want %d..%d", n, limit+1, 2*limit)
+	}
+	if q := w.Backlog(0); q != limit {
+		t.Fatalf("backlog %d frames, want the limit %d", q, limit)
+	}
+	gone := errors.New("peer gone")
+	w.Kill(0, gone)
+	<-done
+	b.Close() // fail the write in progress
+	w.Close()
+	w.Wait()
+	errs := hooks.outcomes()
+	if len(errs) != frames {
+		t.Fatalf("%d hooks ran, want %d", len(errs), frames)
+	}
+	killed := 0
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("frame %d reached a peer that never read", i)
+		}
+		if err == gone {
+			killed++
+		}
+	}
+	// Only the batch taken for the stuck write misses the kill.
+	if want := frames - (n - limit); killed != want {
+		t.Errorf("%d frames settled with the kill reason, want %d", killed, want)
 	}
 }

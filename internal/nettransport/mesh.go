@@ -133,7 +133,7 @@ func (c *Comm) joinMesh(addrs []string) error {
 			conns[r] = cs.conn
 		}
 	}
-	c.w = frame.NewWriter(conns, func(rank int, err error) {
+	c.w = frame.NewWriter(conns, 0, perf.RecordNetFrameOut, func(rank int, err error) {
 		if !c.isClosed() {
 			c.peerLost(rank, err)
 		}

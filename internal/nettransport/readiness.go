@@ -77,9 +77,10 @@ func newConnState(c *Comm, rank int, conn net.Conn) *connState {
 	return cs
 }
 
-// Fixed validates the frame type against its body length and returns
-// the fixed-field byte count.
+// Fixed counts the frame, validates its type against its body length
+// and returns the fixed-field byte count.
 func (cs *connState) Fixed(typ byte, n int) (int, error) {
+	perf.RecordNetFrameIn(frame.HeadLen + n)
 	switch typ {
 	case frameIdent:
 		if n != 4 {

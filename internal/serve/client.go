@@ -9,7 +9,6 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/frame"
-	"adapt/internal/perf"
 )
 
 // SessionOpts names the backend a client session binds to.
@@ -249,9 +248,6 @@ func (s *Session) writeFrame(frame []byte) error {
 	s.wmu.Lock()
 	_, err := s.conn.Write(frame)
 	s.wmu.Unlock()
-	if err == nil {
-		perf.RecordNetFrameOut(len(frame))
-	}
 	releaseFrame(frame)
 	return err
 }
@@ -315,9 +311,6 @@ func (s *Session) writeReduce(typ byte, id uint64, vals []float64) error {
 	s.iov = s.iovArr[:]
 	_, err := s.iov.WriteTo(s.conn)
 	s.iovArr[1] = nil // the caller's values, no longer ours
-	if err == nil {
-		perf.RecordNetFrameOut(reduceHeadLen + len(body))
-	}
 	return err
 }
 

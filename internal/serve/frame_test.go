@@ -23,23 +23,52 @@ var errEnough = errors.New("enough frames")
 // reqLog decodes client frames with the session's rules (reqDec) and
 // passes each finished frame to each with its whole payload, fixed part
 // included, and its typed message, before recycling its body. A frame
-// that does not parse ends the stream with its *ProtoError; a false
-// from each ends it with errEnough.
+// that does not parse ends the stream with its *ProtoError, unless bad
+// is set: then bad hears the error and the stream goes on with the next
+// frame. A false from each ends the stream with errEnough.
 type reqLog struct {
 	reqDec
-	fix  []byte
-	each func(typ byte, payload []byte, msg any) bool
+	fix     []byte
+	each    func(typ byte, payload []byte, msg any) bool
+	bad     func(err error)
+	badBody error // bad is set: why the frame being read does not parse
+}
+
+func (h *reqLog) Fixed(typ byte, n int) (int, error) {
+	h.badBody = nil
+	fixed, err := h.reqDec.Fixed(typ, n)
+	if err != nil && h.bad != nil {
+		h.badBody = err
+		return 0, nil
+	}
+	return fixed, err
 }
 
 func (h *reqLog) Body(typ byte, fix []byte, n int) ([]byte, error) {
 	h.fix = append(h.fix[:0], fix...)
-	return h.reqDec.Body(typ, fix, n)
+	if h.badBody != nil {
+		return comm.GetBuf(n), nil
+	}
+	body, err := h.reqDec.Body(typ, fix, n)
+	if err != nil && h.bad != nil {
+		h.badBody = err
+		return comm.GetBuf(n), nil
+	}
+	return body, err
 }
 
 func (h *reqLog) Dispatch(typ byte, body []byte) error {
 	defer releaseFrame(body)
-	msg, err := h.msg(typ, body)
+	err := h.badBody
+	var msg any
+	if err == nil {
+		msg, err = h.msg(typ, body)
+	}
 	if err != nil {
+		if h.bad != nil {
+			h.bad(err)
+			return nil
+		}
 		return err
 	}
 	if !h.each(typ, append(h.fix, body...), msg) {
@@ -53,12 +82,17 @@ func (h *reqLog) Dispatch(typ byte, body []byte) error {
 type respLog struct {
 	respDec
 	each func(typ byte, payload []byte, msg any) bool
+	bad  func(err error)
 }
 
 func (h *respLog) Dispatch(typ byte, body []byte) error {
 	defer releaseFrame(body)
 	msg, err := parseServerFrame(typ, body)
 	if err != nil {
+		if h.bad != nil {
+			h.bad(err)
+			return nil
+		}
 		return err
 	}
 	if !h.each(typ, body, msg) {

@@ -11,9 +11,9 @@ import (
 )
 
 // FuzzRequestFrame throws arbitrary byte streams at the framed request
-// codec exactly the way the session reader consumes them: through the
-// shared frame decoder with the session's client-frame rules, then
-// parse by type. The contract under attack: every malformation —
+// codec the way the session reader consumes them: through the shared
+// frame decoder with the session's client-frame rules, then parse by
+// type, going on past a frame that does not parse. The contract under attack: every malformation —
 // truncated prefix, short body, duplicated or reordered fields, wild
 // lengths — must surface as a typed *ProtoError or a plain io error,
 // never a panic, a hang, or an unbounded allocation. Well-formed frames
@@ -48,9 +48,12 @@ func FuzzRequestFrame(f *testing.F) {
 			reencodeRoundTrip(t, typ, payload, msg)
 			// The same bytes must also never panic the server-frame
 			// parsers (a hostile peer can impersonate either side).
-			parseServerFrame(typ, payload)
+			parseWelcome(payload)
+			parseResult(payload)
+			parseErr(payload)
+			parseOpDone(payload)
 			return true
-		}}, bytes.NewReader(stream))
+		}, bad: typedParseError(t)}, bytes.NewReader(stream))
 		checkStreamEnd(t, err)
 	})
 }
@@ -109,9 +112,21 @@ func FuzzServerFrame(f *testing.F) {
 			decodeStream(&reqLog{each: func(byte, []byte, any) bool { return true }},
 				bytes.NewReader(frameOf(typ, payload)))
 			return true
-		}}, bytes.NewReader(stream))
+		}, bad: typedParseError(t)}, bytes.NewReader(stream))
 		checkStreamEnd(t, err)
 	})
+}
+
+// typedParseError holds a frame that does not parse to the codec's
+// contract, a typed *ProtoError; the stream goes on with the next frame.
+func typedParseError(t *testing.T) func(error) {
+	return func(err error) {
+		t.Helper()
+		var pe *ProtoError
+		if !errors.As(err, &pe) {
+			t.Fatalf("frame parse returned untyped error %T: %v", err, err)
+		}
+	}
 }
 
 // checkStreamEnd holds a decoded stream's end to the codec's contract:

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -185,6 +187,83 @@ func TestSessionPendingOverload(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStalledClientBounded: a client that keeps sending requests and
+// never reads its responses must not make the daemon hold unboundedly
+// many frames for it. The session's writer queue fills to its cap, the
+// in-flight budget is then never credited, the reader stops on its
+// rejection frames, and TCP flow control stalls the client's writes
+// long before it has sent everything.
+func TestStalledClientBounded(t *testing.T) {
+	cfg := Config{DrainTimeout: 200 * time.Millisecond}
+	srv := newTestServer(t, cfg)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+
+	// 64 two-rank requests of 4 elements per write, 128 MiB in all: far
+	// more than the socket buffers on both sides can take in, even with
+	// the daemon's send buffer packed with rejection frames.
+	var batch bytes.Buffer
+	for i := 0; i < 64; i++ {
+		f := encodeReduce(cfAllreduce, uint64(i+1), contrib(2, 4, i))
+		batch.Write(f)
+		releaseFrame(f)
+	}
+	const total = 128 << 20
+	hello := encodeHello(helloMsg{Proto: protoVersion, World: 2, ProxyRank: -1})
+	_, err = conn.Write(hello)
+	releaseFrame(hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for n := 0; n < total; n += batch.Len() {
+			if _, err := conn.Write(batch.Bytes()); err != nil {
+				return
+			}
+		}
+	}()
+
+	// Wait for the session reader to stop: no request admitted or
+	// rejected for half a second.
+	deadline := time.Now().Add(20 * time.Second)
+	for last, still := uint64(0), 0; still < 10; time.Sleep(50 * time.Millisecond) {
+		st := srv.Stats()
+		if time.Now().After(deadline) {
+			t.Fatalf("the reader never stopped: %d requests admitted, %d rejected", st.Requests, st.Overloads)
+		}
+		if n := st.Requests + st.Overloads; n != last || n == 0 {
+			last, still = n, 0
+		} else {
+			still++
+		}
+	}
+	select {
+	case <-finished:
+		t.Fatalf("the daemon took in all %d MiB from a client that never reads", total>>20)
+	default:
+	}
+	srv.mu.Lock()
+	var backlog []int
+	for _, sess := range srv.sessions {
+		backlog = append(backlog, sess.w.Backlog(0))
+	}
+	srv.mu.Unlock()
+	if len(backlog) != 1 || backlog[0] > sessionQueue(srv.cfg) {
+		t.Fatalf("session writer backlog %v frames, want one session at most %d",
+			backlog, sessionQueue(srv.cfg))
+	}
+	st := srv.Stats()
+	t.Logf("admitted %d requests, rejected %d, %d frames queued", st.Requests, st.Overloads, backlog[0])
+	conn.Close()
+	<-finished
 }
 
 func TestMaxSessionsRejected(t *testing.T) {

@@ -253,12 +253,20 @@ type session struct {
 	sessErrRaw atomic.Bool
 }
 
+// sessionQueue caps the frames a session's writer queues for its
+// client: the in-flight budget's responses and some slack, but no fewer
+// than 1024, as proxy sessions stream many op completions. A client
+// that stops reading fills it; then respond waits before crediting the
+// budget, admission stops at SessionPending, the reader waits on its
+// rejection frames and TCP flow control pushes back on the client.
+func sessionQueue(cfg Config) int { return max(cfg.SessionPending+8, 1024) }
+
 func newSession(s *Server, id uint64, conn net.Conn) *session {
 	return &session{
 		id:        id,
 		srv:       s,
 		conn:      conn,
-		w:         frame.NewWriter([]net.Conn{conn}, nil),
+		w:         frame.NewWriter([]net.Conn{conn}, sessionQueue(s.cfg), nil, nil),
 		proxyRank: -1,
 		gone:      make(chan struct{}),
 		drained:   make(chan struct{}),
@@ -301,7 +309,7 @@ func (h *resultHold) Sent(error) { h.drop() }
 // send hands an encoded frame to the writer, which takes ownership:
 // the writer recycles the pooled frame once it is on the socket (or
 // at once, for a session that is already gone), so the caller must not
-// touch it afterwards.
+// touch it afterwards. It waits while the session's queue is full.
 func (s *session) send(f []byte) {
 	s.w.Send(0, frame.Out{Head: f, PoolHead: true})
 }
@@ -484,7 +492,9 @@ func (s *session) admit(id uint64) bool {
 
 // respond delivers one request's outcome and credits the session's
 // in-flight budget. A result's bytes go out as the frame's body where
-// they lie; hold, when non-nil, keeps them alive until written.
+// they lie; hold, when non-nil, keeps them alive until written. The
+// credit comes after the frame is queued, so a client that does not
+// read holds admission at SessionPending (sessionQueue).
 func (s *session) respond(id uint64, out []byte, mask []bool, hold *resultHold, err error) {
 	if err != nil {
 		s.send(encodeErr(errMsg{ID: id, Code: codeOf(err), Msg: err.Error()}))
